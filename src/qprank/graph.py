@@ -243,9 +243,17 @@ def parse_pajek(text: str) -> DirectedGraph:
 
 
 def to_pajek(g: DirectedGraph) -> str:
-    """Emit the Pajek subset understood by :func:`parse_pajek` (keeps labels)."""
+    """Emit the Pajek subset understood by :func:`parse_pajek` (keeps labels).
+
+    Raises ValueError for a label that a quoted vertex line cannot hold: one
+    containing a double quote or a line break.
+    """
     lines = [f"*Vertices {g.node_count}"]
     if g.labels is not None:
+        for i, label in enumerate(g.labels):
+            if '"' in label or "".join(label.splitlines()) != label:
+                raise ValueError(f"vertex {i + 1} label {label!r} cannot be written to Pajek: "
+                                 "labels may not contain '\"' or line breaks")
         lines.extend(f'{i + 1} "{label}"' for i, label in enumerate(g.labels))
     lines.append("*Arcs")
     lines.extend(f"{s + 1} {d + 1}" for s, d in g.sorted_arcs())

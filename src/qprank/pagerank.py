@@ -184,12 +184,17 @@ def classical_pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
 
     Requires alpha < 1 so the matrix is primitive and the fixed point
     unique; the result sums to 1 and does not depend on the start vector.
+    Raises ValueError if the power method has not converged to ``tol``
+    within ``max_iter`` iterations.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     gm = google_matrix(patch_dangling(hyperlink_matrix(g)), alpha)
     i0 = np.full(g.node_count, 1.0 / g.node_count)
     result = power_method(gm, i0, tol=tol, max_iter=max_iter)
+    if not result.converged:
+        raise ValueError(f"power method did not converge to tol={tol:g} "
+                         f"in {result.iterations} iterations")
     return result.values
 
 

@@ -1,21 +1,37 @@
 """Szegedy quantization of the Google matrix and the quantum rank series.
 
-The walk lives on ordered node pairs: a state is a complex vector of
-length N*N with amplitude(i, j) stored at i*N + j (register 1 first).
-Column j of the Google matrix G defines
+The walk lives on ordered node pairs: an edge-space state is a complex
+vector of length N*N with amplitude(i, j) stored at i*N + j (register 1
+first). Column j of the Google matrix G defines
 
     psi_j = |j>_1 (x) sum_k sqrt(G[k, j]) |k>_2,
 
 an orthonormal family because the psi_j occupy disjoint register-1 blocks.
-One walk step is the reflection through span{psi_j} followed by the swap of
-the two registers; evolution always uses the two-step operator so arcs are
-swapped an even number of times and directedness survives. The node
+One walk step is the reflection through span{psi_j} followed by the swap S
+of the two registers; evolution always uses the two-step operator so arcs
+are swapped an even number of times and directedness survives. The node
 distribution reads out register 2.
 
-Two interchangeable backends produce the rank series: direct iteration of
-the two-step operator (O(N^2) per step, the default), and a spectral method
-that restricts the operator to its invariant subspace of dimension at most
-2N and advances eigenphases.
+The walk starts at (1/sqrt(N)) sum_j psi_j and never leaves the span of
+{psi_j} and {S psi_j}, so the direct backend works on two real registers
+a, b in R^N with state A a + S A b, where A e_j = psi_j. The discriminant
+D = sqrt(G o G^T) (entrywise) drives them: one two-step is
+
+    c = a + 2 D b,   (a, b) -> (-c, 2 D c - b),
+
+from a = 1/sqrt(N), b = 0, and the node distribution is
+
+    P = G (a o a) + b o (b + 2 D a).
+
+On the eigenspace of D with eigenvalue +-1 the state is a fixed point of
+the two-step while a and b grow linearly; that eigenspace is deflated
+exactly (split off at the start, held constant, and removed from the D
+the registers iterate with), so rounding cannot grow along it. The
+edge-space functions (``initial_state``, ``two_step``, ``apply_reflection``,
+``apply_swap``, ``instantaneous_qpr``) remain as the independent oracle.
+
+The spectral backend restricts the edge-space two-step to its invariant
+subspace of dimension at most 2N and advances eigenphases.
 """
 
 from __future__ import annotations
@@ -32,6 +48,8 @@ from .pagerank import (DEFAULT_ALPHA, GoogleMatrix, google_matrix,
 DEFAULT_STEPS = 2048
 STOCHASTIC_TOL = 1e-12
 ORTHO_TOL = 1e-10
+# Eigenvalues of D within this distance of modulus 1 are deflated exactly.
+UNIT_EIGEN_TOL = 1e-9
 # Above this size the spectral basis (N^2 x 2N complex) stops paying for
 # itself in either time or memory; plain iteration is exact anyway.
 SPECTRAL_MAX_NODES = 64
@@ -130,26 +148,79 @@ class QuantumRankSeries:
         return self.instantaneous.shape[1]
 
 
-def evolve(op: SzegedyOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> QuantumRankSeries:
-    """Direct-iteration backend: record the distribution at each two-step.
-
-    ``offset`` discards that many leading two-steps before recording, for
-    experiments that want the average to start later than m = 0.
-    """
+def _check_horizon(steps: int, offset: int) -> None:
     if steps < 1:
         raise ValueError("steps must be at least 1")
     if offset < 0:
         raise ValueError("offset must be nonnegative")
+
+
+def _register_walk(op: SzegedyOperator, steps: int, offset: int):
+    """Yield ``(x, q)`` for two-steps m = offset .. offset+steps-1.
+
+    The distribution after m two-steps is P_m = G(x*x) + q. The registers
+    are iterated in the sign-alternating frame alpha = (-1)^m a,
+    beta = (-1)^m b, where the two-step reads alpha += 2D beta,
+    beta -= 2D alpha, and q = beta_m * beta_{m-1} because
+    beta_m + 2D alpha_m = beta_{m-1}. The +-1 eigenspace of D is deflated:
+    its share of the initial a is a fixed point of the walk, kept aside and
+    added back at readout (with the frame's sign), while the rest iterates
+    under D with that eigenspace removed.
+    """
     n = op.dim
-    psi = initial_state(op).reshape(n, n)
-    for _ in range(offset):
-        psi = _two_step_blocks(psi, op.amps)
-    inst = np.empty((steps, n))
-    for m in range(steps):
-        inst[m] = (psi.real ** 2 + psi.imag ** 2).sum(axis=0)
-        if m + 1 < steps:
-            psi = _two_step_blocks(psi, op.amps)
+    d = op.amps * op.amps.T
+    alpha = np.full(n, 1.0 / np.sqrt(n))
+    lam, vecs = scipy.linalg.eigh(d)
+    unit = np.abs(np.abs(lam) - 1.0) <= UNIT_EIGEN_TOL
+    fixed = d_fixed = None
+    if unit.any():
+        v1, lam1 = vecs[:, unit], lam[unit]
+        coeff = v1.T @ alpha
+        fixed = v1 @ coeff
+        d_fixed = 2.0 * (v1 @ (lam1 * coeff))
+        alpha = alpha - fixed
+        d = d - (v1 * lam1) @ v1.T
+    d2 = 2.0 * d
+    beta = prev = np.zeros(n)
+    for m in range(offset + steps):
+        if m:
+            alpha = alpha + d2 @ beta
+            beta, prev = beta - d2 @ alpha, beta
+        if m < offset:
+            continue
+        if fixed is None:
+            yield alpha, beta * prev
+        else:
+            sign = -1.0 if m % 2 else 1.0
+            yield alpha + sign * fixed, beta * (prev + sign * d_fixed)
+
+
+def evolve(op: SzegedyOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> QuantumRankSeries:
+    """Direct backend: record the distribution at each two-step.
+
+    ``offset`` discards that many leading two-steps before recording, for
+    experiments that want the average to start later than m = 0.
+    """
+    _check_horizon(steps, offset)
+    xs = np.empty((steps, op.dim))
+    inst = np.empty((steps, op.dim))
+    for m, (x, q) in enumerate(_register_walk(op, steps, offset)):
+        xs[m] = x
+        inst[m] = q
+    np.square(xs, out=xs)
+    inst += xs @ op.google.T
     return QuantumRankSeries(inst, inst.mean(axis=0))
+
+
+def _evolve_average(op: SzegedyOperator, steps: int) -> np.ndarray:
+    """Mean distribution over m = 0..steps-1, streamed without a history."""
+    _check_horizon(steps, 0)
+    sx = np.zeros(op.dim)
+    sq = np.zeros(op.dim)
+    for x, q in _register_walk(op, steps, 0):
+        sx += x * x
+        sq += q
+    return (op.google @ sx + sq) / steps
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +332,31 @@ def walk_operator(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> SzegedyOper
     return build_operator(google_matrix(patch_dangling(hyperlink_matrix(g)), alpha))
 
 
+def _resolve_backend(op: SzegedyOperator, steps: int, backend: str) -> str:
+    if backend == "auto":
+        return "spectral" if op.dim <= SPECTRAL_MAX_NODES and steps > 4 * op.dim else "direct"
+    if backend in ("direct", "spectral"):
+        return backend
+    raise ValueError(f"unknown backend {backend!r}")
+
+
 def quantum_rank_series(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
                         steps: int = DEFAULT_STEPS, backend: str = "auto",
                         offset: int = 0) -> QuantumRankSeries:
     """Full rank series for a graph; backend is auto, direct, or spectral."""
     op = walk_operator(g, alpha)
-    if backend == "auto":
-        backend = "spectral" if op.dim <= SPECTRAL_MAX_NODES and steps > 4 * op.dim else "direct"
-    if backend == "direct":
+    if _resolve_backend(op, steps, backend) == "direct":
         return evolve(op, steps, offset=offset)
-    if backend == "spectral":
-        return evolve_spectral(build_dynamical_subspace(op), steps, offset=offset)
-    raise ValueError(f"unknown backend {backend!r}")
+    return evolve_spectral(build_dynamical_subspace(op), steps, offset=offset)
 
 
 def quantum_pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
                      steps: int = DEFAULT_STEPS, backend: str = "auto") -> np.ndarray:
     """Time-averaged quantum rank vector (the quantum ranking object)."""
-    return quantum_rank_series(g, alpha, steps, backend).average
+    op = walk_operator(g, alpha)
+    if _resolve_backend(op, steps, backend) == "direct":
+        return _evolve_average(op, steps)
+    return evolve_spectral(build_dynamical_subspace(op), steps).average
 
 
 def average_drift(series: QuantumRankSeries) -> float:

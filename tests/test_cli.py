@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -52,6 +53,13 @@ class TestExitCodes:
         assert main(["sweep", "--benchmark", "fig1a", "--grid", "nope"]) == 4
         assert main(["frobnicate"]) == 4
         capsys.readouterr()
+
+    def test_non_convergence_is_4(self, monkeypatch, capsys):
+        import qprank.cli as cli
+        monkeypatch.setattr(cli, "classical_pagerank",
+                            functools.partial(cli.classical_pagerank, max_iter=5))
+        assert main(["rank", "--gen", "scalefree:64", "--seed", "1"]) == 4
+        assert "did not converge" in capsys.readouterr().err
 
     def test_requires_exactly_one_source(self, capsys):
         assert main(["rank"]) == 4

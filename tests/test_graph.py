@@ -81,6 +81,10 @@ class TestEdgeList:
         g = DirectedGraph.from_arcs(5, [(0, 1), (2, 3)])
         assert parse_edge_list(to_edge_list(g)) == g
 
+    def test_duplicate_arcs_collapse(self):
+        assert parse_edge_list("0 1\n0 1\n1 0\n").arcs == {(0, 1), (1, 0)}
+        assert parse_edge_list("a b\na b\n").arcs == {(0, 1)}
+
 
 class TestPajek:
     MINIMAL = '*Vertices 2\n1 "home"\n2 "page"\n*Arcs\n1 2\n'
@@ -119,6 +123,24 @@ class TestPajek:
     def test_round_trip_isolated_vertex(self):
         g = DirectedGraph.from_arcs(4, [(0, 1)], labels=("a", "b", "c", "d"))
         assert parse_pajek(to_pajek(g)) == g
+
+    def test_writer_refuses_quote_in_label(self):
+        g = parse_edge_list('a"b c\n')
+        with pytest.raises(ValueError, match="cannot be written to Pajek"):
+            to_pajek(g)
+
+    def test_writer_refuses_line_break_in_label(self):
+        g = DirectedGraph.from_arcs(2, [(0, 1)], labels=("x\ny", "z"))
+        with pytest.raises(ValueError, match="line breaks"):
+            to_pajek(g)
+
+    def test_round_trip_label_with_spaces(self):
+        g = DirectedGraph.from_arcs(2, [(0, 1)], labels=("home page", ""))
+        assert parse_pajek(to_pajek(g)) == g
+
+    def test_duplicate_arcs_collapse(self):
+        g = parse_pajek('*Vertices 2\n*Arcs\n1 2\n1 2\n')
+        assert g.arcs == {(0, 1)}
 
 
 class TestBenchmarks:

@@ -186,6 +186,10 @@ class TestClassicalPagerank:
         with pytest.raises(ValueError):
             classical_pagerank(benchmark_graph("fig1a"), 1.0)
 
+    def test_non_convergence_raises(self):
+        with pytest.raises(ValueError, match=r"tol=1e-12 in 5 iterations"):
+            classical_pagerank(generate_scale_free(64, 1), 0.85, max_iter=5)
+
 
 class TestSecondEigenvalue:
     def test_bounded_by_alpha(self):

@@ -197,10 +197,14 @@ class TestEvolve:
         assert abs(series.average.sum() - 1.0) < 1e-10
 
     def test_offset_shifts_series(self):
-        op = walk_operator(benchmark_graph("fig1d"), 0.85)
-        base = evolve(op, steps=12)
-        shifted = evolve(op, steps=8, offset=4)
-        assert np.abs(shifted.instantaneous - base.instantaneous[4:]).max() < 1e-12
+        # fig1a and undamped fig2b have a deflated +-1 eigenspace, whose
+        # readout sign depends on the absolute step count
+        for name, alpha in (("fig1d", 0.85), ("fig1a", 0.85), ("fig2b", 1.0)):
+            op = walk_operator(benchmark_graph(name), alpha)
+            base = evolve(op, steps=12)
+            for offset in (1, 4, 7):
+                shifted = evolve(op, steps=12 - offset, offset=offset)
+                assert np.abs(shifted.instantaneous - base.instantaneous[offset:]).max() < 1e-12
 
     def test_tree_root_ranked_first(self):
         tree = generate_binary_tree(3)
@@ -217,6 +221,62 @@ class TestEvolve:
         quantum = quantum_pagerank(g, 0.85, 2048)
         classical = classical_pagerank(g, 0.85)
         assert quantum.max() - quantum.min() < classical.max() - classical.min()
+
+
+def edge_space_series(op, steps, offset=0):
+    """Oracle: iterate the N^2 edge-space two-step and read register 2."""
+    psi = initial_state(op)
+    for _ in range(offset):
+        psi = two_step(psi, op)
+    rows = []
+    for _ in range(steps):
+        rows.append(instantaneous_qpr(psi))
+        psi = two_step(psi, op)
+    return np.array(rows)
+
+
+ORACLE_CASES = [
+    ("fig1a", lambda: benchmark_graph("fig1a"), 0.85),
+    ("fig1b", lambda: benchmark_graph("fig1b"), 0.85),
+    ("fig1d-undamped", lambda: benchmark_graph("fig1d"), 1.0),
+    ("fig2b-undamped", lambda: benchmark_graph("fig2b"), 1.0),
+    ("tree3", lambda: generate_binary_tree(3), 0.85),
+    ("scalefree64", lambda: generate_scale_free(64, 5), 0.85),
+]
+
+
+class TestTwoRegisterKernel:
+    @pytest.mark.parametrize("make,alpha", [c[1:] for c in ORACLE_CASES],
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_matches_edge_space_oracle(self, make, alpha):
+        op = walk_operator(make(), alpha)
+        series = evolve(op, 2048)
+        assert np.abs(series.instantaneous - edge_space_series(op, 2048)).max() < 1e-10
+
+    def test_unit_eigenvalues_present_where_deflation_matters(self):
+        for name, make, alpha in ORACLE_CASES[:4]:
+            op = walk_operator(make(), alpha)
+            lam = np.linalg.eigvalsh(op.amps * op.amps.T)
+            assert np.abs(np.abs(lam) - 1.0).min() < 1e-9, name
+
+    def test_offset_matches_edge_space_oracle(self):
+        op = walk_operator(benchmark_graph("fig1a"), 0.85)
+        oracle = edge_space_series(op, 10, offset=7)
+        assert np.abs(evolve(op, 10, offset=7).instantaneous - oracle).max() < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.85, 0.98])
+    def test_streamed_average_matches_series(self, alpha):
+        for g in (generate_scale_free(48, 4), benchmark_graph("fig1a")):
+            streamed = quantum_pagerank(g, alpha, 512, backend="direct")
+            series = evolve(walk_operator(g, alpha), 512)
+            assert np.abs(streamed - series.average).max() < 1e-12
+
+    def test_rejects_bad_horizon(self):
+        g = benchmark_graph("fig1a")
+        with pytest.raises(ValueError, match="steps"):
+            quantum_pagerank(g, 0.85, 0, backend="direct")
+        with pytest.raises(ValueError, match="offset"):
+            evolve(walk_operator(g, 0.85), 4, offset=-1)
 
 
 class TestDynamicalSubspace:
