@@ -152,8 +152,8 @@ def degeneracy_profile(p: np.ndarray, delta: float) -> DegeneracyProfile:
     classes mean the ranking distinguishes more nodes; ties collapse into
     large classes.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not delta > 0:  # also rejects NaN
+        raise ValueError(f"delta must be positive, got {delta!r}")
     values = np.sort(np.asarray(p, dtype=np.float64))[::-1]
     class_sizes = [1]
     for prev, cur in zip(values[:-1], values[1:]):
@@ -192,18 +192,22 @@ def rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(tau, -1.0, 1.0))
 
 
-def _rank_positions(values: np.ndarray) -> np.ndarray:
-    """Position of each entry when sorted by descending value, ties by index."""
-    order = np.lexsort((np.arange(len(values)), -values))
-    positions = np.empty(len(values), dtype=np.int64)
-    positions[order] = np.arange(len(values))
+def ranking_order(values: np.ndarray) -> np.ndarray:
+    """Node indices sorted by descending value, ties broken by node index."""
+    return np.lexsort((np.arange(len(values)), -np.asarray(values)))
+
+
+def rank_positions(values: np.ndarray) -> np.ndarray:
+    """Position of each node in :func:`ranking_order`, 0 for the top node."""
+    order = ranking_order(values)
+    positions = np.empty(len(order), dtype=np.int64)
+    positions[order] = np.arange(len(order))
     return positions
 
 
 def top_nodes(values: np.ndarray, k: int) -> tuple[int, ...]:
     """Indices of the k largest values, descending, ties broken by index."""
-    order = np.lexsort((np.arange(len(values)), -np.asarray(values)))
-    return tuple(int(i) for i in order[:k])
+    return tuple(int(i) for i in ranking_order(values)[:k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +241,7 @@ def attack_sensitivity(g: DirectedGraph, k: int, ranker: str = "classical",
     post = rank_vector(reduced, ranker, alpha, steps, backend)
     pre = full[list(survivors)]
     correlation = rank_correlation(pre, post)
-    displacement = float(np.abs(_rank_positions(pre) - _rank_positions(post)).mean())
+    displacement = float(np.abs(rank_positions(pre) - rank_positions(post)).mean())
     return AttackReport(removed, survivors, pre, post, correlation, displacement)
 
 

@@ -172,7 +172,7 @@ def _cmd_rank(g, meta, args) -> str:
             "provenance": {k: v for k, v in meta.items() if k in ("source", "seed", "graph")},
             **extra,
             "values": [float(x) for x in values],
-            "ranking": [int(i) for i in formats.ranking_order(values)],
+            "ranking": [int(i) for i in analysis.ranking_order(values)],
         })
     return formats.write_rank_csv(values, _labels(g), meta)
 

@@ -1,7 +1,8 @@
 """CSV and JSON table formats for rankings, series, sweeps, and reports.
 
 Every CSV starts with optional ``# key=value`` comment lines carrying run
-metadata, then a header row, then data rows. Floats are written with their
+metadata, then a header row, then data rows. Fields are quoted only where
+they must be (a label holding ``,`` or ``"``). Floats are written with their
 shortest round-trip representation so identical computations always produce
 identical bytes. Each writer has a matching reader used by the tests to
 guarantee the files can be loaded back.
@@ -9,12 +10,15 @@ guarantee the files can be loaded back.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import AttackReport, FidelitySweep, PowerLawFit
+from .analysis import (AttackReport, FidelitySweep, PowerLawFit, rank_positions,
+                       ranking_order)
 from .szegedy import QuantumRankSeries
 
 
@@ -23,15 +27,19 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _meta_lines(meta: Optional[dict]) -> list[str]:
-    if not meta:
-        return []
-    return [f"# {key}={value}" for key, value in meta.items()]
+def _write_csv(meta: Optional[dict], header: Sequence[str], rows) -> str:
+    out = io.StringIO()
+    for key, value in (meta or {}).items():
+        out.write(f"# {key}={value}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _split_csv(text: str) -> tuple[dict, list[list[str]]]:
     meta: dict[str, str] = {}
-    rows = []
+    lines = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
@@ -42,25 +50,17 @@ def _split_csv(text: str) -> tuple[dict, list[list[str]]]:
                 key, value = body.split("=", 1)
                 meta[key.strip()] = value.strip()
             continue
-        rows.append(line.split(","))
-    return meta, rows
-
-
-def ranking_order(values: np.ndarray) -> np.ndarray:
-    """Node indices sorted by descending value, ties broken by node index."""
-    return np.lexsort((np.arange(len(values)), -np.asarray(values)))
+        lines.append(line)
+    return meta, list(csv.reader(lines))
 
 
 # --- rank vectors ---
 
 def write_rank_csv(values: np.ndarray, labels: Optional[Sequence[str]] = None,
                    meta: Optional[dict] = None) -> str:
-    lines = _meta_lines(meta)
-    lines.append("node_index,label,score")
     labels = labels if labels is not None else [""] * len(values)
-    for idx in ranking_order(values):
-        lines.append(f"{idx},{labels[idx]},{fmt(values[idx])}")
-    return "\n".join(lines) + "\n"
+    return _write_csv(meta, ["node_index", "label", "score"],
+                      ([idx, labels[idx], fmt(values[idx])] for idx in ranking_order(values)))
 
 
 def read_rank_csv(text: str) -> tuple[np.ndarray, list[str], dict]:
@@ -79,13 +79,9 @@ def read_rank_csv(text: str) -> tuple[np.ndarray, list[str], dict]:
 # --- quantum rank series ---
 
 def write_series_csv(series: QuantumRankSeries, meta: Optional[dict] = None) -> str:
-    n = series.node_count
-    lines = _meta_lines(meta)
-    lines.append("m," + ",".join(f"node_{i}" for i in range(n)))
-    for m in range(series.steps):
-        lines.append(f"{m}," + ",".join(fmt(x) for x in series.instantaneous[m]))
-    lines.append("avg," + ",".join(fmt(x) for x in series.average))
-    return "\n".join(lines) + "\n"
+    rows = [[m, *map(fmt, row)] for m, row in enumerate(series.instantaneous)]
+    rows.append(["avg", *map(fmt, series.average)])
+    return _write_csv(meta, ["m", *(f"node_{i}" for i in range(series.node_count))], rows)
 
 
 def read_series_csv(text: str) -> tuple[QuantumRankSeries, dict]:
@@ -113,11 +109,9 @@ def series_json(series: QuantumRankSeries, meta: Optional[dict] = None) -> dict:
 def write_sweep_csv(sweep: FidelitySweep, meta: Optional[dict] = None) -> str:
     merged = dict(meta or {})
     merged["min_fidelity"] = fmt(sweep.min_fidelity)
-    lines = _meta_lines(merged)
-    lines.append("alpha," + ",".join(fmt(a) for a in sweep.alpha_grid))
-    for i, a in enumerate(sweep.alpha_grid):
-        lines.append(f"{fmt(a)}," + ",".join(fmt(x) for x in sweep.pairwise[i]))
-    return "\n".join(lines) + "\n"
+    grid = [fmt(a) for a in sweep.alpha_grid]
+    return _write_csv(merged, ["alpha", *grid],
+                      ([a, *map(fmt, row)] for a, row in zip(grid, sweep.pairwise)))
 
 
 def read_sweep_csv(text: str) -> tuple[tuple[float, ...], np.ndarray, dict]:
@@ -146,12 +140,10 @@ def write_attack_csv(report: AttackReport, meta: Optional[dict] = None) -> str:
     merged["removed"] = ";".join(str(i) for i in report.removed)
     merged["correlation"] = fmt(report.correlation)
     merged["mean_displacement"] = fmt(report.mean_displacement)
-    lines = _meta_lines(merged)
-    lines.append("survivor,original_index,pre_value,post_value")
-    for new_idx, old_idx in enumerate(report.survivors):
-        lines.append(f"{new_idx},{old_idx},{fmt(report.pre_ranking[new_idx])},"
-                     f"{fmt(report.post_ranking[new_idx])}")
-    return "\n".join(lines) + "\n"
+    return _write_csv(merged, ["survivor", "original_index", "pre_value", "post_value"],
+                      ([new_idx, old_idx, fmt(report.pre_ranking[new_idx]),
+                        fmt(report.post_ranking[new_idx])]
+                       for new_idx, old_idx in enumerate(report.survivors)))
 
 
 def read_attack_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -189,24 +181,21 @@ def fit_json(fit: PowerLawFit, meta: Optional[dict] = None) -> dict:
 
 # --- side-by-side comparison ---
 
+_COMPARE_HEADER = ["node", "label", "classical", "quantum_avg", "classical_rank", "quantum_rank"]
+
+
 def write_compare_csv(labels: Sequence[str], classical: np.ndarray,
                       quantum: np.ndarray, meta: Optional[dict] = None) -> str:
-    cls_rank = np.empty(len(classical), dtype=np.int64)
-    cls_rank[ranking_order(classical)] = np.arange(1, len(classical) + 1)
-    qu_rank = np.empty(len(quantum), dtype=np.int64)
-    qu_rank[ranking_order(quantum)] = np.arange(1, len(quantum) + 1)
-    lines = _meta_lines(meta)
-    lines.append("node,label,classical,quantum_avg,classical_rank,quantum_rank")
-    for node in ranking_order(classical):
-        lines.append(f"{node},{labels[node]},{fmt(classical[node])},{fmt(quantum[node])},"
-                     f"{cls_rank[node]},{qu_rank[node]}")
-    return "\n".join(lines) + "\n"
+    cls_rank = rank_positions(classical) + 1
+    qu_rank = rank_positions(quantum) + 1
+    return _write_csv(meta, _COMPARE_HEADER,
+                      ([node, labels[node], fmt(classical[node]), fmt(quantum[node]),
+                        cls_rank[node], qu_rank[node]] for node in ranking_order(classical)))
 
 
 def read_compare_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:
     meta, rows = _split_csv(text)
-    header = "node,label,classical,quantum_avg,classical_rank,quantum_rank".split(",")
-    if not rows or rows[0] != header:
+    if not rows or rows[0] != _COMPARE_HEADER:
         raise ValueError("not a compare csv: missing header")
     n = len(rows) - 1
     classical = np.zeros(n)
@@ -219,11 +208,8 @@ def read_compare_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:
 
 def compare_json(labels: Sequence[str], classical: np.ndarray, quantum: np.ndarray,
                  meta: Optional[dict] = None) -> dict:
-    order = ranking_order(classical)
-    cls_rank = np.empty(len(classical), dtype=np.int64)
-    cls_rank[order] = np.arange(1, len(classical) + 1)
-    qu_rank = np.empty(len(quantum), dtype=np.int64)
-    qu_rank[ranking_order(quantum)] = np.arange(1, len(quantum) + 1)
+    cls_rank = rank_positions(classical) + 1
+    qu_rank = rank_positions(quantum) + 1
     return {
         "provenance": meta or {},
         "rows": [
@@ -235,7 +221,7 @@ def compare_json(labels: Sequence[str], classical: np.ndarray, quantum: np.ndarr
                 "classical_rank": int(cls_rank[node]),
                 "quantum_rank": int(qu_rank[node]),
             }
-            for node in order
+            for node in ranking_order(classical)
         ],
     }
 

@@ -30,8 +30,13 @@ the registers iterate with), so rounding cannot grow along it. The
 edge-space functions (``initial_state``, ``two_step``, ``apply_reflection``,
 ``apply_swap``, ``instantaneous_qpr``) remain as the independent oracle.
 
-The spectral backend restricts the edge-space two-step to its invariant
-subspace of dimension at most 2N and advances eigenphases.
+The spectral backend reads the same series off the eigenpairs of D in
+closed form: with D = V diag(lambda) V^T and lambda = cos(theta), mode k
+of a and b after m two-steps is
+
+    a_m = -a_0 sin((2m-1) theta) / sin(theta),   b_m = a_0 sin(2m theta) / sin(theta),
+
+with the +-1 modes held at a = a_0, b = 0, as the direct backend does.
 """
 
 from __future__ import annotations
@@ -47,12 +52,8 @@ from .pagerank import (DEFAULT_ALPHA, GoogleMatrix, google_matrix,
 
 DEFAULT_STEPS = 2048
 STOCHASTIC_TOL = 1e-12
-ORTHO_TOL = 1e-10
 # Eigenvalues of D within this distance of modulus 1 are deflated exactly.
 UNIT_EIGEN_TOL = 1e-9
-# Above this size the spectral basis (N^2 x 2N complex) stops paying for
-# itself in either time or memory; plain iteration is exact anyway.
-SPECTRAL_MAX_NODES = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,21 +105,14 @@ def apply_swap(state: np.ndarray) -> np.ndarray:
     return state.reshape(n, n).T.reshape(n * n).copy()
 
 
-def _two_step_blocks(mats: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Apply the two-step operator to a stack of (N, N) state blocks."""
-    def reflect(block):
-        coeff = np.einsum("jk,...jk->...j", amps, block)
-        return 2.0 * coeff[..., :, None] * amps - block
-
-    out = np.swapaxes(reflect(mats), -1, -2)
-    out = np.swapaxes(reflect(out), -1, -2)
-    return np.ascontiguousarray(out)
-
-
 def two_step(state: np.ndarray, op: SzegedyOperator) -> np.ndarray:
     """One application of the squared walk operator (reflection, swap, twice)."""
     n = op.dim
-    return _two_step_blocks(state.reshape(n, n), op.amps).reshape(n * n)
+    mat = state.reshape(n, n)
+    for _ in range(2):
+        coeff = np.einsum("jk,jk->j", op.amps, mat)
+        mat = (2.0 * coeff[:, None] * op.amps - mat).T
+    return np.ascontiguousarray(mat).reshape(n * n)
 
 
 def instantaneous_qpr(state: np.ndarray) -> np.ndarray:
@@ -155,6 +149,16 @@ def _check_horizon(steps: int, offset: int) -> None:
         raise ValueError("offset must be nonnegative")
 
 
+def _discriminant_modes(op: SzegedyOperator):
+    """D = sqrt(G o G^T), its eigenpairs, and the mask of modes with |lambda| = 1.
+
+    Both backends factor D here, once per call.
+    """
+    d = op.amps * op.amps.T
+    lam, vecs = scipy.linalg.eigh(d)
+    return d, lam, vecs, np.abs(np.abs(lam) - 1.0) <= UNIT_EIGEN_TOL
+
+
 def _register_walk(op: SzegedyOperator, steps: int, offset: int):
     """Yield ``(x, q)`` for two-steps m = offset .. offset+steps-1.
 
@@ -168,10 +172,8 @@ def _register_walk(op: SzegedyOperator, steps: int, offset: int):
     under D with that eigenspace removed.
     """
     n = op.dim
-    d = op.amps * op.amps.T
+    d, lam, vecs, unit = _discriminant_modes(op)
     alpha = np.full(n, 1.0 / np.sqrt(n))
-    lam, vecs = scipy.linalg.eigh(d)
-    unit = np.abs(np.abs(lam) - 1.0) <= UNIT_EIGEN_TOL
     fixed = d_fixed = None
     if unit.any():
         v1, lam1 = vecs[:, unit], lam[unit]
@@ -228,99 +230,46 @@ def _evolve_average(op: SzegedyOperator, steps: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DynamicalSubspace:
-    """Invariant subspace of the two-step operator containing the trajectory.
+    """Eigenpairs of the discriminant, D = V diag(lam) V^T, which fix the walk.
 
-    ``basis`` has orthonormal columns spanning span{psi_j} + span{S psi_j}
-    (dimension D <= 2N); ``restricted`` is the D x D unitary representing
-    the two-step operator there, with eigenvalues ``phases`` and the
-    orthonormal eigenvector matrix ``modes`` from a complex Schur form.
+    The trajectory lies in span{psi_j} + span{S psi_j}, whose Gram matrix
+    [[I, D], [D, I]] has eigenvalues 1 +- lam; ``dim`` is its rank, 2N less
+    one for each ``unit`` mode (|lam| = 1).
     """
 
     op: SzegedyOperator
-    basis: np.ndarray
-    restricted: np.ndarray
-    phases: np.ndarray
-    modes: np.ndarray
+    lam: np.ndarray
+    vecs: np.ndarray
+    unit: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return 2 * self.op.dim - int(self.unit.sum())
 
 
 def build_dynamical_subspace(op: SzegedyOperator) -> DynamicalSubspace:
-    """Orthonormalize {psi_j} u {S psi_j} and restrict the two-step operator.
-
-    The psi_j block structure makes the first N vectors orthonormal for
-    free; the swapped vectors are added by Gram-Schmidt with one
-    reorthogonalization pass, dropping anything with residual below the
-    rank tolerance. Raises if the basis still fails the orthogonality or
-    unitarity checks, which signals ill-conditioned amplitudes.
-    """
-    n = op.dim
-    basis = np.zeros((n * n, 2 * n), dtype=np.complex128)
-    for j in range(n):
-        basis[j * n:(j + 1) * n, j] = op.amps[j]
-    count = n
-    for j in range(n):
-        vec = np.zeros(n * n, dtype=np.complex128)
-        vec[j::n] = op.amps[j]  # S psi_j: column j of the pair matrix
-        for _ in range(2):  # one reorthogonalization pass
-            vec -= basis[:, :count] @ (basis[:, :count].conj().T @ vec)
-        norm = np.linalg.norm(vec)
-        if norm > ORTHO_TOL:
-            basis[:, count] = vec / norm
-            count += 1
-    basis = basis[:, :count]
-
-    gram_err = np.abs(basis.conj().T @ basis - np.eye(count)).max()
-    if gram_err > ORTHO_TOL:
-        raise ValueError(f"basis lost orthogonality (max deviation {gram_err:.2e})")
-
-    blocks = basis.T.reshape(count, n, n)
-    advanced = _two_step_blocks(blocks, op.amps).reshape(count, n * n).T
-    restricted = basis.conj().T @ advanced
-    unitary_err = np.abs(restricted.conj().T @ restricted - np.eye(count)).max()
-    if unitary_err > 1e-9:
-        raise ValueError(f"restricted operator not unitary (max deviation {unitary_err:.2e})")
-
-    # Unitary matrices are normal, so the complex Schur form is diagonal and
-    # its Z factor is an orthonormal eigenbasis.
-    tri, modes = scipy.linalg.schur(restricted, output="complex")
-    return DynamicalSubspace(op, basis, restricted, np.diag(tri).copy(), modes)
+    """Factor the discriminant of ``op`` for the spectral backend."""
+    _, lam, vecs, unit = _discriminant_modes(op)
+    return DynamicalSubspace(op, lam, vecs, unit)
 
 
 def evolve_spectral(sub: DynamicalSubspace, steps: int = DEFAULT_STEPS,
-                    offset: int = 0, chunk: int = 0) -> QuantumRankSeries:
-    """Spectral backend: advance eigenphases instead of iterating the walk.
+                    offset: int = 0) -> QuantumRankSeries:
+    """Spectral backend: the distribution at each two-step in closed form.
 
-    Expands the initial state in the eigenbasis of the restricted two-step
-    operator and reconstructs the node distribution for each m from phase
-    factors, chunking the reconstruction to bound memory.
+    Each mode of the registers a, b is a sine of its angle theta = arccos(lam)
+    (module docstring); the node basis is one product with V per register.
     """
-    if steps < 1:
-        raise ValueError("steps must be at least 1")
-    if offset < 0:
-        raise ValueError("offset must be nonnegative")
+    _check_horizon(steps, offset)
     op = sub.op
-    n = op.dim
-    psi0 = initial_state(op)
-    coeffs = sub.basis.conj().T @ psi0
-    residual = np.linalg.norm(sub.basis @ coeffs - psi0)
-    if residual > ORTHO_TOL:
-        raise ValueError(f"initial state escapes the invariant subspace ({residual:.2e})")
-    weights = sub.modes.conj().T @ coeffs
-    frame = sub.basis @ sub.modes  # orthonormal columns, one per eigenmode
-
-    if chunk <= 0:
-        chunk = max(1, (1 << 22) // (n * n))
-    inst = np.empty((steps, n))
-    for start in range(0, steps, chunk):
-        stop = min(start + chunk, steps)
-        ms = np.arange(offset + start, offset + stop)
-        phase_pow = sub.phases[:, None] ** ms[None, :]
-        states = frame @ (weights[:, None] * phase_pow)
-        probs = (states.real ** 2 + states.imag ** 2).reshape(n, n, stop - start)
-        inst[start:stop] = probs.sum(axis=0).T
+    a0 = sub.vecs.T @ np.full(op.dim, 1.0 / np.sqrt(op.dim))
+    theta = np.arccos(np.clip(sub.lam, -1.0, 1.0))
+    scale = np.divide(a0, np.sin(theta), out=np.zeros_like(a0), where=~sub.unit)
+    m = np.arange(offset, offset + steps)[:, None]
+    a = np.where(sub.unit, a0, -scale * np.sin((2 * m - 1) * theta))
+    b = scale * np.sin(2 * m * theta)
+    a_nodes, b_nodes, da_nodes = (c @ sub.vecs.T for c in (a, b, a * sub.lam))
+    inst = np.square(a_nodes) @ op.google.T + b_nodes * (b_nodes + 2.0 * da_nodes)
     return QuantumRankSeries(inst, inst.mean(axis=0))
 
 
@@ -332,12 +281,11 @@ def walk_operator(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> SzegedyOper
     return build_operator(google_matrix(patch_dangling(hyperlink_matrix(g)), alpha))
 
 
-def _resolve_backend(op: SzegedyOperator, steps: int, backend: str) -> str:
-    if backend == "auto":
-        return "spectral" if op.dim <= SPECTRAL_MAX_NODES and steps > 4 * op.dim else "direct"
-    if backend in ("direct", "spectral"):
-        return backend
-    raise ValueError(f"unknown backend {backend!r}")
+def _spectral(backend: str) -> bool:
+    """``auto`` is the direct kernel: it streams the average with no history."""
+    if backend not in ("auto", "direct", "spectral"):
+        raise ValueError(f"unknown backend {backend!r}")
+    return backend == "spectral"
 
 
 def quantum_rank_series(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
@@ -345,18 +293,18 @@ def quantum_rank_series(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
                         offset: int = 0) -> QuantumRankSeries:
     """Full rank series for a graph; backend is auto, direct, or spectral."""
     op = walk_operator(g, alpha)
-    if _resolve_backend(op, steps, backend) == "direct":
-        return evolve(op, steps, offset=offset)
-    return evolve_spectral(build_dynamical_subspace(op), steps, offset=offset)
+    if _spectral(backend):
+        return evolve_spectral(build_dynamical_subspace(op), steps, offset=offset)
+    return evolve(op, steps, offset=offset)
 
 
 def quantum_pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
                      steps: int = DEFAULT_STEPS, backend: str = "auto") -> np.ndarray:
     """Time-averaged quantum rank vector (the quantum ranking object)."""
     op = walk_operator(g, alpha)
-    if _resolve_backend(op, steps, backend) == "direct":
-        return _evolve_average(op, steps)
-    return evolve_spectral(build_dynamical_subspace(op), steps).average
+    if _spectral(backend):
+        return evolve_spectral(build_dynamical_subspace(op), steps).average
+    return _evolve_average(op, steps)
 
 
 def average_drift(series: QuantumRankSeries) -> float:

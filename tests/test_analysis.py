@@ -160,8 +160,9 @@ class TestDegeneracyProfile:
         assert counts == sorted(counts, reverse=True)
 
     def test_delta_positive_required(self):
-        with pytest.raises(ValueError):
-            degeneracy_profile(np.array([0.5, 0.5]), 0.0)
+        for delta in (0.0, -1e-4, float("nan")):
+            with pytest.raises(ValueError, match="delta"):
+                degeneracy_profile(np.array([0.5, 0.5]), delta)
 
     def test_sizes_sum_to_n(self):
         rng = np.random.default_rng(7)

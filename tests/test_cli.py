@@ -52,6 +52,7 @@ class TestExitCodes:
         assert main(["rank", "--benchmark", "fig1a", "--alpha", "1.5"]) == 4
         assert main(["sweep", "--benchmark", "fig1a", "--grid", "nope"]) == 4
         assert main(["frobnicate"]) == 4
+        assert main(["analyze", "--benchmark", "fig2b", "--delta", "nan"]) == 4
         capsys.readouterr()
 
     def test_non_convergence_is_4(self, monkeypatch, capsys):
@@ -148,6 +149,20 @@ class TestPipelines:
         from qprank.analysis import top_nodes
         assert top_nodes(classical, 3) == (0, 1, 2)
         assert set(top_nodes(quantum, 3)) == {0, 1, 2}
+
+    def test_labels_with_csv_delimiters_read_back(self, tmp_path):
+        edges = tmp_path / "labels.txt"
+        edges.write_text('a,b c\nc q"r\nq"r a,b\nc a,b\n')
+        code, data = run_cli(["rank", "--input", str(edges)], tmp_path, "rank.csv")
+        assert code == 0
+        values, labels, _ = formats.read_rank_csv(data.decode())
+        assert labels == ["a,b", "c", 'q"r']
+        code, data = run_cli(["compare", "--input", str(edges), "--steps", "64"], tmp_path,
+                             "compare.csv")
+        assert code == 0
+        classical, quantum, _ = formats.read_compare_csv(data.decode())
+        assert np.array_equal(classical, values)
+        assert abs(quantum.sum() - 1.0) < 1e-10
 
     def test_analyze_both_rankers(self, tmp_path):
         code, data = run_cli(["analyze", "--gen", "scalefree:32", "--seed", "4",

@@ -12,6 +12,7 @@ from qprank.szegedy import (apply_reflection, apply_swap, average_drift,
                             walk_operator)
 
 BENCHMARKS = ("fig1a", "fig1c", "fig1d", "fig2b")
+BACKENDS = ("direct", "spectral")
 
 
 def dense_swap(n):
@@ -245,13 +246,22 @@ ORACLE_CASES = [
 ]
 
 
+def series(op, steps, backend, offset=0):
+    if backend == "spectral":
+        return evolve_spectral(build_dynamical_subspace(op), steps, offset=offset)
+    return evolve(op, steps, offset=offset)
+
+
 class TestTwoRegisterKernel:
+    # Both backends run through each test body, so the test ids name graphs only.
     @pytest.mark.parametrize("make,alpha", [c[1:] for c in ORACLE_CASES],
                              ids=[c[0] for c in ORACLE_CASES])
     def test_matches_edge_space_oracle(self, make, alpha):
         op = walk_operator(make(), alpha)
-        series = evolve(op, 2048)
-        assert np.abs(series.instantaneous - edge_space_series(op, 2048)).max() < 1e-10
+        oracle = edge_space_series(op, 2048)
+        for backend in BACKENDS:
+            err = np.abs(series(op, 2048, backend).instantaneous - oracle).max()
+            assert err < 1e-10, backend
 
     def test_unit_eigenvalues_present_where_deflation_matters(self):
         for name, make, alpha in ORACLE_CASES[:4]:
@@ -260,16 +270,20 @@ class TestTwoRegisterKernel:
             assert np.abs(np.abs(lam) - 1.0).min() < 1e-9, name
 
     def test_offset_matches_edge_space_oracle(self):
-        op = walk_operator(benchmark_graph("fig1a"), 0.85)
-        oracle = edge_space_series(op, 10, offset=7)
-        assert np.abs(evolve(op, 10, offset=7).instantaneous - oracle).max() < 1e-12
+        for name, make, alpha in ORACLE_CASES:
+            op = walk_operator(make(), alpha)
+            oracle = edge_space_series(op, 10, offset=7)
+            for backend in BACKENDS:
+                err = np.abs(series(op, 10, backend, offset=7).instantaneous - oracle).max()
+                assert err < 1e-12, (name, backend)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.85, 0.98])
     def test_streamed_average_matches_series(self, alpha):
         for g in (generate_scale_free(48, 4), benchmark_graph("fig1a")):
-            streamed = quantum_pagerank(g, alpha, 512, backend="direct")
-            series = evolve(walk_operator(g, alpha), 512)
-            assert np.abs(streamed - series.average).max() < 1e-12
+            average = evolve(walk_operator(g, alpha), 512).average
+            for backend in BACKENDS:
+                streamed = quantum_pagerank(g, alpha, 512, backend=backend)
+                assert np.abs(streamed - average).max() < 1e-12, backend
 
     def test_rejects_bad_horizon(self):
         g = benchmark_graph("fig1a")
@@ -286,29 +300,17 @@ class TestDynamicalSubspace:
             sub = build_dynamical_subspace(op)
             assert sub.dim <= 2 * op.dim
 
-    def test_basis_orthonormal(self):
-        op = walk_operator(benchmark_graph("fig2b"), 0.85)
-        sub = build_dynamical_subspace(op)
-        gram = sub.basis.conj().T @ sub.basis
-        assert np.abs(gram - np.eye(sub.dim)).max() < 1e-10
-
-    def test_restricted_operator_unitary(self):
-        op = walk_operator(generate_scale_free(24, 5), 0.85)
-        sub = build_dynamical_subspace(op)
-        w = sub.restricted
-        assert np.abs(w.conj().T @ w - np.eye(sub.dim)).max() < 1e-9
-
-    def test_initial_state_in_span(self):
-        op = walk_operator(benchmark_graph("fig1d"), 0.85)
-        sub = build_dynamical_subspace(op)
-        psi = initial_state(op)
-        recon = sub.basis @ (sub.basis.conj().T @ psi)
-        assert np.abs(recon - psi).max() < 1e-10
-
-    def test_eigenphases_on_unit_circle(self):
-        op = walk_operator(generate_scale_free(16, 6), 0.85)
-        sub = build_dynamical_subspace(op)
-        assert np.abs(np.abs(sub.phases) - 1.0).max() < 1e-9
+    def test_dimension_is_edge_space_rank(self):
+        # oracle: the rank of [psi_j | S psi_j], built in edge space
+        for name in ("fig1a", "fig1b", "fig1c", "fig1d", "fig2b"):
+            for alpha in (0.85, 1.0):
+                op = walk_operator(benchmark_graph(name), alpha)
+                psis = [psi_vector(op, j) for j in range(op.dim)]
+                span = np.column_stack(psis + [apply_swap(v) for v in psis])
+                dim = build_dynamical_subspace(op).dim
+                assert dim == np.linalg.matrix_rank(span), (name, alpha)
+                if (name, alpha) == ("fig1a", 0.85):
+                    assert dim < 2 * op.dim
 
 
 class TestSpectralBackend:
