@@ -11,6 +11,7 @@ of fixed benchmark graphs.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -102,7 +103,13 @@ def graph_digest(g: DirectedGraph) -> str:
 # ---------------------------------------------------------------------------
 # file formats
 
-_VERTEX_DIRECTIVE = re.compile(r"#\s*vertices:\s*(\d+)\s*$", re.IGNORECASE)
+def _is_index(token: str) -> bool:
+    """True for a token of ASCII digits only (``str.isdigit`` also accepts
+    characters such as superscripts that ``int`` rejects)."""
+    return token.isascii() and token.isdigit()
+
+
+_VERTEX_DIRECTIVE = re.compile(r"#\s*vertices:\s*(\d+)\s*$", re.IGNORECASE | re.ASCII)
 
 
 def parse_edge_list(text: str) -> DirectedGraph:
@@ -120,6 +127,8 @@ def parse_edge_list(text: str) -> DirectedGraph:
         m = _VERTEX_DIRECTIVE.match(raw.strip())
         if m:
             declared = int(m.group(1))
+            if declared < 1:
+                raise GraphFormatError(f"line {lineno}: graph needs at least one vertex")
             continue
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,7 +145,7 @@ def parse_edge_list(text: str) -> DirectedGraph:
             return DirectedGraph.from_arcs(declared, [])
         raise GraphFormatError("no nodes: input contains no arcs")
 
-    all_integer = all(tok.isdigit() for s, d, _ in pairs for tok in (s, d))
+    all_integer = all(_is_index(tok) for s, d, _ in pairs for tok in (s, d))
     if all_integer:
         arcs = []
         for s, d, lineno in pairs:
@@ -174,7 +183,7 @@ def to_edge_list(g: DirectedGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PAJEK_VERTEX = re.compile(r'^(\d+)(?:\s+"([^"]*)")?\s*$')
+_PAJEK_VERTEX = re.compile(r'^(\d+)(?:\s+"([^"]*)")?\s*$', re.ASCII)
 
 
 def parse_pajek(text: str) -> DirectedGraph:
@@ -196,7 +205,7 @@ def parse_pajek(text: str) -> DirectedGraph:
         low = line.lower()
         if low.startswith("*vertices"):
             parts = line.split()
-            if len(parts) < 2 or not parts[1].isdigit():
+            if len(parts) < 2 or not _is_index(parts[1]):
                 raise GraphFormatError(f"line {lineno}: malformed *Vertices header")
             n = int(parts[1])
             section = "vertices"
@@ -222,7 +231,7 @@ def parse_pajek(text: str) -> DirectedGraph:
                 labels[vid] = m.group(2)
         elif section == "arcs":
             parts = line.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
+            if len(parts) != 2 or not all(_is_index(p) for p in parts):
                 raise GraphFormatError(f"line {lineno}: malformed arc line {raw.strip()!r}")
             s, d = int(parts[0]), int(parts[1])
             if not (1 <= s <= n and 1 <= d <= n):
@@ -263,6 +272,11 @@ def to_pajek(g: DirectedGraph) -> str:
 # ---------------------------------------------------------------------------
 # generators
 
+def _check_delta(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
     """Parameters selecting one deterministic network instance.
@@ -286,6 +300,8 @@ class GeneratorParams:
             raise ValueError(f"unknown model {self.model!r}")
         if len(self.mix) != 3 or any(p < 0 for p in self.mix) or abs(sum(self.mix) - 1.0) > 1e-12:
             raise ValueError("mix probabilities must be nonnegative and sum to 1")
+        _check_delta("delta_in", self.delta_in)
+        _check_delta("delta_out", self.delta_out)
 
 
 def generate(params: GeneratorParams) -> DirectedGraph:
@@ -296,6 +312,78 @@ def generate(params: GeneratorParams) -> DirectedGraph:
     if params.model == "hierarchical":
         return generate_hierarchical(params.size, toward_root=params.toward_root)
     return generate_binary_tree(params.size)
+
+
+_EPS = float(np.finfo(np.float64).eps)
+_SAFE_TOTAL = 2.0 ** 1022  # numpy's weight sum cannot overflow below this
+_UNIFORM_BLOCK = 8192
+
+
+def _numpy_pick(weights: np.ndarray, u: float) -> int:
+    """The index ``Generator.choice(len(weights), p=weights / weights.sum())``
+    returns when its one uniform draw is ``u``."""
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(u, side="right"))
+
+
+class _DegreeSampler:
+    """Picks a node with probability proportional to degree + delta in O(log N).
+
+    Degrees are exact integers in a Fenwick tree and the delta of each
+    active node is added analytically, so every prefix weight is within a
+    few roundings of exact. numpy's cdf (``w / w.sum()``, ``cumsum``,
+    ``/ cdf[-1]``) lies within (k + 3) eps of the exact prefix ratios for k
+    active nodes, whatever its summation order. A pick whose scaled draw is
+    farther than four times that from both cdf boundaries around it is
+    therefore the node ``rng.choice`` returns; any other draw is recomputed
+    with numpy's own formula.
+    """
+
+    def __init__(self, capacity: int, delta: float):
+        self.delta = delta
+        self.degree = [0] * capacity
+        self.tree = [0] * (capacity + 1)  # 1-based: tree[i] sums degree[i - (i & -i):i]
+        self.top = 1 << (capacity.bit_length() - 1)
+        self.total = 0
+
+    def add(self, node: int) -> None:
+        self.degree[node] += 1
+        self.total += 1
+        tree, size = self.tree, len(self.tree)
+        i = node + 1
+        while i < size:
+            tree[i] += 1
+            i += i & -i
+
+    def pick(self, u: float, k: int) -> int:
+        """The node ``rng.choice`` picks among the first ``k`` for draw ``u``."""
+        delta, tree = self.delta, self.tree
+        total = self.total + k * delta
+        target = u * total
+        pos = below = 0  # the first pos nodes weigh at most target; below is their degree sum
+        step = self.top
+        while step:
+            nxt = pos + step
+            if nxt <= k and below + tree[nxt] + nxt * delta <= target:
+                pos = nxt
+                below += tree[nxt]
+            step >>= 1
+        lower = below + pos * delta
+        margin = 4 * (k + 8) * _EPS * total
+        if (total < _SAFE_TOTAL and pos < k and target - lower > margin
+                and lower + self.degree[pos] + delta - target > margin):
+            return pos
+        weights = np.array(self.degree[:k], dtype=np.float64) + delta
+        if not np.isfinite(weights.sum()):
+            raise ValueError("attachment weights overflow float64")
+        return _numpy_pick(weights, u)
+
+
+def _uniforms(rng: np.random.Generator):
+    """rng.random() values in call order, drawn in blocks."""
+    while True:
+        yield from rng.random(_UNIFORM_BLOCK).tolist()
 
 
 def generate_scale_free(n: int, seed: int,
@@ -309,47 +397,48 @@ def generate_scale_free(n: int, seed: int,
     by in-degree; with mix[1], an arc between existing nodes chosen by
     out-degree and in-degree; with mix[2], a new node receiving an arc
     from an existing node chosen by out-degree. ``delta_in``/``delta_out``
-    smooth the attachment weights. Parallel arcs are collapsed and
-    self-loops dropped, so the result is a simple digraph. The same
-    (n, seed, mix) always yields the same arc set.
+    smooth the attachment weights and must be finite and nonnegative.
+    Parallel arcs are collapsed and self-loops dropped, so the result is a
+    simple digraph. The same (n, seed, mix) always yields the same arc set.
+
+    Each event costs O(log n), and the random stream is consumed exactly as
+    one ``rng.random()`` for the event type followed by one
+    ``rng.choice(k, p=w / w.sum())`` per attachment would consume it, with
+    the same picks.
     """
     if n < 3:
         raise ValueError("scale-free generator needs at least 3 nodes")
     if len(mix) != 3 or any(p < 0 for p in mix) or abs(sum(mix) - 1.0) > 1e-12:
         raise ValueError("mix probabilities must be nonnegative and sum to 1")
-    rng = np.random.default_rng(seed)
+    _check_delta("delta_in", delta_in)
+    _check_delta("delta_out", delta_out)
+    draw = _uniforms(np.random.default_rng(seed)).__next__
     p_new_out, p_internal, _ = mix
 
     multi_arcs: list[tuple[int, int]] = [(0, 1), (1, 2), (2, 0)]
-    in_deg = np.zeros(n, dtype=np.float64)
-    out_deg = np.zeros(n, dtype=np.float64)
-    in_deg[:3] = out_deg[:3] = 1.0
+    by_in = _DegreeSampler(n, delta_in)
+    by_out = _DegreeSampler(n, delta_out)
+    for node in range(3):
+        by_in.add(node)
+        by_out.add(node)
     node_count = 3
 
-    def pick_by_in() -> int:
-        w = in_deg[:node_count] + delta_in
-        return int(rng.choice(node_count, p=w / w.sum()))
-
-    def pick_by_out() -> int:
-        w = out_deg[:node_count] + delta_out
-        return int(rng.choice(node_count, p=w / w.sum()))
-
     while node_count < n:
-        r = rng.random()
+        r = draw()
         if r < p_new_out:
-            dst = pick_by_in()
+            dst = by_in.pick(draw(), node_count)
             src = node_count
             node_count += 1
         elif r < p_new_out + p_internal:
-            src = pick_by_out()
-            dst = pick_by_in()
+            src = by_out.pick(draw(), node_count)
+            dst = by_in.pick(draw(), node_count)
         else:
-            src = pick_by_out()
+            src = by_out.pick(draw(), node_count)
             dst = node_count
             node_count += 1
         multi_arcs.append((src, dst))
-        out_deg[src] += 1.0
-        in_deg[dst] += 1.0
+        by_out.add(src)
+        by_in.add(dst)
 
     arcs = {(s, d) for s, d in multi_arcs if s != d}
     return DirectedGraph.from_arcs(n, arcs)

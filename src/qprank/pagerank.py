@@ -138,8 +138,8 @@ def power_method(m: LinearOperator, i0: np.ndarray,
     an odd number of applications is returned, which is the branch the
     classical literature quotes for the standard reducible examples.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     v = np.asarray(i0, dtype=np.float64).copy()
     if v.shape != (m.dim,):
         raise ValueError(f"initial vector must have shape ({m.dim},)")

@@ -46,6 +46,15 @@ class TestExitCodes:
         assert main(["rank", "--input", str(bad)]) == 3
         assert "parse error" in capsys.readouterr().err
 
+    def test_non_ascii_digits_and_empty_graphs_are_parse_errors(self, tmp_path, capsys):
+        for name, text in (("sup.net", "*Vertices \u00b2\n*Arcs\n"),
+                           ("arc.net", "*Vertices 2\n*Arcs\n1 \u00b2\n"),
+                           ("empty.txt", "# vertices: 0\n")):
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            assert main(["rank", "--input", str(path)]) == 3, text
+            assert "parse error" in capsys.readouterr().err
+
     def test_invalid_parameters_is_4(self, capsys):
         assert main(["rank", "--benchmark", "fig9"]) == 4
         assert main(["rank", "--gen", "wibble:10"]) == 4
@@ -53,6 +62,7 @@ class TestExitCodes:
         assert main(["sweep", "--benchmark", "fig1a", "--grid", "nope"]) == 4
         assert main(["frobnicate"]) == 4
         assert main(["analyze", "--benchmark", "fig2b", "--delta", "nan"]) == 4
+        assert main(["rank", "--benchmark", "fig1a", "--tol", "nan"]) == 4
         capsys.readouterr()
 
     def test_non_convergence_is_4(self, monkeypatch, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qprank import graph
 from qprank.graph import (DirectedGraph, GeneratorParams, GraphFormatError,
                           benchmark_graph, generate, generate_binary_tree,
                           generate_hierarchical, generate_scale_free,
@@ -85,6 +86,16 @@ class TestEdgeList:
         assert parse_edge_list("0 1\n0 1\n1 0\n").arcs == {(0, 1), (1, 0)}
         assert parse_edge_list("a b\na b\n").arcs == {(0, 1)}
 
+    def test_non_ascii_digits_are_labels(self):
+        # str.isdigit() accepts superscripts that int() rejects
+        g = parse_edge_list("\u00b9 2\n")
+        assert g.labels == ("\u00b9", "2")
+        assert parse_edge_list("\u0663 \u0664\n").labels == ("\u0663", "\u0664")
+
+    def test_zero_declared_vertices_is_format_error(self):
+        with pytest.raises(GraphFormatError, match="at least one vertex"):
+            parse_edge_list("# vertices: 0\n")
+
 
 class TestPajek:
     MINIMAL = '*Vertices 2\n1 "home"\n2 "page"\n*Arcs\n1 2\n'
@@ -141,6 +152,18 @@ class TestPajek:
     def test_duplicate_arcs_collapse(self):
         g = parse_pajek('*Vertices 2\n*Arcs\n1 2\n1 2\n')
         assert g.arcs == {(0, 1)}
+
+    def test_non_ascii_digits_rejected(self):
+        with pytest.raises(GraphFormatError, match=r"\*Vertices header"):
+            parse_pajek("*Vertices \u00b2\n*Arcs\n")
+        with pytest.raises(GraphFormatError, match="malformed arc line"):
+            parse_pajek("*Vertices 2\n*Arcs\n1 \u00b2\n")
+        with pytest.raises(GraphFormatError, match="malformed vertex line"):
+            parse_pajek("*Vertices 2\n\u0662\n*Arcs\n")
+
+    def test_zero_vertices_is_format_error(self):
+        with pytest.raises(GraphFormatError, match="at least one vertex"):
+            parse_pajek("*Vertices 0\n*Arcs\n")
 
 
 class TestBenchmarks:
@@ -309,3 +332,129 @@ class TestGenerators:
             GeneratorParams("mystery", 8)
         with pytest.raises(ValueError):
             GeneratorParams("scalefree", 8, mix=(1.0, 1.0, 0.0))
+
+
+def _reference_scale_free(n, seed, mix=(0.41, 0.54, 0.05), delta_in=0.2, delta_out=0.0):
+    """The generator as one ``rng.choice`` per attachment, O(n) per event.
+
+    ``generate_scale_free`` must reproduce its arc sets exactly.
+    """
+    rng = np.random.default_rng(seed)
+    p_new_out, p_internal, _ = mix
+
+    multi_arcs: list[tuple[int, int]] = [(0, 1), (1, 2), (2, 0)]
+    in_deg = np.zeros(n, dtype=np.float64)
+    out_deg = np.zeros(n, dtype=np.float64)
+    in_deg[:3] = out_deg[:3] = 1.0
+    node_count = 3
+
+    def pick_by_in() -> int:
+        w = in_deg[:node_count] + delta_in
+        return int(rng.choice(node_count, p=w / w.sum()))
+
+    def pick_by_out() -> int:
+        w = out_deg[:node_count] + delta_out
+        return int(rng.choice(node_count, p=w / w.sum()))
+
+    while node_count < n:
+        r = rng.random()
+        if r < p_new_out:
+            dst = pick_by_in()
+            src = node_count
+            node_count += 1
+        elif r < p_new_out + p_internal:
+            src = pick_by_out()
+            dst = pick_by_in()
+        else:
+            src = pick_by_out()
+            dst = node_count
+            node_count += 1
+        multi_arcs.append((src, dst))
+        out_deg[src] += 1.0
+        in_deg[dst] += 1.0
+
+    arcs = {(s, d) for s, d in multi_arcs if s != d}
+    return DirectedGraph.from_arcs(n, arcs)
+
+
+def _uint64_seeds(count, master):
+    return [int(s) for s in np.random.SeedSequence(master).generate_state(count, dtype=np.uint64)]
+
+
+class TestScaleFreeMatchesReference:
+    def test_sizes_and_seeds(self):
+        for n in (3, 4, 5, 8, 16, 64, 256, 1024):
+            for seed in range(6):
+                assert generate_scale_free(n, seed) == _reference_scale_free(n, seed), (n, seed)
+
+    def test_non_default_mix_and_deltas(self):
+        settings = [((0.3, 0.3, 0.4), 1.0, 0.5),
+                    ((0.6, 0.2, 0.2), 0.0, 0.0),
+                    ((0.1, 0.8, 0.1), 2.5, 1e-3)]
+        for mix, delta_in, delta_out in settings:
+            for n, seed in ((10, 0), (100, 1), (500, 2)):
+                fast = generate_scale_free(n, seed, mix, delta_in, delta_out)
+                assert fast == _reference_scale_free(n, seed, mix, delta_in, delta_out)
+
+    def test_acceptance_ensembles(self):
+        # criterion 3, the CLI seeds, criteria 4 and 10 (master 777),
+        # criteria 7 and 8 (master 12345), and criterion 9's ipr_scaling draws
+        cases = [(64, 101), (128, 102), (256, 103), (32, 11), (64, 11), (32, 5)]
+        cases += [(64, s) for s in _uint64_seeds(10, 777)]
+        cases += [(32, s) for s in _uint64_seeds(20, 777)]
+        cases += [(128, s) for s in _uint64_seeds(20, 12345)]
+        ipr_seeds = _uint64_seeds(20, 12345)
+        cases += [(n, ipr_seeds[5 * i + j]) for i, n in enumerate((32, 64, 128, 256))
+                  for j in range(5)]
+        for n, seed in cases:
+            assert generate_scale_free(n, seed) == _reference_scale_free(n, seed), (n, seed)
+
+    def test_exact_fallback_on_cdf_boundaries(self, monkeypatch):
+        numpy_pick = graph._numpy_pick
+        calls = []
+
+        def spy(weights, u):
+            calls.append(u)
+            return numpy_pick(weights, u)
+
+        monkeypatch.setattr(graph, "_numpy_pick", spy)
+        for delta, degrees in ((0.0, [0, 1, 1, 2, 0]), (0.2, [3, 0, 1, 1, 4, 2])):
+            sampler = graph._DegreeSampler(len(degrees) + 2, delta)
+            for node, d in enumerate(degrees):
+                for _ in range(d):
+                    sampler.add(node)
+            w = np.array(degrees, dtype=np.float64) + delta
+            cdf = (w / w.sum()).cumsum()
+            cdf /= cdf[-1]
+            for u in [0.0, *cdf[cdf < 1.0]]:  # draws lie in [0, 1)
+                calls.clear()
+                picked = sampler.pick(float(u), len(degrees))
+                assert picked == cdf.searchsorted(u, side="right")
+                assert w[picked] > 0
+                assert calls == [u]
+
+
+class TestScaleFreeDeltaValidation:
+    BAD = (-3.0, -1.0, float("nan"), float("inf"))
+
+    def test_generator_rejects_bad_delta(self):
+        for name in ("delta_in", "delta_out"):
+            for value in self.BAD:
+                with pytest.raises(ValueError, match=name):
+                    generate_scale_free(50, 0, **{name: value})
+
+    def test_params_reject_bad_delta(self):
+        for name in ("delta_in", "delta_out"):
+            for value in self.BAD:
+                with pytest.raises(ValueError, match=name):
+                    GeneratorParams("scalefree", 50, **{name: value})
+
+    def test_overflowing_weights_raise_like_reference(self):
+        with np.errstate(over="ignore"):
+            for generator in (generate_scale_free, _reference_scale_free):
+                with pytest.raises(ValueError):
+                    generator(50, 0, delta_in=1e308)
+
+    def test_zero_delta_accepted(self):
+        g = generate(GeneratorParams("scalefree", 50, delta_in=0.0, delta_out=0.0))
+        assert g == _reference_scale_free(50, 0, delta_in=0.0)

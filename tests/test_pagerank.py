@@ -124,6 +124,12 @@ class TestPowerMethod:
         assert not r.converged
         assert r.iterations == 2000
 
+    def test_tol_must_be_positive(self):
+        e = patch_dangling(hyperlink_matrix(benchmark_graph("fig1a")))
+        for tol in (0.0, -1e-9, float("nan")):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                power_method(e, np.array([1.0, 0.0]), tol=tol)
+
     def test_zero_start_rejected(self):
         e = patch_dangling(hyperlink_matrix(benchmark_graph("fig1a")))
         with pytest.raises(ValueError, match="nonzero"):

@@ -1,12 +1,13 @@
 """Round-trip properties of the graph and rank-vector file formats."""
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qprank import formats
-from qprank.graph import (DirectedGraph, parse_edge_list, parse_pajek,
-                          to_edge_list, to_pajek)
+from qprank.graph import (DirectedGraph, generate_scale_free, parse_edge_list,
+                          parse_pajek, to_edge_list, to_pajek)
+from test_graph import _reference_scale_free
 
 # Labels as the parsers can produce them: any printable text on one line.
 # Rank CSV labels may hold the CSV delimiter and quote character.
@@ -51,3 +52,18 @@ def test_rank_csv_round_trip(case):
     loaded, loaded_labels, _ = formats.read_rank_csv(formats.write_rank_csv(values, labels))
     assert np.array_equal(loaded, values)
     assert loaded_labels == labels
+
+
+@st.composite
+def scale_free_params(draw):
+    p_internal = draw(st.floats(0.0, 0.8))
+    p_new_out = draw(st.floats(0.0, 1.0)) * (1.0 - p_internal)
+    mix = (p_new_out, p_internal, max(0.0, 1.0 - p_new_out - p_internal))
+    return (draw(st.integers(3, 256)), draw(st.integers(0, 2 ** 64 - 1)), mix,
+            draw(st.floats(0.0, 5.0)), draw(st.floats(0.0, 5.0)))
+
+
+@settings(deadline=None)
+@given(scale_free_params())
+def test_scale_free_matches_rng_choice_reference(params):
+    assert generate_scale_free(*params) == _reference_scale_free(*params)
