@@ -143,7 +143,7 @@ def _cmd_gen(g, meta, args) -> str:
         return formats.dump_json({
             "provenance": meta,
             "node_count": g.node_count,
-            "arcs": [list(a) for a in g.sorted_arcs()],
+            "arcs": np.column_stack((g.sources(), g.targets)).tolist(),
             "labels": None if g.labels is None else list(g.labels),
         })
     return to_edge_list(g)

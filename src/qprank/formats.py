@@ -27,14 +27,44 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _fmt_all(values) -> list[str]:
+    """``fmt`` of each entry, in bulk: ``tolist`` yields Python floats, whose
+    repr is the text ``fmt`` writes."""
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def _meta_lines(meta: Optional[dict]) -> str:
+    return "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
+
+
 def _write_csv(meta: Optional[dict], header: Sequence[str], rows) -> str:
+    """CSV through the csv module, quoting fields (labels) where needed."""
     out = io.StringIO()
-    for key, value in (meta or {}).items():
-        out.write(f"# {key}={value}\n")
+    out.write(_meta_lines(meta))
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
+
+
+def _write_plain(meta: Optional[dict], header: Sequence[str], lines: Sequence[str]) -> str:
+    """The text ``_write_csv`` gives for fields that need no quoting, from
+    data rows already joined by commas."""
+    text = _meta_lines(meta) + ",".join(header) + "\n"
+    if lines:
+        text += "\n".join(lines) + "\n"
+    return text
+
+
+# characters the csv module may quote (CR only on newer Pythons); a table
+# holding any of them goes through the module
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _plain(labels: Sequence[str]) -> bool:
+    """True when no label needs CSV quoting."""
+    joined = "".join(labels)
+    return not any(c in joined for c in _CSV_SPECIAL)
 
 
 def _split_csv(text: str) -> tuple[dict, list[list[str]]]:
@@ -58,9 +88,14 @@ def _split_csv(text: str) -> tuple[dict, list[list[str]]]:
 
 def write_rank_csv(values: np.ndarray, labels: Optional[Sequence[str]] = None,
                    meta: Optional[dict] = None) -> str:
-    labels = labels if labels is not None else [""] * len(values)
-    return _write_csv(meta, ["node_index", "label", "score"],
-                      ([idx, labels[idx], fmt(values[idx])] for idx in ranking_order(values)))
+    order = ranking_order(values)
+    rows = order.tolist()
+    names = [""] * len(rows) if labels is None else [labels[i] for i in rows]
+    scores = _fmt_all(np.asarray(values)[order])
+    header = ["node_index", "label", "score"]
+    if _plain(names):
+        return _write_plain(meta, header, list(map("{},{},{}".format, rows, names, scores)))
+    return _write_csv(meta, header, zip(rows, names, scores))
 
 
 def read_rank_csv(text: str) -> tuple[np.ndarray, list[str], dict]:
@@ -79,9 +114,9 @@ def read_rank_csv(text: str) -> tuple[np.ndarray, list[str], dict]:
 # --- quantum rank series ---
 
 def write_series_csv(series: QuantumRankSeries, meta: Optional[dict] = None) -> str:
-    rows = [[m, *map(fmt, row)] for m, row in enumerate(series.instantaneous)]
-    rows.append(["avg", *map(fmt, series.average)])
-    return _write_csv(meta, ["m", *(f"node_{i}" for i in range(series.node_count))], rows)
+    lines = [",".join([str(m), *_fmt_all(row)]) for m, row in enumerate(series.instantaneous)]
+    lines.append(",".join(["avg", *_fmt_all(series.average)]))
+    return _write_plain(meta, ["m", *(f"node_{i}" for i in range(series.node_count))], lines)
 
 
 def read_series_csv(text: str) -> tuple[QuantumRankSeries, dict]:
@@ -109,9 +144,9 @@ def series_json(series: QuantumRankSeries, meta: Optional[dict] = None) -> dict:
 def write_sweep_csv(sweep: FidelitySweep, meta: Optional[dict] = None) -> str:
     merged = dict(meta or {})
     merged["min_fidelity"] = fmt(sweep.min_fidelity)
-    grid = [fmt(a) for a in sweep.alpha_grid]
-    return _write_csv(merged, ["alpha", *grid],
-                      ([a, *map(fmt, row)] for a, row in zip(grid, sweep.pairwise)))
+    grid = _fmt_all(sweep.alpha_grid)
+    return _write_plain(merged, ["alpha", *grid],
+                        [",".join([a, *_fmt_all(row)]) for a, row in zip(grid, sweep.pairwise)])
 
 
 def read_sweep_csv(text: str) -> tuple[tuple[float, ...], np.ndarray, dict]:
@@ -140,10 +175,10 @@ def write_attack_csv(report: AttackReport, meta: Optional[dict] = None) -> str:
     merged["removed"] = ";".join(str(i) for i in report.removed)
     merged["correlation"] = fmt(report.correlation)
     merged["mean_displacement"] = fmt(report.mean_displacement)
-    return _write_csv(merged, ["survivor", "original_index", "pre_value", "post_value"],
-                      ([new_idx, old_idx, fmt(report.pre_ranking[new_idx]),
-                        fmt(report.post_ranking[new_idx])]
-                       for new_idx, old_idx in enumerate(report.survivors)))
+    return _write_plain(merged, ["survivor", "original_index", "pre_value", "post_value"],
+                        list(map("{},{},{},{}".format, range(len(report.survivors)),
+                                 report.survivors, _fmt_all(report.pre_ranking),
+                                 _fmt_all(report.post_ranking))))
 
 
 def read_attack_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -186,11 +221,14 @@ _COMPARE_HEADER = ["node", "label", "classical", "quantum_avg", "classical_rank"
 
 def write_compare_csv(labels: Sequence[str], classical: np.ndarray,
                       quantum: np.ndarray, meta: Optional[dict] = None) -> str:
-    cls_rank = rank_positions(classical) + 1
-    qu_rank = rank_positions(quantum) + 1
-    return _write_csv(meta, _COMPARE_HEADER,
-                      ([node, labels[node], fmt(classical[node]), fmt(quantum[node]),
-                        cls_rank[node], qu_rank[node]] for node in ranking_order(classical)))
+    order = ranking_order(classical)
+    rows = (order.tolist(), [labels[i] for i in order.tolist()],
+            _fmt_all(np.asarray(classical)[order]), _fmt_all(np.asarray(quantum)[order]),
+            (rank_positions(classical)[order] + 1).tolist(),
+            (rank_positions(quantum)[order] + 1).tolist())
+    if _plain(rows[1]):
+        return _write_plain(meta, _COMPARE_HEADER, list(map("{},{},{},{},{},{}".format, *rows)))
+    return _write_csv(meta, _COMPARE_HEADER, zip(*rows))
 
 
 def read_compare_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:

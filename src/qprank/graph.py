@@ -23,56 +23,115 @@ class GraphFormatError(ValueError):
     """Raised when a graph file cannot be parsed."""
 
 
-@dataclass(frozen=True)
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
 class DirectedGraph:
     """A simple directed graph with contiguous node indices.
 
-    ``arcs`` is a frozenset of (src, dst) pairs; ``labels``, when present,
+    The arcs are held in compressed sparse rows by source, as read-only
+    int64 arrays: the targets of node ``i`` are
+    ``targets[indptr[i]:indptr[i + 1]]`` in ascending order, so the arcs
+    run sorted by (src, dst) with no duplicates. ``labels``, when present,
     gives one string per node (real-world datasets keep their identifiers).
+
+    The constructor takes the arcs as two parallel index sequences in any
+    order; parallel arcs collapse to one, and an arc out of range or a
+    self-loop is a ValueError naming the first such arc. ``arcs`` is the
+    same arc set as a frozenset of (src, dst) pairs, built on first use.
+    Two graphs are equal when node count, arcs and labels agree.
     """
 
-    node_count: int
-    arcs: frozenset[tuple[int, int]]
-    labels: Optional[tuple[str, ...]] = None
+    __slots__ = ("node_count", "indptr", "targets", "labels", "_arcs")
 
-    def __post_init__(self):
-        if self.node_count < 1:
+    def __init__(self, node_count: int, sources, targets,
+                 labels: Optional[Iterable[str]] = None):
+        n = int(node_count)
+        if n < 1:
             raise ValueError("graph needs at least one node")
-        for src, dst in self.arcs:
-            if not (0 <= src < self.node_count and 0 <= dst < self.node_count):
-                raise ValueError(f"arc ({src}, {dst}) out of range for {self.node_count} nodes")
-            if src == dst:
-                raise ValueError(f"self-loop on node {src} not allowed")
-        if self.labels is not None and len(self.labels) != self.node_count:
+        src = np.asarray(sources, dtype=np.int64).reshape(-1)
+        dst = np.asarray(targets, dtype=np.int64).reshape(-1)
+        if src.shape != dst.shape:
+            raise ValueError("sources and targets must have the same length")
+        bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
+        if bad.any():
+            first = int(bad.argmax())
+            s, d = int(src[first]), int(dst[first])
+            if not (0 <= s < n and 0 <= d < n):
+                raise ValueError(f"arc ({s}, {d}) out of range for {n} nodes")
+            raise ValueError(f"self-loop on node {s} not allowed")
+        labels = None if labels is None else tuple(labels)
+        if labels is not None and len(labels) != n:
             raise ValueError("labels must cover every node")
+        keys = np.unique(src * n + dst)
+        src = keys // n
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        for name, value in (("node_count", n), ("indptr", _frozen(indptr)),
+                            ("targets", _frozen(keys - src * n)), ("labels", labels),
+                            ("_arcs", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: DirectedGraph is immutable")
+
+    def __reduce__(self):
+        return DirectedGraph, (self.node_count, self.sources(), self.targets, self.labels)
 
     @classmethod
     def from_arcs(cls, node_count: int, arcs: Iterable[tuple[int, int]],
                   labels: Optional[Iterable[str]] = None) -> "DirectedGraph":
-        return cls(node_count, frozenset((int(s), int(d)) for s, d in arcs),
-                   None if labels is None else tuple(labels))
+        """Graph from an iterable of (src, dst) pairs."""
+        pairs = np.array(list(arcs), dtype=np.int64)
+        if pairs.size == 0:
+            pairs = pairs.reshape(0, 2)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("arcs must be (src, dst) pairs")
+        return cls(node_count, pairs[:, 0], pairs[:, 1], labels)
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The arc set as (src, dst) pairs; built once, on first use."""
+        if self._arcs is None:
+            object.__setattr__(self, "_arcs", frozenset(self.sorted_arcs()))
+        return self._arcs
+
+    def sources(self) -> np.ndarray:
+        """Source of each arc, aligned with ``targets``."""
+        return np.repeat(np.arange(self.node_count, dtype=np.int64), self.out_degrees())
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.arcs)
+        return list(zip(self.sources().tolist(), self.targets.tolist()))
 
     def out_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        for src, _ in self.arcs:
-            deg[src] += 1
-        return deg
+        return np.diff(self.indptr)
 
     def in_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        for _, dst in self.arcs:
-            deg[dst] += 1
-        return deg
+        return np.bincount(self.targets, minlength=self.node_count).astype(np.int64, copy=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DirectedGraph):
+            return NotImplemented
+        return (self.node_count == other.node_count and self.labels == other.labels
+                and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.targets, other.targets))
+
+    def __hash__(self) -> int:
+        return hash((self.node_count, self.labels, self.indptr.tobytes(),
+                     self.targets.tobytes()))
+
+    def __repr__(self) -> str:
+        return (f"DirectedGraph(node_count={self.node_count}, arcs={self.sorted_arcs()!r}, "
+                f"labels={self.labels!r})")
 
 
 def out_degree(g: DirectedGraph, node: int) -> int:
     """Number of arcs leaving ``node``."""
     if not 0 <= node < g.node_count:
         raise IndexError(f"node {node} out of range for {g.node_count} nodes")
-    return sum(1 for src, _ in g.arcs if src == node)
+    return int(g.indptr[node + 1] - g.indptr[node])
 
 
 def remove_nodes(g: DirectedGraph, victims: Iterable[int]) -> tuple[DirectedGraph, tuple[int, ...]]:
@@ -81,18 +140,21 @@ def remove_nodes(g: DirectedGraph, victims: Iterable[int]) -> tuple[DirectedGrap
     Returns the reindexed subgraph and the survivor map: entry i is the
     original index of new node i.
     """
-    victim_set = set(int(v) for v in victims)
-    for v in victim_set:
+    victim_list = [int(v) for v in victims]
+    for v in victim_list:
         if not 0 <= v < g.node_count:
             raise IndexError(f"victim {v} out of range")
-    survivors = [i for i in range(g.node_count) if i not in victim_set]
-    if not survivors:
+    alive = np.ones(g.node_count, dtype=bool)
+    alive[victim_list] = False
+    survivors = np.flatnonzero(alive)
+    if not len(survivors):
         raise ValueError("cannot remove every node")
-    new_index = {old: new for new, old in enumerate(survivors)}
-    arcs = [(new_index[s], new_index[d]) for s, d in g.arcs
-            if s in new_index and d in new_index]
-    labels = None if g.labels is None else tuple(g.labels[i] for i in survivors)
-    return DirectedGraph.from_arcs(len(survivors), arcs, labels), tuple(survivors)
+    new_index = np.cumsum(alive) - 1
+    src, dst = g.sources(), g.targets
+    kept = alive[src] & alive[dst]
+    labels = None if g.labels is None else [g.labels[i] for i in survivors.tolist()]
+    return (DirectedGraph(len(survivors), new_index[src[kept]], new_index[dst[kept]], labels),
+            tuple(survivors.tolist()))
 
 
 def graph_digest(g: DirectedGraph) -> str:
@@ -109,6 +171,36 @@ def _is_index(token: str) -> bool:
     return token.isascii() and token.isdigit()
 
 
+_SATURATED = np.iinfo(np.int64).max
+
+
+def _indices(tokens: list[str]) -> np.ndarray:
+    """ASCII-digit tokens as int64, converted in bulk. A value too large for
+    int64 saturates at ``_SATURATED``, out of range for every graph."""
+    return np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ")
+
+
+def _first_non_index(tokens: list[str]) -> int:
+    """Position of the first token that is not an ASCII-digit index, or
+    ``len(tokens)`` when all are."""
+    joined = "".join(tokens)
+    if _is_index(joined) or not tokens:
+        return len(tokens)
+    return next(i for i, tok in enumerate(tokens) if not _is_index(tok))
+
+
+def _missing_text(present: np.ndarray) -> str:
+    """The first few indices below ``present[-1]`` absent from the sorted,
+    distinct, nonnegative ``present``."""
+    missing: list[int] = []
+    for gap in np.flatnonzero(np.diff(present, prepend=-1) > 1).tolist():
+        start = -1 if gap == 0 else int(present[gap - 1])
+        missing.extend(range(start + 1, min(int(present[gap]), start + 12)))
+        if len(missing) > 10:
+            return f"{missing[:10]} and more"
+    return str(missing)
+
+
 _VERTEX_DIRECTIVE = re.compile(r"#\s*vertices:\s*(\d+)\s*$", re.IGNORECASE | re.ASCII)
 
 
@@ -119,58 +211,68 @@ def parse_edge_list(text: str) -> DirectedGraph:
     (written by :func:`to_edge_list`) pins the node count so graphs with
     isolated nodes survive a round trip. Tokens are either all integers,
     used directly as node indices, or arbitrary strings mapped to indices
-    in order of first appearance.
+    in order of first appearance. The vertex-count comment may appear at
+    most once, and only in an integer list: a labelled list takes its nodes
+    from the arcs.
     """
-    declared = None
-    pairs: list[tuple[str, str, int]] = []
+    declared = directive_line = None
+    tokens: list[str] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        m = _VERTEX_DIRECTIVE.match(raw.strip())
-        if m:
-            declared = int(m.group(1))
-            if declared < 1:
-                raise GraphFormatError(f"line {lineno}: graph needs at least one vertex")
+        body = raw
+        if "#" in raw:
+            m = _VERTEX_DIRECTIVE.match(raw.strip())
+            if m:
+                if directive_line is not None:
+                    raise GraphFormatError(f"line {lineno}: second '# vertices:' directive "
+                                           f"(the first is on line {directive_line})")
+                declared, directive_line = int(m.group(1)), lineno
+                if declared < 1:
+                    raise GraphFormatError(f"line {lineno}: graph needs at least one vertex")
+                continue
+            body = raw.split("#", 1)[0]
+        pair = body.split()
+        if not pair:
             continue
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
+        if len(pair) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'src dst', got {raw.strip()!r}")
-        if tokens[0] == tokens[1]:
-            raise GraphFormatError(f"line {lineno}: self-loop on {tokens[0]!r} not allowed")
-        pairs.append((tokens[0], tokens[1], lineno))
+        if pair[0] == pair[1]:
+            raise GraphFormatError(f"line {lineno}: self-loop on {pair[0]!r} not allowed")
+        tokens += pair
+        linenos.append(lineno)
 
-    if not pairs:
+    if not linenos:
         if declared is not None:
-            return DirectedGraph.from_arcs(declared, [])
+            return DirectedGraph(declared, [], [])
         raise GraphFormatError("no nodes: input contains no arcs")
 
-    all_integer = all(_is_index(tok) for s, d, _ in pairs for tok in (s, d))
-    if all_integer:
-        arcs = []
-        for s, d, lineno in pairs:
-            if int(s) == int(d):
-                raise GraphFormatError(f"line {lineno}: self-loop on {s} not allowed")
-            arcs.append((int(s), int(d)))
-        seen = {i for arc in arcs for i in arc}
-        n = declared if declared is not None else max(seen) + 1
-        if max(seen) >= n:
+    if _is_index("".join(tokens)):
+        ends = _indices(tokens)
+        loops = np.flatnonzero((ends[0::2] == ends[1::2]) & (ends[0::2] != _SATURATED))
+        if len(loops):
+            first = int(loops[0])
             raise GraphFormatError(
-                f"arc references node {max(seen)} but only {n} vertices are declared")
-        if declared is None and seen != set(range(n)):
-            missing = sorted(set(range(n)) - seen)
-            raise GraphFormatError(f"node indices not contiguous, missing {missing}")
-        return DirectedGraph.from_arcs(n, arcs)
+                f"line {linenos[first]}: self-loop on {tokens[2 * first]} not allowed")
+        if declared is None:
+            present = np.unique(ends)
+            if len(present) != int(present[-1]) + 1:
+                raise GraphFormatError(
+                    f"node indices not contiguous, missing {_missing_text(present)}")
+            declared = len(present)
+        top = int(ends.argmax())
+        if ends[top] >= declared:
+            raise GraphFormatError(f"arc references node {int(tokens[top])} "
+                                   f"but only {declared} vertices are declared")
+        return DirectedGraph(declared, ends[0::2], ends[1::2])
 
+    if directive_line is not None:
+        raise GraphFormatError(f"line {directive_line}: '# vertices:' directive in a labelled "
+                               "edge list, whose nodes come from its arcs")
     index: dict[str, int] = {}
-    arcs = []
-    for s, d, _ in pairs:
-        for tok in (s, d):
-            if tok not in index:
-                index[tok] = len(index)
-        arcs.append((index[s], index[d]))
+    ends = np.fromiter((index.setdefault(tok, len(index)) for tok in tokens),
+                       dtype=np.int64, count=len(tokens))
     labels = tuple(index)  # insertion order = first appearance
-    return DirectedGraph.from_arcs(len(index), arcs, labels)
+    return DirectedGraph(len(index), ends[0::2], ends[1::2], labels)
 
 
 def to_edge_list(g: DirectedGraph) -> str:
@@ -179,11 +281,33 @@ def to_edge_list(g: DirectedGraph) -> str:
     Labels are not representable here; use the Pajek format to keep them.
     """
     lines = [f"# vertices: {g.node_count}"]
-    lines.extend(f"{s} {d}" for s, d in g.sorted_arcs())
+    lines.extend(map("{} {}".format, g.sources().tolist(), g.targets.tolist()))
     return "\n".join(lines) + "\n"
 
 
 _PAJEK_VERTEX = re.compile(r'^(\d+)(?:\s+"([^"]*)")?\s*$', re.ASCII)
+
+
+def _pajek_arcs(tokens: list[str], linenos: list[int], lines: list[str],
+                n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based ends of the Pajek arc lines read so far, or the
+    GraphFormatError of the first bad one."""
+    count = len(linenos)
+    malformed = _first_non_index(tokens) // 2
+    ends = _indices(tokens[:2 * malformed])
+    src, dst = ends[0::2], ends[1::2]
+    bad = (src < 1) | (src > n) | (dst < 1) | (dst > n) | (src == dst)
+    first = int(bad.argmax()) if bad.any() else malformed
+    if first < count:
+        lineno = linenos[first]
+        if first == malformed:
+            raise GraphFormatError(
+                f"line {lineno}: malformed arc line {lines[lineno - 1].strip()!r}")
+        s, d = int(tokens[2 * first]), int(tokens[2 * first + 1])
+        if not (1 <= s <= n and 1 <= d <= n):
+            raise GraphFormatError(f"line {lineno}: arc {s}->{d} references undeclared vertex")
+        raise GraphFormatError(f"line {lineno}: self-loop on vertex {s} not allowed")
+    return src - 1, dst - 1
 
 
 def parse_pajek(text: str) -> DirectedGraph:
@@ -191,64 +315,72 @@ def parse_pajek(text: str) -> DirectedGraph:
 
     Vertex ids are 1-based on disk and shifted to 0-based. Vertex label
     lines are optional; when only some vertices carry labels the rest
-    default to their 1-based id.
+    default to their 1-based id. There is exactly one ``*Vertices`` header.
     """
-    n = None
+    n = vertices_line = None
     labels: dict[int, str] = {}
     seen_vertices: set[int] = set()
-    arcs: list[tuple[int, int]] = []
+    tokens: list[str] = []
+    linenos: list[int] = []
     section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        low = line.lower()
-        if low.startswith("*vertices"):
-            parts = line.split()
-            if len(parts) < 2 or not _is_index(parts[1]):
-                raise GraphFormatError(f"line {lineno}: malformed *Vertices header")
-            n = int(parts[1])
-            section = "vertices"
-            continue
-        if low.startswith("*arcs"):
-            if n is None:
-                raise GraphFormatError(f"line {lineno}: *Arcs before *Vertices")
-            section = "arcs"
-            continue
-        if line.startswith("*"):
-            raise GraphFormatError(f"line {lineno}: unsupported section {line!r}")
-        if section == "vertices":
-            m = _PAJEK_VERTEX.match(line)
-            if not m:
-                raise GraphFormatError(f"line {lineno}: malformed vertex line {raw.strip()!r}")
-            vid = int(m.group(1))
-            if not 1 <= vid <= n:
-                raise GraphFormatError(f"line {lineno}: vertex id {vid} outside 1..{n}")
-            if vid in seen_vertices:
-                raise GraphFormatError(f"line {lineno}: duplicate vertex id {vid}")
-            seen_vertices.add(vid)
-            if m.group(2) is not None:
-                labels[vid] = m.group(2)
-        elif section == "arcs":
-            parts = line.split()
-            if len(parts) != 2 or not all(_is_index(p) for p in parts):
-                raise GraphFormatError(f"line {lineno}: malformed arc line {raw.strip()!r}")
-            s, d = int(parts[0]), int(parts[1])
-            if not (1 <= s <= n and 1 <= d <= n):
-                raise GraphFormatError(f"line {lineno}: arc {s}->{d} references undeclared vertex")
-            if s == d:
-                raise GraphFormatError(f"line {lineno}: self-loop on vertex {s} not allowed")
-            arcs.append((s - 1, d - 1))
-        else:
-            raise GraphFormatError(f"line {lineno}: content before *Vertices header")
+    lines = text.splitlines()
+    try:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line[0] == "%":
+                continue
+            if section == "arcs" and line[0] != "*":
+                pair = line.split()
+                if len(pair) != 2:
+                    raise GraphFormatError(f"line {lineno}: malformed arc line {line!r}")
+                tokens += pair
+                linenos.append(lineno)
+                continue
+            low = line.lower()
+            if low.startswith("*vertices"):
+                if vertices_line is not None:
+                    raise GraphFormatError(f"line {lineno}: second *Vertices header "
+                                           f"(the first is on line {vertices_line})")
+                parts = line.split()
+                if len(parts) < 2 or not _is_index(parts[1]):
+                    raise GraphFormatError(f"line {lineno}: malformed *Vertices header")
+                n, vertices_line = int(parts[1]), lineno
+                section = "vertices"
+                continue
+            if low.startswith("*arcs"):
+                if n is None:
+                    raise GraphFormatError(f"line {lineno}: *Arcs before *Vertices")
+                section = "arcs"
+                continue
+            if line.startswith("*"):
+                raise GraphFormatError(f"line {lineno}: unsupported section {line!r}")
+            if section == "vertices":
+                m = _PAJEK_VERTEX.match(line)
+                if not m:
+                    raise GraphFormatError(f"line {lineno}: malformed vertex line {line!r}")
+                vid = int(m.group(1))
+                if not 1 <= vid <= n:
+                    raise GraphFormatError(f"line {lineno}: vertex id {vid} outside 1..{n}")
+                if vid in seen_vertices:
+                    raise GraphFormatError(f"line {lineno}: duplicate vertex id {vid}")
+                seen_vertices.add(vid)
+                if m.group(2) is not None:
+                    labels[vid] = m.group(2)
+            else:
+                raise GraphFormatError(f"line {lineno}: content before *Vertices header")
+    except GraphFormatError:
+        if n is not None:
+            _pajek_arcs(tokens, linenos, lines, n)  # an earlier bad arc line wins
+        raise
     if n is None:
         raise GraphFormatError("missing *Vertices header")
+    src, dst = _pajek_arcs(tokens, linenos, lines, n)
     if n < 1:
         raise GraphFormatError("graph needs at least one vertex")
     label_tuple = None
     if labels:
         label_tuple = tuple(labels.get(i + 1, str(i + 1)) for i in range(n))
-    return DirectedGraph.from_arcs(n, arcs, label_tuple)
+    return DirectedGraph(n, src, dst, label_tuple)
 
 
 def to_pajek(g: DirectedGraph) -> str:
@@ -265,12 +397,19 @@ def to_pajek(g: DirectedGraph) -> str:
                                  "labels may not contain '\"' or line breaks")
         lines.extend(f'{i + 1} "{label}"' for i, label in enumerate(g.labels))
     lines.append("*Arcs")
-    lines.extend(f"{s + 1} {d + 1}" for s, d in g.sorted_arcs())
+    lines.extend(map("{} {}".format, (g.sources() + 1).tolist(), (g.targets + 1).tolist()))
     return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # generators
+
+def _check_mix(mix: tuple[float, float, float]) -> None:
+    if len(mix) != 3 or any(p < 0 for p in mix) or abs(sum(mix) - 1.0) > 1e-12:
+        raise ValueError("mix probabilities must be nonnegative and sum to 1")
+    if mix[0] + mix[2] == 0:
+        raise ValueError(f"mix {tuple(mix)!r} never adds a node: mix[0] + mix[2] must be positive")
+
 
 def _check_delta(name: str, value: float) -> None:
     if not (math.isfinite(value) and value >= 0):
@@ -298,8 +437,7 @@ class GeneratorParams:
     def __post_init__(self):
         if self.model not in ("scalefree", "hierarchical", "tree"):
             raise ValueError(f"unknown model {self.model!r}")
-        if len(self.mix) != 3 or any(p < 0 for p in self.mix) or abs(sum(self.mix) - 1.0) > 1e-12:
-            raise ValueError("mix probabilities must be nonnegative and sum to 1")
+        _check_mix(self.mix)
         _check_delta("delta_in", self.delta_in)
         _check_delta("delta_out", self.delta_out)
 
@@ -397,7 +535,8 @@ def generate_scale_free(n: int, seed: int,
     by in-degree; with mix[1], an arc between existing nodes chosen by
     out-degree and in-degree; with mix[2], a new node receiving an arc
     from an existing node chosen by out-degree. ``delta_in``/``delta_out``
-    smooth the attachment weights and must be finite and nonnegative.
+    smooth the attachment weights and must be finite and nonnegative, and
+    mix[0] + mix[2] must be positive, or no event would add a node.
     Parallel arcs are collapsed and self-loops dropped, so the result is a
     simple digraph. The same (n, seed, mix) always yields the same arc set.
 
@@ -408,14 +547,13 @@ def generate_scale_free(n: int, seed: int,
     """
     if n < 3:
         raise ValueError("scale-free generator needs at least 3 nodes")
-    if len(mix) != 3 or any(p < 0 for p in mix) or abs(sum(mix) - 1.0) > 1e-12:
-        raise ValueError("mix probabilities must be nonnegative and sum to 1")
+    _check_mix(mix)
     _check_delta("delta_in", delta_in)
     _check_delta("delta_out", delta_out)
     draw = _uniforms(np.random.default_rng(seed)).__next__
     p_new_out, p_internal, _ = mix
 
-    multi_arcs: list[tuple[int, int]] = [(0, 1), (1, 2), (2, 0)]
+    sources, targets = [0, 1, 2], [1, 2, 0]
     by_in = _DegreeSampler(n, delta_in)
     by_out = _DegreeSampler(n, delta_out)
     for node in range(3):
@@ -436,12 +574,14 @@ def generate_scale_free(n: int, seed: int,
             src = by_out.pick(draw(), node_count)
             dst = node_count
             node_count += 1
-        multi_arcs.append((src, dst))
+        sources.append(src)
+        targets.append(dst)
         by_out.add(src)
         by_in.add(dst)
 
-    arcs = {(s, d) for s, d in multi_arcs if s != d}
-    return DirectedGraph.from_arcs(n, arcs)
+    src, dst = np.array(sources), np.array(targets)
+    simple = src != dst
+    return DirectedGraph(n, src[simple], dst[simple])
 
 
 def _bottom_layer(generation: int) -> list[int]:
@@ -463,16 +603,16 @@ def generate_hierarchical(generation: int, toward_root: bool = True) -> Directed
     """
     if not 1 <= generation <= 6:
         raise ValueError("generation must be between 1 and 6")
-    arcs: set[tuple[int, int]] = {(0, 1), (1, 2), (2, 0)}
+    src, dst = np.array([0, 1, 2]), np.array([1, 2, 0])
     for level in range(1, generation):
         size = 3 ** level
-        copies = {(s + off, d + off) for off in (size, 2 * size) for s, d in arcs}
-        arcs |= copies
-        for b in _bottom_layer(level):
-            for off in (size, 2 * size):
-                node = b + off
-                arcs.add((node, 0) if toward_root else (0, node))
-    return DirectedGraph.from_arcs(3 ** generation, arcs)
+        bottom = np.array(_bottom_layer(level))
+        hubs = np.concatenate([bottom + size, bottom + 2 * size])
+        root = np.zeros_like(hubs)
+        links = (hubs, root) if toward_root else (root, hubs)
+        src = np.concatenate([src, src + size, src + 2 * size, links[0]])
+        dst = np.concatenate([dst, dst + size, dst + 2 * size, links[1]])
+    return DirectedGraph(3 ** generation, src, dst)
 
 
 def generate_binary_tree(levels: int) -> DirectedGraph:
@@ -485,8 +625,8 @@ def generate_binary_tree(levels: int) -> DirectedGraph:
     if levels < 1:
         raise ValueError("levels must be at least 1")
     n = 2 ** levels - 1
-    arcs = [(child, (child - 1) // 2) for child in range(1, n)]
-    return DirectedGraph.from_arcs(n, arcs)
+    child = np.arange(1, n)
+    return DirectedGraph(n, child, (child - 1) // 2)
 
 
 # Fixed small graphs used as ground truth in the tests. fig1b is the two-node

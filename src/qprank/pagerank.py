@@ -93,11 +93,8 @@ def hyperlink_matrix(g: DirectedGraph) -> HyperlinkMatrix:
     """Build H with H[i, j] = 1/outdeg(j) for every arc j -> i."""
     n = g.node_count
     out_deg = g.out_degrees()
-    arcs = g.sorted_arcs()
-    rows = np.array([d for _, d in arcs], dtype=np.int64)
-    cols = np.array([s for s, _ in arcs], dtype=np.int64)
-    data = 1.0 / out_deg[cols] if len(arcs) else np.zeros(0)
-    links = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+    src = g.sources()
+    links = sp.csr_matrix((1.0 / out_deg[src], (g.targets, src)), shape=(n, n))
     return HyperlinkMatrix(links, out_deg == 0)
 
 

@@ -1,11 +1,14 @@
 import functools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qprank
 from qprank import formats
 from qprank.cli import main, parse_grid
 from qprank.graph import benchmark_graph, parse_edge_list
@@ -54,6 +57,16 @@ class TestExitCodes:
             path.write_text(text, encoding="utf-8")
             assert main(["rank", "--input", str(path)]) == 3, text
             assert "parse error" in capsys.readouterr().err
+
+    def test_conflicting_vertex_counts_are_parse_errors(self, tmp_path, capsys):
+        for name, text, line in (("labelled.txt", "# vertices: 5\na b\n", "line 1"),
+                                 ("twice.txt", "# vertices: 3\n0 1\n# vertices: 4\n", "line 3"),
+                                 ("twice.net", "*Vertices 3\n*Arcs\n1 2\n*Vertices 4\n"
+                                               "*Arcs\n3 4\n", "line 4")):
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            assert main(["rank", "--input", str(path)]) == 3, text
+            assert f"parse error: {line}:" in capsys.readouterr().err
 
     def test_invalid_parameters_is_4(self, capsys):
         assert main(["rank", "--benchmark", "fig9"]) == 4
@@ -227,9 +240,12 @@ class TestDeterminism:
         assert first == second
 
     def test_module_entry_point(self, tmp_path):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(qprank.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "qprank", "rank", "--benchmark", "fig1a"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0
         values, _, _ = formats.read_rank_csv(result.stdout)
         assert abs(values.sum() - 1.0) < 1e-9

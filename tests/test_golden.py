@@ -1,0 +1,70 @@
+"""Golden bytes of the graph and classical CLI pipelines.
+
+The sha256 of each output below was captured from the implementation that
+held arcs as a frozenset of tuples, on ``gen --gen scalefree:2048 --seed 7``
+and the same graph written as Pajek. Any change to the graph model, the
+parsers, the link matrix or the writers that moves a byte fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from qprank.cli import main
+from qprank.graph import graph_digest, parse_edge_list, to_pajek
+
+GEN = ["--gen", "scalefree:2048", "--seed", "7"]
+
+GOLDEN = {
+    "gen.txt": ["gen", *GEN],
+    "gen.json": ["gen", *GEN, "--format", "json"],
+    "rank_edges.csv": ["rank", "--input", "web.txt"],
+    "rank_pajek.csv": ["rank", "--input", "web.net"],
+    "sweep.csv": ["sweep", "--input", "web.txt", "--ranker", "classical",
+                  "--grid", "0.65:0.95:4"],
+    "attack.csv": ["attack", "--input", "web.txt", "--ranker", "classical", "--remove", "3"],
+    "analyze.csv": ["analyze", "--input", "web.txt", "--ranker", "classical"],
+}
+
+SHA256 = {
+    "gen.txt": "ef6e21feb915efbab3e7781b81697ad2ecb037f4d9e8a0e40d3e3de6fe9e74cb",
+    "gen.json": "14e7ac5ccd6a3b6fab736ad0148ab33a5f73e6e222e90fe2f8b6df2bceeb902d",
+    "web.net": "f333f7af2787bff3a5eece05e888f3b89047fc78766a6fc8723f62bb344f6b4e",
+    "rank_edges.csv": "30c0ed8a9a84f914d16796116a9b291deed02e42745fc2c7ccd66263a780e7e0",
+    "rank_pajek.csv": "2255327a5e074cac804d422a213d945edfd226414863559cefa77e757092acfd",
+    "sweep.csv": "84f2fa1eebfdc0d04e15094ac7f3e28697e8a2779a12d9eeb2b96bf8a6b6041b",
+    "attack.csv": "d0959c5b3ad3fde5665e432993b4c73cbe5731cefd23fab1dd7b17d24a487bd7",
+    "analyze.csv": "b20b442c6943e61e0b3077db7c7a12c35870403d20b5a00360c6e2015239fac7",
+}
+DIGEST = "ef6e21feb915efba"
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """Inputs written once; file names are relative so ``source=`` metadata is fixed."""
+    path = tmp_path_factory.mktemp("golden")
+    assert main(["gen", *GEN, "--output", str(path / "gen.txt")]) == 0
+    text = (path / "gen.txt").read_text(encoding="utf-8")
+    (path / "web.txt").write_text(text, encoding="utf-8")
+    (path / "web.net").write_text(to_pajek(parse_edge_list(text)), encoding="utf-8")
+    return path
+
+
+def _sha(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_bytes(name, workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    assert main([*GOLDEN[name], "--output", f"out_{name}"]) == 0
+    assert _sha(workdir / f"out_{name}") == SHA256[name]
+
+
+def test_pajek_writer_bytes(workdir):
+    assert _sha(workdir / "web.net") == SHA256["web.net"]
+
+
+def test_graph_digest(workdir):
+    g = parse_edge_list((workdir / "web.txt").read_text(encoding="utf-8"))
+    assert graph_digest(g) == DIGEST

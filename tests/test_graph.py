@@ -1,6 +1,11 @@
+import contextlib
+import pickle
+import signal
+
 import numpy as np
 import pytest
 
+from graph_oracles import reference_arc_set, reference_remove_nodes
 from qprank import graph
 from qprank.graph import (DirectedGraph, GeneratorParams, GraphFormatError,
                           benchmark_graph, generate, generate_binary_tree,
@@ -30,6 +35,48 @@ class TestDirectedGraph:
         g = benchmark_graph("fig1d")
         assert g.out_degrees().tolist() == [3, 2, 1, 1]
         assert g.in_degrees().tolist() == [1, 1, 2, 3]
+
+    def test_arrays_are_sorted_distinct_and_read_only(self):
+        g = DirectedGraph(4, [3, 0, 0, 2, 0, 3], [2, 3, 1, 3, 3, 2])
+        assert g.indptr.tolist() == [0, 2, 2, 3, 4]
+        assert g.targets.tolist() == [1, 3, 3, 2]
+        assert g.sources().tolist() == [0, 0, 2, 3]
+        assert g.sorted_arcs() == [(0, 1), (0, 3), (2, 3), (3, 2)]
+        assert g.indptr.dtype == g.targets.dtype == np.int64
+        for values in (g.indptr, g.targets):
+            with pytest.raises(ValueError):
+                values[0] = 1
+        with pytest.raises(AttributeError, match="immutable"):
+            g.node_count = 5
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and not copy.targets.flags.writeable
+
+    def test_arcs_view_matches_tuple_reference(self):
+        arcs = [(2, 0), (0, 1), (2, 0), (1, 2), (0, 2)]
+        g = DirectedGraph.from_arcs(3, arcs)
+        assert g.arcs == reference_arc_set(3, arcs)
+        assert g.arcs is g.arcs  # built once
+
+    def test_error_names_first_offending_arc_in_input_order(self):
+        with pytest.raises(ValueError, match=r"arc \(5, 1\) out of range"):
+            DirectedGraph.from_arcs(3, [(0, 1), (5, 1), (2, 2), (1, 7)])
+        with pytest.raises(ValueError, match="self-loop on node 2"):
+            DirectedGraph.from_arcs(3, [(0, 1), (2, 2), (5, 1)])
+
+    def test_equality_and_hash(self):
+        a = DirectedGraph.from_arcs(3, [(0, 1), (1, 2)])
+        b = DirectedGraph(3, [1, 0, 0], [2, 1, 1])
+        assert a == b and hash(a) == hash(b)
+        assert a != DirectedGraph.from_arcs(4, [(0, 1), (1, 2)])
+        assert a != DirectedGraph.from_arcs(3, [(0, 1), (1, 2)], labels=("x", "y", "z"))
+        assert a != DirectedGraph.from_arcs(3, [(0, 1), (2, 1)])
+        assert len({a, b}) == 1
+
+    def test_rejects_mismatched_or_unpaired_arcs(self):
+        with pytest.raises(ValueError, match="same length"):
+            DirectedGraph(3, [0, 1], [1])
+        with pytest.raises(ValueError, match="pairs"):
+            DirectedGraph.from_arcs(3, [(0, 1, 2)])
 
 
 class TestEdgeList:
@@ -95,6 +142,38 @@ class TestEdgeList:
     def test_zero_declared_vertices_is_format_error(self):
         with pytest.raises(GraphFormatError, match="at least one vertex"):
             parse_edge_list("# vertices: 0\n")
+
+    def test_directive_in_labelled_list_is_error(self):
+        with pytest.raises(GraphFormatError, match="line 1: '# vertices:' directive in a labelled"):
+            parse_edge_list("# vertices: 5\na b\n")
+        with pytest.raises(GraphFormatError, match="line 3"):
+            parse_edge_list("a b\nb c\n# vertices: 3\n")
+
+    def test_second_directive_is_error(self):
+        with pytest.raises(GraphFormatError, match=r"line 3: second .*first is on line 1"):
+            parse_edge_list("# vertices: 5\n0 1\n# vertices: 6\n")
+        with pytest.raises(GraphFormatError, match="line 2: second"):
+            parse_edge_list("# vertices: 2\n#vertices: 2\n0 1\n")
+
+    def test_integer_self_loop_names_line(self):
+        with pytest.raises(GraphFormatError, match="line 3: self-loop on 01"):
+            parse_edge_list("0 1\n1 0\n01 1\n")
+
+    def test_index_beyond_int64(self):
+        huge = "99999999999999999999"
+        with pytest.raises(GraphFormatError, match=f"node {huge} but only 3"):
+            parse_edge_list(f"# vertices: 3\n0 {huge}\n")
+        with pytest.raises(GraphFormatError, match="contiguous"):
+            parse_edge_list(f"0 {huge}\n")
+        with pytest.raises(GraphFormatError, match="contiguous"):  # both saturate: no self-loop
+            parse_edge_list(f"0 1\n{huge} {huge[:-1]}8\n")
+
+    def test_missing_indices_listed_up_to_ten(self):
+        with pytest.raises(GraphFormatError, match=r"missing \[1, 3\]$"):
+            parse_edge_list("0 2\n2 4\n")
+        with pytest.raises(GraphFormatError,
+                           match=r"missing \[0, 1, 2, 4, 5, 6, 7, 8, 9, 10\] and more$"):
+            parse_edge_list("3 12\n12 40\n")
 
 
 class TestPajek:
@@ -165,6 +244,21 @@ class TestPajek:
         with pytest.raises(GraphFormatError, match="at least one vertex"):
             parse_pajek("*Vertices 0\n*Arcs\n")
 
+    def test_second_vertices_header_is_error(self):
+        with pytest.raises(GraphFormatError, match=r"line 4: second \*Vertices.*line 1"):
+            parse_pajek("*Vertices 3\n*Arcs\n1 2\n*Vertices 4\n*Arcs\n3 4\n")
+
+    def test_first_bad_arc_line_is_reported(self):
+        cases = {"1 2\n2 x\n3 3\n1 9\n": "line 5: malformed arc line '2 x'",
+                 "1 2\n3 3\n2 x\n": "line 5: self-loop on vertex 3",
+                 "1 2\n1 9\n3 3\n": "line 5: arc 1->9 references undeclared",
+                 "1 2\n1 9\n*Edges\n": "line 5: arc 1->9 references undeclared",
+                 "1 2\n2 1 3\n1 9\n": "line 5: malformed arc line '2 1 3'",
+                 f"1 2\n{'9' * 20} {'9' * 19}8\n": f"line 5: arc {'9' * 20}->{'9' * 19}8 refer"}
+        for arcs, message in cases.items():
+            with pytest.raises(GraphFormatError, match=message):
+                parse_pajek("*Vertices 3\n% comment\n*Arcs\n" + arcs)
+
 
 class TestBenchmarks:
     def test_fig1a(self):
@@ -231,6 +325,19 @@ class TestRemoveNodes:
         with pytest.raises(ValueError):
             remove_nodes(benchmark_graph("fig1a"), {0, 1})
 
+    def test_matches_tuple_reference(self):
+        rng = np.random.default_rng(8)
+        labelled = DirectedGraph.from_arcs(5, [(0, 1), (1, 2), (3, 4), (4, 0), (2, 4)],
+                                           labels="abcde")
+        cases = [(labelled, [2]), (labelled, [0, 4]), (generate_scale_free(300, 3), [])]
+        cases += [(generate_scale_free(64, s), rng.choice(64, size=7, replace=False))
+                  for s in range(5)]
+        for g, victims in cases:
+            reduced, survivors = remove_nodes(g, victims)
+            n, arcs, labels, expected = reference_remove_nodes(g, victims)
+            assert (reduced.node_count, reduced.arcs, reduced.labels, survivors) == \
+                (n, arcs, labels, expected)
+
     def test_surviving_arcs_preserved_exactly(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -277,6 +384,16 @@ class TestGenerators:
     def test_scale_free_bad_mix(self):
         with pytest.raises(ValueError, match="mix"):
             generate_scale_free(10, 0, mix=(0.5, 0.6, 0.1))
+
+    def test_mix_that_never_adds_a_node_is_rejected(self):
+        # without the guard the growth loop never ends; the alarm turns that into a failure
+        with _deadline(20):
+            for mix in ((0.0, 1.0, 0.0), (-0.0, 1.0, 0.0)):
+                with pytest.raises(ValueError, match="never adds a node"):
+                    generate_scale_free(10, 0, mix=mix)
+                with pytest.raises(ValueError, match="never adds a node"):
+                    GeneratorParams("scalefree", 10, mix=mix)
+            assert generate_scale_free(10, 0, mix=(0.0, 0.5, 0.5)).node_count == 10
 
     def test_hierarchical_node_counts(self):
         for n in range(1, 7):
@@ -332,6 +449,20 @@ class TestGenerators:
             GeneratorParams("mystery", 8)
         with pytest.raises(ValueError):
             GeneratorParams("scalefree", 8, mix=(1.0, 1.0, 0.0))
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _reference_scale_free(n, seed, mix=(0.41, 0.54, 0.05), delta_in=0.2, delta_out=0.0):

@@ -1,12 +1,23 @@
-"""Round-trip properties of the graph and rank-vector file formats."""
+"""Round-trip properties of the graph and rank-vector file formats, and the
+array-backed graph model against its tuple-based reference."""
+
+import csv
+import io
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_oracles import (reference_arc_set, reference_degrees, reference_hyperlink,
+                           reference_remove_nodes)
 from qprank import formats
+from qprank.analysis import AttackReport, FidelitySweep, rank_positions, ranking_order
 from qprank.graph import (DirectedGraph, generate_scale_free, parse_edge_list,
-                          parse_pajek, to_edge_list, to_pajek)
+                          parse_pajek, remove_nodes, to_edge_list, to_pajek)
+from qprank.pagerank import hyperlink_matrix
+from qprank.szegedy import QuantumRankSeries
 from test_graph import _reference_scale_free
 
 # Labels as the parsers can produce them: any printable text on one line.
@@ -35,6 +46,57 @@ def test_edge_list_round_trip(g):
 @given(graphs(labels=PAJEK_LABELS))
 def test_pajek_round_trip(g):
     assert parse_pajek(to_pajek(g)) == g
+
+
+@st.composite
+def arc_lists(draw):
+    """A node count and an arc list with repeats, in any order."""
+    n = draw(st.integers(2, 10))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda a: a[0] != a[1])
+    distinct = draw(st.lists(pairs, max_size=25))
+    repeats = draw(st.lists(st.sampled_from(distinct), max_size=10)) if distinct else []
+    return n, draw(st.permutations(distinct + repeats))
+
+
+@given(arc_lists())
+def test_arrays_match_tuple_reference(case):
+    n, arcs = case
+    g = DirectedGraph.from_arcs(n, arcs)
+    assert g.sorted_arcs() == sorted(set(arcs))
+    assert g.arcs == reference_arc_set(n, arcs)
+    assert np.array_equal(g.indptr, np.searchsorted(g.sources(), np.arange(n + 1)))
+    out_deg, in_deg = reference_degrees(g)
+    assert np.array_equal(g.out_degrees(), out_deg)
+    assert np.array_equal(g.in_degrees(), in_deg)
+    links, want = hyperlink_matrix(g).links, reference_hyperlink(g)
+    for field in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(links, field), getattr(want, field)), field
+
+
+@given(arc_lists(), st.data())
+def test_remove_nodes_matches_tuple_reference(case, data):
+    n, arcs = case
+    g = DirectedGraph.from_arcs(n, arcs)
+    victims = data.draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
+    reduced, survivors = remove_nodes(g, victims)
+    assert (reduced.node_count, reduced.arcs, reduced.labels, survivors) == \
+        reference_remove_nodes(g, victims)
+
+
+@given(st.integers(1, 6), st.lists(st.tuples(st.integers(-2, 7), st.integers(-2, 7)),
+                                   min_size=1, max_size=12))
+def test_invalid_arcs_raise_like_reference(n, arcs):
+    """Same outcome as the tuple reference; the message names the first bad arc."""
+    try:
+        reference_arc_set(n, arcs)
+    except ValueError:
+        s, d = next((s, d) for s, d in arcs if not (0 <= s < n and 0 <= d < n) or s == d)
+        expected = (f"arc ({s}, {d}) out of range" if not (0 <= s < n and 0 <= d < n)
+                    else f"self-loop on node {s} ")
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            DirectedGraph.from_arcs(n, arcs)
+    else:
+        assert DirectedGraph.from_arcs(n, arcs).arcs == reference_arc_set(n, arcs)
 
 
 @st.composite
@@ -67,3 +129,66 @@ def scale_free_params(draw):
 @given(scale_free_params())
 def test_scale_free_matches_rng_choice_reference(params):
     assert generate_scale_free(*params) == _reference_scale_free(*params)
+
+
+def _csv_module(meta, header, rows):
+    """The writers' text as the csv module writes it, one ``fmt`` per float."""
+    out = io.StringIO()
+    for key, value in (meta or {}).items():
+        out.write(f"# {key}={value}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 1e-300, 0.1])
+
+
+@st.composite
+def tables(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 4))
+    values = np.array(draw(st.lists(FLOATS, min_size=n * rows, max_size=n * rows)))
+    labels = draw(st.lists(LINE_TEXT | CSV_LABELS | st.sampled_from(["a\rb", "x\ny"]),
+                           min_size=n, max_size=n))
+    return values.reshape(rows, n), labels
+
+
+@given(tables())
+def test_writers_match_csv_module(case):
+    matrix, labels = case
+    fmt = formats.fmt
+    meta = {"alpha": 0.85, "source": "web.txt"}
+    values, other = matrix[0], matrix[-1]
+    order = ranking_order(values)
+    assert formats.write_rank_csv(values, labels, meta) == _csv_module(
+        meta, ["node_index", "label", "score"],
+        ([i, labels[i], fmt(values[i])] for i in order))
+    assert formats.write_rank_csv(values) == _csv_module(
+        None, ["node_index", "label", "score"], ([i, "", fmt(values[i])] for i in order))
+
+    positions = rank_positions(values) + 1, rank_positions(other) + 1
+    assert formats.write_compare_csv(labels, values, other, meta) == _csv_module(
+        meta, ["node", "label", "classical", "quantum_avg", "classical_rank", "quantum_rank"],
+        ([i, labels[i], fmt(values[i]), fmt(other[i]), positions[0][i], positions[1][i]]
+         for i in order))
+
+    series = QuantumRankSeries(matrix, other)
+    rows = [[m, *map(fmt, row)] for m, row in enumerate(matrix)] + [["avg", *map(fmt, other)]]
+    assert formats.write_series_csv(series, meta) == _csv_module(
+        meta, ["m", *(f"node_{i}" for i in range(len(values)))], rows)
+
+    grid = tuple(float(a) for a in values)
+    sweep = FidelitySweep(alpha_grid=grid, rank_vectors=matrix,
+                          pairwise=np.tile(values, (len(grid), 1)), min_fidelity=0.5)
+    assert formats.write_sweep_csv(sweep, meta) == _csv_module(
+        {**meta, "min_fidelity": "0.5"}, ["alpha", *map(fmt, grid)],
+        ([fmt(a), *map(fmt, row)] for a, row in zip(grid, sweep.pairwise)))
+
+    survivors = tuple(range(2, 2 + len(values)))
+    report = AttackReport((0, 1), survivors, values, other, 0.25, 1.5)
+    assert formats.write_attack_csv(report, meta) == _csv_module(
+        {**meta, "removed": "0;1", "correlation": "0.25", "mean_displacement": "1.5"},
+        ["survivor", "original_index", "pre_value", "post_value"],
+        ([new, old, fmt(values[new]), fmt(other[new])] for new, old in enumerate(survivors)))
