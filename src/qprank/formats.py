@@ -48,23 +48,12 @@ def _write_csv(meta: Optional[dict], header: Sequence[str], rows) -> str:
 
 
 def _write_plain(meta: Optional[dict], header: Sequence[str], lines: Sequence[str]) -> str:
-    """The text ``_write_csv`` gives for fields that need no quoting, from
-    data rows already joined by commas."""
+    """The text ``_write_csv`` gives for tables without labels, whose fields
+    never need quoting, from data rows already joined by commas."""
     text = _meta_lines(meta) + ",".join(header) + "\n"
     if lines:
         text += "\n".join(lines) + "\n"
     return text
-
-
-# characters the csv module may quote (CR only on newer Pythons); a table
-# holding any of them goes through the module
-_CSV_SPECIAL = (",", '"', "\r", "\n")
-
-
-def _plain(labels: Sequence[str]) -> bool:
-    """True when no label needs CSV quoting."""
-    joined = "".join(labels)
-    return not any(c in joined for c in _CSV_SPECIAL)
 
 
 def _split_csv(text: str) -> tuple[dict, list[list[str]]]:
@@ -92,10 +81,7 @@ def write_rank_csv(values: np.ndarray, labels: Optional[Sequence[str]] = None,
     rows = order.tolist()
     names = [""] * len(rows) if labels is None else [labels[i] for i in rows]
     scores = _fmt_all(np.asarray(values)[order])
-    header = ["node_index", "label", "score"]
-    if _plain(names):
-        return _write_plain(meta, header, list(map("{},{},{}".format, rows, names, scores)))
-    return _write_csv(meta, header, zip(rows, names, scores))
+    return _write_csv(meta, ["node_index", "label", "score"], zip(rows, names, scores))
 
 
 def read_rank_csv(text: str) -> tuple[np.ndarray, list[str], dict]:
@@ -226,8 +212,6 @@ def write_compare_csv(labels: Sequence[str], classical: np.ndarray,
             _fmt_all(np.asarray(classical)[order]), _fmt_all(np.asarray(quantum)[order]),
             (rank_positions(classical)[order] + 1).tolist(),
             (rank_positions(quantum)[order] + 1).tolist())
-    if _plain(rows[1]):
-        return _write_plain(meta, _COMPARE_HEADER, list(map("{},{},{},{},{},{}".format, *rows)))
     return _write_csv(meta, _COMPARE_HEADER, zip(*rows))
 
 

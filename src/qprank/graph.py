@@ -23,9 +23,24 @@ class GraphFormatError(ValueError):
     """Raised when a graph file cannot be parsed."""
 
 
+# Largest node count whose arc keys src * n + dst fit in int64.
+MAX_NODES = math.isqrt(np.iinfo(np.int64).max)
+
+
 def _frozen(values: np.ndarray) -> np.ndarray:
     values.flags.writeable = False
     return values
+
+
+def _raise_first_bad_arc(n: int, arcs) -> None:
+    """ValueError naming the first of ``arcs`` out of range or a self-loop.
+    Indices may be Python ints of any size."""
+    for s, d in arcs:
+        s, d = int(s), int(d)
+        if not (0 <= s < n and 0 <= d < n):
+            raise ValueError(f"arc ({s}, {d}) out of range for {n} nodes")
+        if s == d:
+            raise ValueError(f"self-loop on node {s} not allowed")
 
 
 class DirectedGraph:
@@ -51,21 +66,24 @@ class DirectedGraph:
         n = int(node_count)
         if n < 1:
             raise ValueError("graph needs at least one node")
-        src = np.asarray(sources, dtype=np.int64).reshape(-1)
-        dst = np.asarray(targets, dtype=np.int64).reshape(-1)
+        if n > MAX_NODES:
+            raise ValueError(f"graph of {n} nodes exceeds the limit of {MAX_NODES}")
+        try:
+            src = np.asarray(sources, dtype=np.int64).reshape(-1)
+            dst = np.asarray(targets, dtype=np.int64).reshape(-1)
+        except OverflowError:
+            _raise_first_bad_arc(n, zip(sources, targets))
+            raise
         if src.shape != dst.shape:
             raise ValueError("sources and targets must have the same length")
         bad = (src < 0) | (src >= n) | (dst < 0) | (dst >= n) | (src == dst)
         if bad.any():
             first = int(bad.argmax())
-            s, d = int(src[first]), int(dst[first])
-            if not (0 <= s < n and 0 <= d < n):
-                raise ValueError(f"arc ({s}, {d}) out of range for {n} nodes")
-            raise ValueError(f"self-loop on node {s} not allowed")
+            _raise_first_bad_arc(n, [(src[first], dst[first])])
         labels = None if labels is None else tuple(labels)
         if labels is not None and len(labels) != n:
             raise ValueError("labels must cover every node")
-        keys = np.unique(src * n + dst)
+        keys = np.unique(src * n + dst)  # below n * n, which fits in int64
         src = keys // n
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
@@ -84,7 +102,12 @@ class DirectedGraph:
     def from_arcs(cls, node_count: int, arcs: Iterable[tuple[int, int]],
                   labels: Optional[Iterable[str]] = None) -> "DirectedGraph":
         """Graph from an iterable of (src, dst) pairs."""
-        pairs = np.array(list(arcs), dtype=np.int64)
+        arcs = list(arcs)
+        try:
+            pairs = np.array(arcs, dtype=np.int64)
+        except OverflowError:
+            _raise_first_bad_arc(int(node_count), arcs)
+            raise
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -180,25 +203,22 @@ def _indices(tokens: list[str]) -> np.ndarray:
     return np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ")
 
 
-def _first_non_index(tokens: list[str]) -> int:
-    """Position of the first token that is not an ASCII-digit index, or
-    ``len(tokens)`` when all are."""
-    joined = "".join(tokens)
-    if _is_index(joined) or not tokens:
-        return len(tokens)
-    return next(i for i, tok in enumerate(tokens) if not _is_index(tok))
-
-
 def _missing_text(present: np.ndarray) -> str:
-    """The first few indices below ``present[-1]`` absent from the sorted,
-    distinct, nonnegative ``present``."""
-    missing: list[int] = []
-    for gap in np.flatnonzero(np.diff(present, prepend=-1) > 1).tolist():
-        start = -1 if gap == 0 else int(present[gap - 1])
-        missing.extend(range(start + 1, min(int(present[gap]), start + 12)))
-        if len(missing) > 10:
-            return f"{missing[:10]} and more"
-    return str(missing)
+    """The first ten indices below ``present[-1]`` absent from the sorted,
+    distinct, nonnegative ``present``. The k-th missing index is below
+    ``len(present) + k``, so a short range holds all ten."""
+    missing = np.setdiff1d(np.arange(len(present) + 10), present)
+    missing = missing[missing < present[-1]][:10].tolist()
+    more = int(present[-1]) + 1 - len(present) > 10
+    return f"{missing} and more" if more else str(missing)
+
+
+def _check_vertex_count(lineno: int, count: int) -> None:
+    if count < 1:
+        raise GraphFormatError(f"line {lineno}: graph needs at least one vertex")
+    if count > MAX_NODES:
+        raise GraphFormatError(f"line {lineno}: vertex count {count} exceeds the limit "
+                               f"of {MAX_NODES}")
 
 
 _VERTEX_DIRECTIVE = re.compile(r"#\s*vertices:\s*(\d+)\s*$", re.IGNORECASE | re.ASCII)
@@ -227,8 +247,7 @@ def parse_edge_list(text: str) -> DirectedGraph:
                     raise GraphFormatError(f"line {lineno}: second '# vertices:' directive "
                                            f"(the first is on line {directive_line})")
                 declared, directive_line = int(m.group(1)), lineno
-                if declared < 1:
-                    raise GraphFormatError(f"line {lineno}: graph needs at least one vertex")
+                _check_vertex_count(lineno, declared)
                 continue
             body = raw.split("#", 1)[0]
         pair = body.split()
@@ -288,21 +307,15 @@ def to_edge_list(g: DirectedGraph) -> str:
 _PAJEK_VERTEX = re.compile(r'^(\d+)(?:\s+"([^"]*)")?\s*$', re.ASCII)
 
 
-def _pajek_arcs(tokens: list[str], linenos: list[int], lines: list[str],
-                n: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based ends of the Pajek arc lines read so far, or the
-    GraphFormatError of the first bad one."""
-    count = len(linenos)
-    malformed = _first_non_index(tokens) // 2
-    ends = _indices(tokens[:2 * malformed])
+def _pajek_arcs(tokens: list[str], linenos: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based ends of the Pajek arc lines read so far (ASCII-digit tokens),
+    or the GraphFormatError of the first arc out of range or a self-loop."""
+    ends = _indices(tokens)
     src, dst = ends[0::2], ends[1::2]
     bad = (src < 1) | (src > n) | (dst < 1) | (dst > n) | (src == dst)
-    first = int(bad.argmax()) if bad.any() else malformed
-    if first < count:
+    if bad.any():
+        first = int(bad.argmax())
         lineno = linenos[first]
-        if first == malformed:
-            raise GraphFormatError(
-                f"line {lineno}: malformed arc line {lines[lineno - 1].strip()!r}")
         s, d = int(tokens[2 * first]), int(tokens[2 * first + 1])
         if not (1 <= s <= n and 1 <= d <= n):
             raise GraphFormatError(f"line {lineno}: arc {s}->{d} references undeclared vertex")
@@ -323,15 +336,14 @@ def parse_pajek(text: str) -> DirectedGraph:
     tokens: list[str] = []
     linenos: list[int] = []
     section = None
-    lines = text.splitlines()
     try:
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line[0] == "%":
                 continue
             if section == "arcs" and line[0] != "*":
                 pair = line.split()
-                if len(pair) != 2:
+                if len(pair) != 2 or not _is_index(pair[0] + pair[1]):
                     raise GraphFormatError(f"line {lineno}: malformed arc line {line!r}")
                 tokens += pair
                 linenos.append(lineno)
@@ -344,6 +356,7 @@ def parse_pajek(text: str) -> DirectedGraph:
                 parts = line.split()
                 if len(parts) < 2 or not _is_index(parts[1]):
                     raise GraphFormatError(f"line {lineno}: malformed *Vertices header")
+                _check_vertex_count(lineno, int(parts[1]))
                 n, vertices_line = int(parts[1]), lineno
                 section = "vertices"
                 continue
@@ -369,14 +382,14 @@ def parse_pajek(text: str) -> DirectedGraph:
             else:
                 raise GraphFormatError(f"line {lineno}: content before *Vertices header")
     except GraphFormatError:
+        # Arc ranges and self-loops are checked in bulk, after the loop; an
+        # arc line before the one that failed may be bad too, and it wins.
         if n is not None:
-            _pajek_arcs(tokens, linenos, lines, n)  # an earlier bad arc line wins
+            _pajek_arcs(tokens, linenos, n)
         raise
     if n is None:
         raise GraphFormatError("missing *Vertices header")
-    src, dst = _pajek_arcs(tokens, linenos, lines, n)
-    if n < 1:
-        raise GraphFormatError("graph needs at least one vertex")
+    src, dst = _pajek_arcs(tokens, linenos, n)
     label_tuple = None
     if labels:
         label_tuple = tuple(labels.get(i + 1, str(i + 1)) for i in range(n))

@@ -52,7 +52,9 @@ class TestExitCodes:
     def test_non_ascii_digits_and_empty_graphs_are_parse_errors(self, tmp_path, capsys):
         for name, text in (("sup.net", "*Vertices \u00b2\n*Arcs\n"),
                            ("arc.net", "*Vertices 2\n*Arcs\n1 \u00b2\n"),
-                           ("empty.txt", "# vertices: 0\n")):
+                           ("empty.txt", "# vertices: 0\n"),
+                           ("huge.txt", f"# vertices: {'9' * 20}\n0 1\n"),
+                           ("huge.net", f"*Vertices {'9' * 20}\n*Arcs\n1 2\n")):
             path = tmp_path / name
             path.write_text(text, encoding="utf-8")
             assert main(["rank", "--input", str(path)]) == 3, text

@@ -63,6 +63,21 @@ class TestDirectedGraph:
         with pytest.raises(ValueError, match="self-loop on node 2"):
             DirectedGraph.from_arcs(3, [(0, 1), (2, 2), (5, 1)])
 
+    def test_indices_beyond_int64_are_out_of_range(self):
+        huge = 10 ** 20
+        with pytest.raises(ValueError, match=rf"arc \({huge}, 1\) out of range for 3 nodes"):
+            DirectedGraph.from_arcs(3, [(0, 1), (huge, 1)])
+        with pytest.raises(ValueError, match="self-loop on node 2"):
+            DirectedGraph.from_arcs(3, [(2, 2), (huge, 1)])
+        with pytest.raises(ValueError, match=rf"arc \(0, {huge}\) out of range"):
+            DirectedGraph(3, [0, 1], [huge, 2])
+
+    def test_node_count_limit(self):
+        assert graph.MAX_NODES ** 2 <= np.iinfo(np.int64).max < (graph.MAX_NODES + 1) ** 2
+        for n in (graph.MAX_NODES + 1, 10 ** 20):
+            with pytest.raises(ValueError, match=f"graph of {n} nodes exceeds the limit"):
+                DirectedGraph(n, [], [])
+
     def test_equality_and_hash(self):
         a = DirectedGraph.from_arcs(3, [(0, 1), (1, 2)])
         b = DirectedGraph(3, [1, 0, 0], [2, 1, 1])
@@ -142,6 +157,13 @@ class TestEdgeList:
     def test_zero_declared_vertices_is_format_error(self):
         with pytest.raises(GraphFormatError, match="at least one vertex"):
             parse_edge_list("# vertices: 0\n")
+
+    def test_vertex_count_beyond_limit_is_format_error(self):
+        for count in (graph.MAX_NODES + 1, 10 ** 20):
+            with pytest.raises(GraphFormatError, match=f"line 1: vertex count {count} exceeds"):
+                parse_edge_list(f"# vertices: {count}\n")
+            with pytest.raises(GraphFormatError, match=f"line 2: vertex count {count} exceeds"):
+                parse_edge_list(f"0 1\n# vertices: {count}\n")
 
     def test_directive_in_labelled_list_is_error(self):
         with pytest.raises(GraphFormatError, match="line 1: '# vertices:' directive in a labelled"):
@@ -243,6 +265,11 @@ class TestPajek:
     def test_zero_vertices_is_format_error(self):
         with pytest.raises(GraphFormatError, match="at least one vertex"):
             parse_pajek("*Vertices 0\n*Arcs\n")
+
+    def test_vertex_count_beyond_limit_is_format_error(self):
+        for count in (graph.MAX_NODES + 1, 10 ** 20):
+            with pytest.raises(GraphFormatError, match=f"line 1: vertex count {count} exceeds"):
+                parse_pajek(f"*Vertices {count}\n*Arcs\n1 2\n")
 
     def test_second_vertices_header_is_error(self):
         with pytest.raises(GraphFormatError, match=r"line 4: second \*Vertices.*line 1"):
