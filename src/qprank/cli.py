@@ -29,7 +29,8 @@ from .graph import (DirectedGraph, GeneratorParams, GraphFormatError,
                     parse_pajek, to_edge_list)
 from .pagerank import (DEFAULT_ALPHA, DEFAULT_TOL, classical_pagerank,
                        hyperlink_matrix, patch_dangling, power_method)
-from .szegedy import DEFAULT_STEPS, quantum_pagerank, quantum_rank_series
+from .szegedy import (DEFAULT_STEPS, quantum_pagerank, quantum_rank_series,
+                      resolve_backend)
 
 
 class UsageError(ValueError):
@@ -138,6 +139,11 @@ def parse_grid(spec: str) -> list[float]:
     return [float(a) for a in np.linspace(lo, hi, count)]
 
 
+def _walk_meta(args, *rankers: str) -> dict:
+    """The resolved backend, when one of ``rankers`` runs the quantum walk."""
+    return {"backend": resolve_backend(args.backend)} if "quantum" in rankers else {}
+
+
 def _cmd_gen(g, meta, args) -> str:
     if args.format == "json":
         return formats.dump_json({
@@ -178,7 +184,8 @@ def _cmd_rank(g, meta, args) -> str:
 
 
 def _cmd_qrank(g, meta, args) -> str:
-    meta = dict(meta, alpha=args.alpha, steps=args.steps)
+    meta = dict(meta, alpha=args.alpha, steps=args.steps,
+                backend=resolve_backend(args.backend))
     series = quantum_rank_series(g, args.alpha, args.steps, args.backend)
     if args.format == "json":
         return formats.dump_json(formats.series_json(series, meta))
@@ -187,7 +194,7 @@ def _cmd_qrank(g, meta, args) -> str:
 
 def _cmd_sweep(g, meta, args) -> str:
     grid = parse_grid(args.grid)
-    meta = dict(meta, ranker=args.ranker, steps=args.steps)
+    meta = dict(meta, ranker=args.ranker, steps=args.steps, **_walk_meta(args, args.ranker))
     sweep = analysis.damping_sweep(g, grid, args.ranker, args.steps, args.backend)
     if args.format == "json":
         return formats.dump_json(formats.sweep_json(sweep, meta))
@@ -195,7 +202,8 @@ def _cmd_sweep(g, meta, args) -> str:
 
 
 def _cmd_attack(g, meta, args) -> str:
-    meta = dict(meta, ranker=args.ranker, alpha=args.alpha, steps=args.steps)
+    meta = dict(meta, ranker=args.ranker, alpha=args.alpha, steps=args.steps,
+                **_walk_meta(args, args.ranker))
     report = analysis.attack_sensitivity(g, args.remove, args.ranker, args.alpha,
                                          args.steps, args.backend)
     if args.format == "json":
@@ -205,7 +213,8 @@ def _cmd_attack(g, meta, args) -> str:
 
 def _cmd_analyze(g, meta, args) -> str:
     rankers = ("classical", "quantum") if args.ranker == "both" else (args.ranker,)
-    meta = dict(meta, alpha=args.alpha, steps=args.steps, delta=args.delta)
+    meta = dict(meta, alpha=args.alpha, steps=args.steps, delta=args.delta,
+                **_walk_meta(args, *rankers))
     rows = []
     for ranker in rankers:
         values = analysis.rank_vector(g, ranker, args.alpha, args.steps, args.backend)
@@ -235,7 +244,8 @@ def _cmd_analyze(g, meta, args) -> str:
 
 
 def _cmd_compare(g, meta, args) -> str:
-    meta = dict(meta, alpha=args.alpha, steps=args.steps)
+    meta = dict(meta, alpha=args.alpha, steps=args.steps,
+                backend=resolve_backend(args.backend))
     classical = classical_pagerank(g, args.alpha, tol=args.tol)
     quantum = quantum_pagerank(g, args.alpha, args.steps, args.backend)
     if args.format == "json":

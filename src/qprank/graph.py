@@ -146,8 +146,8 @@ class DirectedGraph:
                      self.targets.tobytes()))
 
     def __repr__(self) -> str:
-        return (f"DirectedGraph(node_count={self.node_count}, arcs={self.sorted_arcs()!r}, "
-                f"labels={self.labels!r})")
+        return (f"DirectedGraph(node_count={self.node_count}, arc_count={len(self.targets)}, "
+                f"labelled={self.labels is not None})")
 
 
 def out_degree(g: DirectedGraph, node: int) -> int:
@@ -213,12 +213,33 @@ def _missing_text(present: np.ndarray) -> str:
     return f"{missing} and more" if more else str(missing)
 
 
-def _check_vertex_count(lineno: int, count: int) -> None:
+_MAX_DIGITS = len(str(MAX_NODES))
+
+
+def _number(token: str) -> int:
+    """An ASCII-digit token as an int, or ``MAX_NODES + 1`` when it has more
+    significant digits than ``MAX_NODES``: such a number is out of range for
+    every graph, and ``int`` refuses tokens beyond 4300 digits, leading
+    zeros included."""
+    digits = token.lstrip("0")
+    return MAX_NODES + 1 if len(digits) > _MAX_DIGITS else int(digits or "0")
+
+
+def _shown(token: str) -> str:
+    """An ASCII-digit token as its number's text for a message, cut short
+    past 40 digits."""
+    digits = token.lstrip("0") or "0"
+    return digits if len(digits) <= 40 else f"{digits[:20]}... ({len(digits)} digits)"
+
+
+def _vertex_count(lineno: int, token: str) -> int:
+    count = _number(token)
     if count < 1:
         raise GraphFormatError(f"line {lineno}: graph needs at least one vertex")
     if count > MAX_NODES:
-        raise GraphFormatError(f"line {lineno}: vertex count {count} exceeds the limit "
+        raise GraphFormatError(f"line {lineno}: vertex count {_shown(token)} exceeds the limit "
                                f"of {MAX_NODES}")
+    return count
 
 
 _VERTEX_DIRECTIVE = re.compile(r"#\s*vertices:\s*(\d+)\s*$", re.IGNORECASE | re.ASCII)
@@ -246,8 +267,7 @@ def parse_edge_list(text: str) -> DirectedGraph:
                 if directive_line is not None:
                     raise GraphFormatError(f"line {lineno}: second '# vertices:' directive "
                                            f"(the first is on line {directive_line})")
-                declared, directive_line = int(m.group(1)), lineno
-                _check_vertex_count(lineno, declared)
+                declared, directive_line = _vertex_count(lineno, m.group(1)), lineno
                 continue
             body = raw.split("#", 1)[0]
         pair = body.split()
@@ -280,8 +300,9 @@ def parse_edge_list(text: str) -> DirectedGraph:
             declared = len(present)
         top = int(ends.argmax())
         if ends[top] >= declared:
-            raise GraphFormatError(f"arc references node {int(tokens[top])} "
-                                   f"but only {declared} vertices are declared")
+            raise GraphFormatError(f"line {linenos[top // 2]}: arc references node "
+                                   f"{_shown(tokens[top])} but only {declared} vertices "
+                                   "are declared")
         return DirectedGraph(declared, ends[0::2], ends[1::2])
 
     if directive_line is not None:
@@ -316,10 +337,11 @@ def _pajek_arcs(tokens: list[str], linenos: list[int], n: int) -> tuple[np.ndarr
     if bad.any():
         first = int(bad.argmax())
         lineno = linenos[first]
-        s, d = int(tokens[2 * first]), int(tokens[2 * first + 1])
-        if not (1 <= s <= n and 1 <= d <= n):
-            raise GraphFormatError(f"line {lineno}: arc {s}->{d} references undeclared vertex")
-        raise GraphFormatError(f"line {lineno}: self-loop on vertex {s} not allowed")
+        s, d = tokens[2 * first], tokens[2 * first + 1]
+        if not (1 <= _number(s) <= n and 1 <= _number(d) <= n):
+            raise GraphFormatError(f"line {lineno}: arc {_shown(s)}->{_shown(d)} references "
+                                   "undeclared vertex")
+        raise GraphFormatError(f"line {lineno}: self-loop on vertex {_shown(s)} not allowed")
     return src - 1, dst - 1
 
 
@@ -356,8 +378,7 @@ def parse_pajek(text: str) -> DirectedGraph:
                 parts = line.split()
                 if len(parts) < 2 or not _is_index(parts[1]):
                     raise GraphFormatError(f"line {lineno}: malformed *Vertices header")
-                _check_vertex_count(lineno, int(parts[1]))
-                n, vertices_line = int(parts[1]), lineno
+                n, vertices_line = _vertex_count(lineno, parts[1]), lineno
                 section = "vertices"
                 continue
             if low.startswith("*arcs"):
@@ -371,9 +392,10 @@ def parse_pajek(text: str) -> DirectedGraph:
                 m = _PAJEK_VERTEX.match(line)
                 if not m:
                     raise GraphFormatError(f"line {lineno}: malformed vertex line {line!r}")
-                vid = int(m.group(1))
+                vid = _number(m.group(1))
                 if not 1 <= vid <= n:
-                    raise GraphFormatError(f"line {lineno}: vertex id {vid} outside 1..{n}")
+                    raise GraphFormatError(f"line {lineno}: vertex id {_shown(m.group(1))} "
+                                           f"outside 1..{n}")
                 if vid in seen_vertices:
                     raise GraphFormatError(f"line {lineno}: duplicate vertex id {vid}")
                 seen_vertices.add(vid)

@@ -281,11 +281,12 @@ def walk_operator(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> SzegedyOper
     return build_operator(google_matrix(patch_dangling(hyperlink_matrix(g)), alpha))
 
 
-def _spectral(backend: str) -> bool:
-    """``auto`` is the direct kernel: it streams the average with no history."""
+def resolve_backend(backend: str) -> str:
+    """The backend that runs: ``auto`` is the direct kernel, which streams
+    the average with no history."""
     if backend not in ("auto", "direct", "spectral"):
         raise ValueError(f"unknown backend {backend!r}")
-    return backend == "spectral"
+    return "direct" if backend == "auto" else backend
 
 
 def quantum_rank_series(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
@@ -293,7 +294,7 @@ def quantum_rank_series(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
                         offset: int = 0) -> QuantumRankSeries:
     """Full rank series for a graph; backend is auto, direct, or spectral."""
     op = walk_operator(g, alpha)
-    if _spectral(backend):
+    if resolve_backend(backend) == "spectral":
         return evolve_spectral(build_dynamical_subspace(op), steps, offset=offset)
     return evolve(op, steps, offset=offset)
 
@@ -302,7 +303,7 @@ def quantum_pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
                      steps: int = DEFAULT_STEPS, backend: str = "auto") -> np.ndarray:
     """Time-averaged quantum rank vector (the quantum ranking object)."""
     op = walk_operator(g, alpha)
-    if _spectral(backend):
+    if resolve_backend(backend) == "spectral":
         return evolve_spectral(build_dynamical_subspace(op), steps).average
     return _evolve_average(op, steps)
 

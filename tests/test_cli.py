@@ -14,6 +14,14 @@ from qprank.cli import main, parse_grid
 from qprank.graph import benchmark_graph, parse_edge_list
 
 
+def child_env():
+    """Environment for a child interpreter that imports the same package as
+    this process, installed or not."""
+    src = str(Path(qprank.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(args, tmp_path, name="out.txt"):
     """Invoke the CLI in-process, writing to a file; returns (code, bytes)."""
     path = tmp_path / name
@@ -59,6 +67,19 @@ class TestExitCodes:
             path.write_text(text, encoding="utf-8")
             assert main(["rank", "--input", str(path)]) == 3, text
             assert "parse error" in capsys.readouterr().err
+
+    def test_overlong_numbers_are_parse_errors(self, tmp_path, capsys):
+        # beyond Python's 4300-digit limit for int(), which raised ValueError (exit 4)
+        big = "9" * 5000
+        for name, text, line in (("count.txt", f"# vertices: {big}\n0 1\n", "line 1"),
+                                 ("arc.txt", f"# vertices: 3\n0 1\n1 {big}\n", "line 3"),
+                                 ("count.net", f"*Vertices {big}\n*Arcs\n1 2\n", "line 1"),
+                                 ("vertex.net", f'*Vertices 3\n{big} "x"\n*Arcs\n', "line 2"),
+                                 ("arc.net", f"*Vertices 3\n*Arcs\n1 {big}\n", "line 3")):
+            path = tmp_path / name
+            path.write_text(text, encoding="utf-8")
+            assert main(["rank", "--input", str(path)]) == 3, name
+            assert f"parse error: {line}:" in capsys.readouterr().err
 
     def test_conflicting_vertex_counts_are_parse_errors(self, tmp_path, capsys):
         for name, text, line in (("labelled.txt", "# vertices: 5\na b\n", "line 1"),
@@ -220,6 +241,43 @@ class TestPipelines:
         assert obj["provenance"]["graph"]
 
 
+class TestBackendMetadata:
+    """Outputs that ran the quantum walk name the backend ``auto`` resolved to."""
+
+    GRAPH = ["--gen", "scalefree:16", "--seed", "3", "--steps", "32"]
+
+    @pytest.mark.parametrize("argv", [
+        ["qrank"], ["compare"], ["sweep", "--grid", "0.5:0.8:2", "--ranker", "quantum"],
+        ["attack", "--remove", "1", "--ranker", "quantum"], ["analyze"],
+        ["analyze", "--ranker", "quantum"]], ids=lambda a: "-".join(a[::2]))
+    def test_quantum_outputs_record_backend(self, argv, tmp_path):
+        for backend, resolved in (("auto", "direct"), ("direct", "direct"),
+                                  ("spectral", "spectral")):
+            code, data = run_cli([*argv, *self.GRAPH, "--backend", backend], tmp_path)
+            assert code == 0
+            assert f"# backend={resolved}\n" in data.decode()
+        code, data = run_cli([*argv, *self.GRAPH, "--format", "json"], tmp_path)
+        assert json.loads(data)["provenance"]["backend"] == "direct"
+
+    @pytest.mark.parametrize("argv", [
+        ["rank"], ["sweep", "--grid", "0.5:0.8:2"], ["attack", "--remove", "1"],
+        ["analyze", "--ranker", "classical"]], ids=lambda a: a[0])
+    def test_classical_outputs_have_no_backend(self, argv, tmp_path):
+        code, data = run_cli([*argv, *self.GRAPH], tmp_path)
+        assert code == 0
+        assert b"backend" not in data
+
+
+class TestColdStart:
+    def test_import_does_not_load_scipy_stats(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, qprank, qprank.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+            capture_output=True, text=True, env=child_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
+
 class TestDeterminism:
     PIPELINES = [
         ["gen", "--gen", "scalefree:48", "--seed", "11"],
@@ -242,12 +300,9 @@ class TestDeterminism:
         assert first == second
 
     def test_module_entry_point(self, tmp_path):
-        # the child imports the same package as this process, installed or not
-        src = str(Path(qprank.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "qprank", "rank", "--benchmark", "fig1a"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+            capture_output=True, text=True, env=child_env())
         assert result.returncode == 0
         values, _, _ = formats.read_rank_csv(result.stdout)
         assert abs(values.sum() - 1.0) < 1e-9

@@ -36,6 +36,13 @@ class TestDirectedGraph:
         assert g.out_degrees().tolist() == [3, 2, 1, 1]
         assert g.in_degrees().tolist() == [1, 1, 2, 3]
 
+    def test_repr_prints_counts(self):
+        g = generate_scale_free(8192, 0)  # the size of the cli-ingest benchmark graph
+        assert repr(g) == (f"DirectedGraph(node_count=8192, arc_count={len(g.targets)}, "
+                           "labelled=False)")
+        labelled = DirectedGraph.from_arcs(2, [(0, 1)], ["a", "b"])
+        assert repr(labelled) == "DirectedGraph(node_count=2, arc_count=1, labelled=True)"
+
     def test_arrays_are_sorted_distinct_and_read_only(self):
         g = DirectedGraph(4, [3, 0, 0, 2, 0, 3], [2, 3, 1, 3, 3, 2])
         assert g.indptr.tolist() == [0, 2, 2, 3, 4]
@@ -165,6 +172,16 @@ class TestEdgeList:
             with pytest.raises(GraphFormatError, match=f"line 2: vertex count {count} exceeds"):
                 parse_edge_list(f"0 1\n# vertices: {count}\n")
 
+    def test_overlong_tokens_name_their_line(self):
+        big = "9" * 5000
+        with pytest.raises(GraphFormatError, match=r"line 2: vertex count 9{20}\.\.\. "
+                                                   r"\(5000 digits\) exceeds"):
+            parse_edge_list(f"0 1\n# vertices: {big}\n")
+        with pytest.raises(GraphFormatError, match=r"line 3: arc references node 9{20}\.\.\. "
+                                                   r"\(5000 digits\) but only 3"):
+            parse_edge_list(f"# vertices: 3\n0 1\n2 {big}\n")
+        assert parse_edge_list(f"# vertices: {'0' * 5000}2\n0 1\n").node_count == 2
+
     def test_directive_in_labelled_list_is_error(self):
         with pytest.raises(GraphFormatError, match="line 1: '# vertices:' directive in a labelled"):
             parse_edge_list("# vertices: 5\na b\n")
@@ -270,6 +287,16 @@ class TestPajek:
         for count in (graph.MAX_NODES + 1, 10 ** 20):
             with pytest.raises(GraphFormatError, match=f"line 1: vertex count {count} exceeds"):
                 parse_pajek(f"*Vertices {count}\n*Arcs\n1 2\n")
+
+    def test_overlong_tokens_name_their_line(self):
+        big = "9" * 5000
+        for text, message in ((f"*Vertices {big}\n", r"line 1: vertex count 9{20}\.\.\. "),
+                              (f'*Vertices 3\n{big} "x"\n', r"line 2: vertex id 9{20}\.\.\. "),
+                              (f"*Vertices 3\n*Arcs\n1 2\n{big} 1\n",
+                               r"line 4: arc 9{20}\.\.\. \(5000 digits\)->1 references")):
+            with pytest.raises(GraphFormatError, match=message):
+                parse_pajek(text)
+        assert parse_pajek(f"*Vertices {'0' * 5000}2\n*Arcs\n1 2\n").node_count == 2
 
     def test_second_vertices_header_is_error(self):
         with pytest.raises(GraphFormatError, match=r"line 4: second \*Vertices.*line 1"):

@@ -1,5 +1,6 @@
-"""Round-trip properties of the graph and rank-vector file formats, and the
-array-backed graph model against its tuple-based reference."""
+"""Round-trip properties of the graph and rank-vector file formats, the
+array-backed graph model against its tuple-based reference, and the
+in-package Kendall tau-b against ``scipy.stats.kendalltau``."""
 
 import csv
 import io
@@ -9,11 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from graph_oracles import (reference_arc_set, reference_degrees, reference_hyperlink,
                            reference_remove_nodes)
 from qprank import formats
-from qprank.analysis import AttackReport, FidelitySweep, rank_positions, ranking_order
+from qprank.analysis import (AttackReport, FidelitySweep, _kendall_tau_b, rank_correlation,
+                             rank_positions, ranking_order)
 from qprank.graph import (DirectedGraph, generate_scale_free, parse_edge_list,
                           parse_pajek, remove_nodes, to_edge_list, to_pajek)
 from qprank.pagerank import hyperlink_matrix
@@ -192,3 +195,82 @@ def test_writers_match_csv_module(case):
         {**meta, "removed": "0;1", "correlation": "0.25", "mean_displacement": "1.5"},
         ["survivor", "original_index", "pre_value", "post_value"],
         ([new, old, fmt(values[new]), fmt(other[new])] for new, old in enumerate(survivors)))
+
+
+def _scipy_rank_correlation(a, b):
+    """rank_correlation as it was written on ``scipy.stats.kendalltau``: the
+    test-only oracle for the in-package tau-b, with the same guards."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    a_const = bool(np.all(a == a[0]))
+    b_const = bool(np.all(b == b[0]))
+    if a_const or b_const:
+        return 1.0 if a_const and b_const else 0.0
+    if np.array_equal(a, b):
+        return 1.0
+    tau = stats.kendalltau(a, b).statistic
+    if not np.isfinite(tau):
+        return 0.0
+    if abs(abs(tau) - 1.0) < 1e-9:
+        return float(np.sign(tau))
+    return float(np.clip(tau, -1.0, 1.0))
+
+
+def _brute_force_tau_b(a, b):
+    """Tau-b from an O(n^2) pass over all pairs, in scipy's float expression."""
+    a, b, n = a.tolist(), b.tolist(), len(a)
+    discordant = x_ties = y_ties = joint_ties = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            sx = (a[i] > a[j]) - (a[i] < a[j])
+            sy = (b[i] > b[j]) - (b[i] < b[j])
+            x_ties += sx == 0
+            y_ties += sy == 0
+            joint_ties += sx == sy == 0
+            discordant += sx * sy < 0
+    total = n * (n - 1) // 2
+    return float((total - x_ties - y_ties + joint_ties - 2 * discordant)
+                 / np.sqrt(total - x_ties) / np.sqrt(total - y_ties))
+
+
+# A few distinct levels per vector give heavy ties; the infinities and -0.0
+# are among them.
+TAU_LEVELS = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 1.0, np.inf]) | st.floats(
+    -4.0, 4.0, allow_nan=False)
+
+
+@st.composite
+def tied_vectors(draw, max_size=300):
+    n = draw(st.integers(2, max_size))
+
+    def vector():
+        levels = draw(st.lists(TAU_LEVELS, min_size=1, max_size=draw(st.sampled_from([2, 5, n]))))
+        picks = draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n))
+        return np.array([levels[i] for i in picks])
+
+    return vector(), vector()
+
+
+@settings(deadline=None, max_examples=300)
+@given(tied_vectors())
+def test_rank_correlation_matches_scipy_bit_for_bit(case):
+    a, b = case
+    ours, oracle = rank_correlation(a, b), _scipy_rank_correlation(a, b)
+    assert np.float64(ours).tobytes() == np.float64(oracle).tobytes(), (ours, oracle)
+
+
+@settings(deadline=None)
+@given(tied_vectors(max_size=40))
+def test_tau_b_matches_brute_force(case):
+    a, b = case
+    if np.all(a == a[0]) or np.all(b == b[0]):  # tau-b is undefined
+        return
+    assert _kendall_tau_b(a, b) == _brute_force_tau_b(a, b)
+
+
+def test_nan_input_gives_zero():
+    values = np.array([0.3, np.nan, 0.1, 0.6])
+    assert rank_correlation(values, np.arange(4.0)) == 0.0
+    assert rank_correlation(np.arange(4.0), values) == 0.0
+    assert rank_correlation(values, values) == 0.0
+    assert _scipy_rank_correlation(values, np.arange(4.0)) == 0.0
