@@ -1,9 +1,11 @@
-"""Golden bytes of the graph and classical CLI pipelines.
+"""Golden bytes of the graph and classical CLI pipelines, in CSV and JSON.
 
 The sha256 of each output below was captured from the implementation that
-held arcs as a frozenset of tuples, on ``gen --gen scalefree:2048 --seed 7``
-and the same graph written as Pajek. Any change to the graph model, the
-parsers, the link matrix or the writers that moves a byte fails here.
+held arcs as a frozenset of tuples (the JSON outputs from the one that
+built each table's CSV and JSON separately), on
+``gen --gen scalefree:2048 --seed 7`` and the same graph written as Pajek.
+Any change to the graph model, the parsers, the link matrix or the writers
+that moves a byte fails here.
 """
 
 import hashlib
@@ -25,6 +27,8 @@ GOLDEN = {
     "attack.csv": ["attack", "--input", "web.txt", "--ranker", "classical", "--remove", "3"],
     "analyze.csv": ["analyze", "--input", "web.txt", "--ranker", "classical"],
 }
+GOLDEN.update({name.replace(".csv", ".json"): [*argv, "--format", "json"]
+               for name, argv in list(GOLDEN.items()) if name.endswith(".csv")})
 
 SHA256 = {
     "gen.txt": "ef6e21feb915efbab3e7781b81697ad2ecb037f4d9e8a0e40d3e3de6fe9e74cb",
@@ -35,6 +39,11 @@ SHA256 = {
     "sweep.csv": "84f2fa1eebfdc0d04e15094ac7f3e28697e8a2779a12d9eeb2b96bf8a6b6041b",
     "attack.csv": "d0959c5b3ad3fde5665e432993b4c73cbe5731cefd23fab1dd7b17d24a487bd7",
     "analyze.csv": "b20b442c6943e61e0b3077db7c7a12c35870403d20b5a00360c6e2015239fac7",
+    "rank_edges.json": "b0f1f6ce5c4669193154529f0615821b2c0f2186168216588cc1cb4fb98e8ec0",
+    "rank_pajek.json": "a83ad153fc63f58c9730c71352b47ef6cf2f20bc5000d823414962794797b6d3",
+    "sweep.json": "6fed463244618e01206088c2768524e2b36363459fbd49052202e4cf22029ff1",
+    "attack.json": "c33f7a17bfc3afc4cdcbf78bd6729cef96dbf79d79b4fd644cafbbeccc6c115e",
+    "analyze.json": "8f2ddc555f38399c8b1254842c7687730db92d5871d920621d003720dec09662",
 }
 DIGEST = "ef6e21feb915efba"
 
