@@ -11,9 +11,8 @@ from .graph import (DirectedGraph, GeneratorParams, GraphFormatError,
                     out_degree, parse_edge_list, parse_pajek, remove_nodes,
                     to_edge_list, to_pajek)
 from .pagerank import (GoogleMatrix, HyperlinkMatrix, PowerResult,
-                       StochasticMatrix, classical_pagerank, google_matrix,
-                       hyperlink_matrix, patch_dangling, power_method,
-                       second_eigenvalue_modulus)
+                       classical_pagerank, google_matrix, hyperlink_matrix,
+                       patch_dangling, power_method, second_eigenvalue_modulus)
 from .szegedy import (DynamicalSubspace, QuantumRankSeries, SzegedyOperator,
                       apply_reflection, apply_swap, average_drift,
                       build_dynamical_subspace, build_operator, evolve,

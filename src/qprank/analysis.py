@@ -240,8 +240,8 @@ def rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("inputs must be one-dimensional and of equal length")
+    if a.shape != b.shape or a.ndim != 1 or a.size == 0:
+        raise ValueError("inputs must be one-dimensional, non-empty and of equal length")
     a_const = bool(np.all(a == a[0]))
     b_const = bool(np.all(b == b[0]))
     if a_const or b_const:

@@ -11,12 +11,6 @@ Exit codes: 0 success, 2 input file not found, 3 graph parse error,
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("QRANK_THREADS"):  # cap BLAS pools before numpy loads
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["QRANK_THREADS"])
-
 import argparse
 import sys
 from typing import Optional
@@ -156,7 +150,6 @@ def _cmd_gen(g, meta, args) -> str:
 
 
 def _cmd_rank(g, meta, args) -> str:
-    meta = dict(meta)
     if args.bare:
         matrix = hyperlink_matrix(g)
         if args.bare == "e":
@@ -165,22 +158,19 @@ def _cmd_rank(g, meta, args) -> str:
         i0[0] = 1.0
         result = power_method(matrix, i0, tol=args.tol)
         values = result.values
-        meta.update(bare=args.bare, converged=result.converged,
-                    degenerate=result.degenerate, iterations=result.iterations)
         extra = {"bare": args.bare, "converged": result.converged,
                  "degenerate": result.degenerate, "iterations": result.iterations}
     else:
         values = classical_pagerank(g, args.alpha, tol=args.tol)
-        meta["alpha"] = args.alpha
         extra = {"alpha": args.alpha}
     if args.format == "json":
         return formats.dump_json({
-            "provenance": {k: v for k, v in meta.items() if k in ("source", "seed", "graph")},
+            "provenance": meta,
             **extra,
             "values": [float(x) for x in values],
             "ranking": [int(i) for i in analysis.ranking_order(values)],
         })
-    return formats.write_rank_csv(values, _labels(g), meta)
+    return formats.write_rank_csv(values, _labels(g), {**meta, **extra})
 
 
 def _cmd_qrank(g, meta, args) -> str:
@@ -211,6 +201,10 @@ def _cmd_attack(g, meta, args) -> str:
     return formats.write_attack_csv(report, meta)
 
 
+_ANALYZE_HEADER = ("ranker", "ipr", "power_law_exponent", "power_law_intercept",
+                   "power_law_r2", "degeneracy_classes", "spread")
+
+
 def _cmd_analyze(g, meta, args) -> str:
     rankers = ("classical", "quantum") if args.ranker == "both" else (args.ranker,)
     meta = dict(meta, alpha=args.alpha, steps=args.steps, delta=args.delta,
@@ -219,28 +213,12 @@ def _cmd_analyze(g, meta, args) -> str:
     for ranker in rankers:
         values = analysis.rank_vector(g, ranker, args.alpha, args.steps, args.backend)
         fit = analysis.power_law_fit(values)
-        profile = analysis.degeneracy_profile(values, args.delta)
-        rows.append({
-            "ranker": ranker,
-            "ipr": analysis.ipr(values),
-            "power_law_exponent": fit.exponent,
-            "power_law_intercept": fit.intercept,
-            "power_law_r2": fit.r_squared,
-            "degeneracy_classes": profile.class_count,
-            "spread": float(values.max() - values.min()),
-        })
+        rows.append((ranker, analysis.ipr(values), fit.exponent, fit.intercept, fit.r_squared,
+                     analysis.degeneracy_profile(values, args.delta).class_count,
+                     float(values.max() - values.min())))
     if args.format == "json":
-        return formats.dump_json({"provenance": meta, "rows": rows})
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append("ranker,ipr,power_law_exponent,power_law_intercept,power_law_r2,"
-                 "degeneracy_classes,spread")
-    for row in rows:
-        lines.append(",".join([
-            row["ranker"], formats.fmt(row["ipr"]), formats.fmt(row["power_law_exponent"]),
-            formats.fmt(row["power_law_intercept"]), formats.fmt(row["power_law_r2"]),
-            str(row["degeneracy_classes"]), formats.fmt(row["spread"]),
-        ]))
-    return "\n".join(lines) + "\n"
+        return formats.dump_json(formats.records_json(meta, _ANALYZE_HEADER, rows))
+    return formats.write_csv(meta, _ANALYZE_HEADER, rows)
 
 
 def _cmd_compare(g, meta, args) -> str:

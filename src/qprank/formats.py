@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analysis import (AttackReport, FidelitySweep, PowerLawFit, rank_positions,
-                       ranking_order)
+from .analysis import AttackReport, FidelitySweep, rank_positions, ranking_order
 from .szegedy import QuantumRankSeries
 
 
@@ -37,8 +36,9 @@ def _meta_lines(meta: Optional[dict]) -> str:
     return "".join(f"# {key}={value}\n" for key, value in (meta or {}).items())
 
 
-def _write_csv(meta: Optional[dict], header: Sequence[str], rows) -> str:
-    """CSV through the csv module, quoting fields (labels) where needed."""
+def write_csv(meta: Optional[dict], header: Sequence[str], rows) -> str:
+    """CSV through the csv module, quoting fields (labels) where needed; a
+    Python float field is written as its repr, the text of ``fmt``."""
     out = io.StringIO()
     out.write(_meta_lines(meta))
     writer = csv.writer(out, lineterminator="\n")
@@ -47,8 +47,14 @@ def _write_csv(meta: Optional[dict], header: Sequence[str], rows) -> str:
     return out.getvalue()
 
 
+def records_json(meta: Optional[dict], header: Sequence[str], rows) -> dict:
+    """The JSON form of a ``write_csv`` table: one object per row, keyed by
+    the header."""
+    return {"provenance": meta or {}, "rows": [dict(zip(header, row)) for row in rows]}
+
+
 def _write_plain(meta: Optional[dict], header: Sequence[str], lines: Sequence[str]) -> str:
-    """The text ``_write_csv`` gives for tables without labels, whose fields
+    """The text ``write_csv`` gives for tables without labels, whose fields
     never need quoting, from data rows already joined by commas."""
     text = _meta_lines(meta) + ",".join(header) + "\n"
     if lines:
@@ -81,7 +87,7 @@ def write_rank_csv(values: np.ndarray, labels: Optional[Sequence[str]] = None,
     rows = order.tolist()
     names = [""] * len(rows) if labels is None else [labels[i] for i in rows]
     scores = _fmt_all(np.asarray(values)[order])
-    return _write_csv(meta, ["node_index", "label", "score"], zip(rows, names, scores))
+    return write_csv(meta, ["node_index", "label", "score"], zip(rows, names, scores))
 
 
 def read_rank_csv(text: str) -> tuple[np.ndarray, list[str], dict]:
@@ -188,31 +194,26 @@ def attack_json(report: AttackReport, meta: Optional[dict] = None) -> dict:
     }
 
 
-# --- power-law fits ---
-
-def fit_json(fit: PowerLawFit, meta: Optional[dict] = None) -> dict:
-    return {
-        "provenance": meta or {},
-        "exponent": float(fit.exponent),
-        "intercept": float(fit.intercept),
-        "r_squared": float(fit.r_squared),
-        "fitted_range": list(fit.fitted_range),
-    }
-
-
 # --- side-by-side comparison ---
 
 _COMPARE_HEADER = ["node", "label", "classical", "quantum_avg", "classical_rank", "quantum_rank"]
 
 
+def _compare_rows(labels: Sequence[str], classical: np.ndarray,
+                  quantum: np.ndarray) -> list[tuple]:
+    """One row per node, in classical rank order, of Python scalars."""
+    order = ranking_order(classical)
+    nodes = order.tolist()
+    return list(zip(nodes, [labels[i] for i in nodes],
+                    np.asarray(classical, dtype=np.float64)[order].tolist(),
+                    np.asarray(quantum, dtype=np.float64)[order].tolist(),
+                    (rank_positions(classical)[order] + 1).tolist(),
+                    (rank_positions(quantum)[order] + 1).tolist()))
+
+
 def write_compare_csv(labels: Sequence[str], classical: np.ndarray,
                       quantum: np.ndarray, meta: Optional[dict] = None) -> str:
-    order = ranking_order(classical)
-    rows = (order.tolist(), [labels[i] for i in order.tolist()],
-            _fmt_all(np.asarray(classical)[order]), _fmt_all(np.asarray(quantum)[order]),
-            (rank_positions(classical)[order] + 1).tolist(),
-            (rank_positions(quantum)[order] + 1).tolist())
-    return _write_csv(meta, _COMPARE_HEADER, zip(*rows))
+    return write_csv(meta, _COMPARE_HEADER, _compare_rows(labels, classical, quantum))
 
 
 def read_compare_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -230,22 +231,7 @@ def read_compare_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:
 
 def compare_json(labels: Sequence[str], classical: np.ndarray, quantum: np.ndarray,
                  meta: Optional[dict] = None) -> dict:
-    cls_rank = rank_positions(classical) + 1
-    qu_rank = rank_positions(quantum) + 1
-    return {
-        "provenance": meta or {},
-        "rows": [
-            {
-                "node": int(node),
-                "label": labels[node],
-                "classical": float(classical[node]),
-                "quantum_avg": float(quantum[node]),
-                "classical_rank": int(cls_rank[node]),
-                "quantum_rank": int(qu_rank[node]),
-            }
-            for node in ranking_order(classical)
-        ],
-    }
+    return records_json(meta, _COMPARE_HEADER, _compare_rows(labels, classical, quantum))
 
 
 def dump_json(obj: dict) -> str:

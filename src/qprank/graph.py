@@ -54,12 +54,11 @@ class DirectedGraph:
 
     The constructor takes the arcs as two parallel index sequences in any
     order; parallel arcs collapse to one, and an arc out of range or a
-    self-loop is a ValueError naming the first such arc. ``arcs`` is the
-    same arc set as a frozenset of (src, dst) pairs, built on first use.
-    Two graphs are equal when node count, arcs and labels agree.
+    self-loop is a ValueError naming the first such arc. Two graphs are
+    equal when node count, arcs and labels agree.
     """
 
-    __slots__ = ("node_count", "indptr", "targets", "labels", "_arcs")
+    __slots__ = ("node_count", "indptr", "targets", "labels")
 
     def __init__(self, node_count: int, sources, targets,
                  labels: Optional[Iterable[str]] = None):
@@ -88,8 +87,7 @@ class DirectedGraph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         for name, value in (("node_count", n), ("indptr", _frozen(indptr)),
-                            ("targets", _frozen(keys - src * n)), ("labels", labels),
-                            ("_arcs", None)):
+                            ("targets", _frozen(keys - src * n)), ("labels", labels)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -114,19 +112,9 @@ class DirectedGraph:
             raise ValueError("arcs must be (src, dst) pairs")
         return cls(node_count, pairs[:, 0], pairs[:, 1], labels)
 
-    @property
-    def arcs(self) -> frozenset[tuple[int, int]]:
-        """The arc set as (src, dst) pairs; built once, on first use."""
-        if self._arcs is None:
-            object.__setattr__(self, "_arcs", frozenset(self.sorted_arcs()))
-        return self._arcs
-
     def sources(self) -> np.ndarray:
         """Source of each arc, aligned with ``targets``."""
         return np.repeat(np.arange(self.node_count, dtype=np.int64), self.out_degrees())
-
-    def sorted_arcs(self) -> list[tuple[int, int]]:
-        return list(zip(self.sources().tolist(), self.targets.tolist()))
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.indptr)

@@ -1,16 +1,15 @@
 """Classical PageRank: hyperlink matrix, dangling patch, Google matrix, solver.
 
 The chain of constructions is hyperlink_matrix -> patch_dangling ->
-google_matrix; each stage is column-stochastic enough for the next. The
-Google matrix is never materialised densely for the solver: it is applied
-as alpha * E @ v plus a uniform teleport term, so a matrix-vector product
-costs O(arcs + N).
+google_matrix. The dangling-patched matrix E is the Google matrix at
+alpha = 1, so both are one class. The Google matrix is never materialised
+densely for the solver: it is applied as alpha * E @ v plus a uniform
+teleport term, so a matrix-vector product costs O(arcs + N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,11 +40,17 @@ class HyperlinkMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class StochasticMatrix:
-    """Dangling-patched link matrix: zero columns replaced by uniform 1/N."""
+class GoogleMatrix:
+    """alpha * E + (1 - alpha)/N * ones, where E is the link matrix with each
+    dangling (all-zero) column replaced by 1/N; E itself is alpha = 1."""
 
     links: sp.csr_matrix
     dangling: np.ndarray
+    alpha: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
     @property
     def dim(self) -> int:
@@ -55,38 +60,18 @@ class StochasticMatrix:
         out = self.links @ v
         if self.dangling.any():
             out = out + v[self.dangling].sum() / self.dim
-        return out
-
-    def dense(self) -> np.ndarray:
-        e = self.links.toarray()
-        e[:, self.dangling] = 1.0 / self.dim
-        return e
-
-
-@dataclass(frozen=True, eq=False)
-class GoogleMatrix:
-    """alpha * E plus uniform teleportation with weight (1 - alpha)."""
-
-    e: StochasticMatrix
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-
-    @property
-    def dim(self) -> int:
-        return self.e.dim
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.alpha * self.e.matvec(v) + (1.0 - self.alpha) / self.dim * v.sum()
+        if self.alpha == 1.0:  # E itself: skip the scaling and teleport passes
+            return out
+        return self.alpha * out + (1.0 - self.alpha) / self.dim * v.sum()
 
     def dense(self) -> np.ndarray:
         n = self.dim
-        return self.alpha * self.e.dense() + (1.0 - self.alpha) / n
+        e = self.links.toarray()
+        e[:, self.dangling] = 1.0 / n
+        return self.alpha * e + (1.0 - self.alpha) / n
 
 
-LinearOperator = Union[HyperlinkMatrix, StochasticMatrix, GoogleMatrix]
+LinearOperator = HyperlinkMatrix | GoogleMatrix
 
 
 def hyperlink_matrix(g: DirectedGraph) -> HyperlinkMatrix:
@@ -98,14 +83,15 @@ def hyperlink_matrix(g: DirectedGraph) -> HyperlinkMatrix:
     return HyperlinkMatrix(links, out_deg == 0)
 
 
-def patch_dangling(h: HyperlinkMatrix) -> StochasticMatrix:
-    """Replace dangling (all-zero) columns by the uniform column 1/N."""
-    return StochasticMatrix(h.links, h.dangling)
+def patch_dangling(h: HyperlinkMatrix) -> GoogleMatrix:
+    """E: dangling (all-zero) columns replaced by the uniform column 1/N."""
+    return GoogleMatrix(h.links, h.dangling)
 
 
-def google_matrix(e: StochasticMatrix, alpha: float) -> GoogleMatrix:
-    """Damped matrix alpha * E + (1 - alpha)/N * ones."""
-    return GoogleMatrix(e, alpha)
+def google_matrix(e: GoogleMatrix, alpha: float) -> GoogleMatrix:
+    """Damped matrix alpha * E + (1 - alpha)/N * ones. Damping a damped
+    matrix multiplies the two alphas, which is exact algebra."""
+    return GoogleMatrix(e.links, e.dangling, alpha * e.alpha)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,16 @@
 
 These are the set-of-pairs constructions the package used before
 ``DirectedGraph`` held sorted int arrays: one Python step per arc, read
-through the ``arcs`` view. The array code must reproduce them exactly.
+through ``arc_set``. The array code must reproduce them exactly.
 """
 
 import numpy as np
 import scipy.sparse as sp
+
+
+def arc_set(g):
+    """The arcs of ``g`` as a frozenset of (src, dst) pairs."""
+    return frozenset(zip(g.sources().tolist(), g.targets.tolist()))
 
 
 def reference_arc_set(node_count, arcs):
@@ -25,7 +30,7 @@ def reference_arc_set(node_count, arcs):
 def reference_degrees(g):
     out_deg = np.zeros(g.node_count, dtype=np.int64)
     in_deg = np.zeros(g.node_count, dtype=np.int64)
-    for src, dst in g.arcs:
+    for src, dst in arc_set(g):
         out_deg[src] += 1
         in_deg[dst] += 1
     return out_deg, in_deg
@@ -35,7 +40,7 @@ def reference_hyperlink(g):
     """H[i, j] = 1/outdeg(j) for every arc j -> i, built from sorted tuples."""
     n = g.node_count
     out_deg, _ = reference_degrees(g)
-    arcs = sorted(g.arcs)
+    arcs = sorted(arc_set(g))
     rows = np.array([d for _, d in arcs], dtype=np.int64)
     cols = np.array([s for s, _ in arcs], dtype=np.int64)
     data = 1.0 / out_deg[cols] if len(arcs) else np.zeros(0)
@@ -47,7 +52,7 @@ def reference_remove_nodes(g, victims):
     victim_set = set(int(v) for v in victims)
     survivors = [i for i in range(g.node_count) if i not in victim_set]
     new_index = {old: new for new, old in enumerate(survivors)}
-    arcs = frozenset((new_index[s], new_index[d]) for s, d in g.arcs
+    arcs = frozenset((new_index[s], new_index[d]) for s, d in arc_set(g)
                      if s in new_index and d in new_index)
     labels = None if g.labels is None else tuple(g.labels[i] for i in survivors)
     return len(survivors), arcs, labels, tuple(survivors)

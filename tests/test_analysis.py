@@ -199,8 +199,9 @@ class TestRankCorrelation:
         assert rank_correlation(np.full(5, 0.2), np.arange(5.0)) == 0.0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            rank_correlation(np.array([1.0, 2.0]), np.array([1.0]))
+        for a, b in (([1.0, 2.0], [1.0]), ([], [])):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                rank_correlation(np.array(a), np.array(b))
 
 
 class TestTopNodes:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qprank
+from graph_oracles import arc_set
 from qprank import formats
 from qprank.cli import main, parse_grid
 from qprank.graph import benchmark_graph, parse_edge_list
@@ -146,7 +147,8 @@ class TestPipelines:
         code, data = run_cli(["gen", "--benchmark", "fig1c", "--format", "json"], tmp_path)
         obj = json.loads(data)
         assert obj["node_count"] == 4
-        assert sorted(tuple(a) for a in obj["arcs"]) == sorted(benchmark_graph("fig1c").arcs)
+        want = sorted(arc_set(benchmark_graph("fig1c")))
+        assert sorted(tuple(a) for a in obj["arcs"]) == want
 
     def test_qrank_csv_parses_back(self, tmp_path):
         code, data = run_cli(["qrank", "--benchmark", "fig1d", "--steps", "32"], tmp_path)
@@ -239,6 +241,42 @@ class TestPipelines:
         obj = json.loads(data)
         assert obj["rows"][0]["ranker"] == "classical"
         assert obj["provenance"]["graph"]
+
+
+class TestRecordTables:
+    """``analyze`` and ``compare`` write one table in both formats: the JSON
+    provenance and rows are the CSV metadata and rows, field for field."""
+
+    LABELLED = ('*Vertices 5\n1 "home, page"\n2 "b"\n3 "c d"\n4 "x\'y"\n5 "e"\n'
+                "*Arcs\n1 2\n2 3\n3 1\n4 1\n1 4\n5 2\n")
+
+    @staticmethod
+    def _text(value):
+        return repr(value) if isinstance(value, float) else str(value)
+
+    @pytest.mark.parametrize("command", [["analyze", "--ranker", "both"], ["compare"]],
+                             ids=lambda a: a[0])
+    @pytest.mark.parametrize("graph", ["fig2b", "labelled"])
+    def test_json_rows_equal_csv_rows(self, command, graph, tmp_path):
+        if graph == "labelled":
+            (tmp_path / "web.net").write_text(self.LABELLED, encoding="utf-8")
+            source = ["--input", str(tmp_path / "web.net")]
+        else:
+            source = ["--benchmark", graph]
+        argv = [*command, *source, "--steps", "128"]
+        code, text = run_cli(argv, tmp_path, "out.csv")
+        assert code == 0
+        code, data = run_cli([*argv, "--format", "json"], tmp_path, "out.json")
+        assert code == 0
+        meta, rows = formats._split_csv(text.decode())
+        obj = json.loads(data)
+        assert {key: str(value) for key, value in obj["provenance"].items()} == meta
+        assert len(obj["rows"]) == len(rows) - 1 > 0
+        for record, row in zip(obj["rows"], rows[1:]):
+            assert list(record) == rows[0]
+            assert [self._text(value) for value in record.values()] == row
+        if graph == "labelled" and command[0] == "compare":
+            assert b'"home, page"' in text
 
 
 class TestBackendMetadata:

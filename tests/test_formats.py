@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qprank import formats
-from qprank.analysis import (attack_sensitivity, damping_sweep, power_law_fit)
+from qprank.analysis import attack_sensitivity, damping_sweep
 from qprank.graph import benchmark_graph, generate_scale_free
 from qprank.szegedy import quantum_rank_series
 
@@ -113,14 +113,3 @@ class TestCompareCsv:
                 formats.write_compare_csv(["x", "y", "z"], classical, quantum).splitlines()][1:]
         assert [r[0] for r in rows] == ["1", "2", "0"]
         assert [int(r[4]) for r in rows] == [1, 2, 3]
-
-
-class TestFitJson:
-    def test_fields(self):
-        k = np.arange(1, 31, dtype=float)
-        p = k ** -1.2
-        p /= p.sum()
-        obj = formats.fit_json(power_law_fit(p), {"graph": "abc"})
-        assert abs(obj["exponent"] - 1.2) < 1e-6
-        assert obj["fitted_range"] == [0, 28]
-        json.dumps(obj)

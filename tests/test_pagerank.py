@@ -78,6 +78,16 @@ class TestGoogleMatrix:
         e = patch_dangling(hyperlink_matrix(benchmark_graph("fig1d")))
         assert np.allclose(google_matrix(e, 1.0).dense(), e.dense(), atol=1e-15)
 
+    def test_e_is_alpha_one_and_damping_composes(self):
+        e = patch_dangling(hyperlink_matrix(benchmark_graph("fig2b")))
+        assert e.alpha == 1.0
+        v = np.random.default_rng(15).random(7)
+        assert np.abs(e.matvec(v) - e.dense() @ v).max() < 1e-15
+        twice = google_matrix(google_matrix(e, 0.5), 0.5)
+        assert twice.alpha == 0.25
+        want = 0.5 * google_matrix(e, 0.5).dense() + 0.5 / 7
+        assert np.allclose(twice.dense(), want, atol=1e-15)
+
     def test_alpha_zero_is_uniform(self):
         e = patch_dangling(hyperlink_matrix(benchmark_graph("fig2b")))
         assert np.allclose(google_matrix(e, 0.0).dense(), 1.0 / 7, atol=1e-15)

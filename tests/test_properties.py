@@ -1,6 +1,7 @@
-"""Round-trip properties of the graph and rank-vector file formats, the
-array-backed graph model against its tuple-based reference, and the
-in-package Kendall tau-b against ``scipy.stats.kendalltau``."""
+"""Round-trip properties of the graph files and of the rank, series, sweep,
+attack and compare CSVs, the array-backed graph model against its
+tuple-based reference, and the in-package Kendall tau-b against
+``scipy.stats.kendalltau``."""
 
 import csv
 import io
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from graph_oracles import (reference_arc_set, reference_degrees, reference_hyperlink,
-                           reference_remove_nodes)
+from graph_oracles import (arc_set, reference_arc_set, reference_degrees,
+                           reference_hyperlink, reference_remove_nodes)
 from qprank import formats
 from qprank.analysis import (AttackReport, FidelitySweep, _kendall_tau_b, rank_correlation,
                              rank_positions, ranking_order)
@@ -65,8 +66,8 @@ def arc_lists(draw):
 def test_arrays_match_tuple_reference(case):
     n, arcs = case
     g = DirectedGraph.from_arcs(n, arcs)
-    assert g.sorted_arcs() == sorted(set(arcs))
-    assert g.arcs == reference_arc_set(n, arcs)
+    assert list(zip(g.sources().tolist(), g.targets.tolist())) == sorted(set(arcs))
+    assert arc_set(g) == reference_arc_set(n, arcs)
     assert np.array_equal(g.indptr, np.searchsorted(g.sources(), np.arange(n + 1)))
     out_deg, in_deg = reference_degrees(g)
     assert np.array_equal(g.out_degrees(), out_deg)
@@ -82,7 +83,7 @@ def test_remove_nodes_matches_tuple_reference(case, data):
     g = DirectedGraph.from_arcs(n, arcs)
     victims = data.draw(st.lists(st.integers(0, n - 1), max_size=n - 1, unique=True))
     reduced, survivors = remove_nodes(g, victims)
-    assert (reduced.node_count, reduced.arcs, reduced.labels, survivors) == \
+    assert (reduced.node_count, arc_set(reduced), reduced.labels, survivors) == \
         reference_remove_nodes(g, victims)
 
 
@@ -99,7 +100,7 @@ def test_invalid_arcs_raise_like_reference(n, arcs):
         with pytest.raises(ValueError, match=re.escape(expected)):
             DirectedGraph.from_arcs(n, arcs)
     else:
-        assert DirectedGraph.from_arcs(n, arcs).arcs == reference_arc_set(n, arcs)
+        assert arc_set(DirectedGraph.from_arcs(n, arcs)) == reference_arc_set(n, arcs)
 
 
 @st.composite
@@ -117,6 +118,72 @@ def test_rank_csv_round_trip(case):
     loaded, loaded_labels, _ = formats.read_rank_csv(formats.write_rank_csv(values, labels))
     assert np.array_equal(loaded, values)
     assert loaded_labels == labels
+
+
+# Finite or infinite, with -0.0: every float ``fmt`` writes and reads back
+# bit for bit (a NaN reads back as some NaN, not as the same bits).
+EXACT_FLOATS = st.floats(allow_nan=False) | st.sampled_from([-0.0, 5e-324, 0.1])
+
+
+def _same_bits(got, want):
+    return (np.asarray(got, dtype=np.float64).tobytes()
+            == np.asarray(want, dtype=np.float64).tobytes())
+
+
+@st.composite
+def float_tables(draw):
+    """A rows x n matrix and two more length-n vectors."""
+    n, rows = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    cells = draw(st.lists(EXACT_FLOATS, min_size=(rows + 2) * n, max_size=(rows + 2) * n))
+    values = np.array(cells).reshape(rows + 2, n)
+    return values[:rows], values[rows], values[rows + 1]
+
+
+@given(float_tables())
+def test_series_csv_round_trip(case):
+    matrix, average, _ = case
+    series, meta = formats.read_series_csv(
+        formats.write_series_csv(QuantumRankSeries(matrix, average), {"steps": len(matrix)}))
+    assert _same_bits(series.instantaneous, matrix) and _same_bits(series.average, average)
+    assert meta == {"steps": str(len(matrix))}
+
+
+@given(float_tables(), EXACT_FLOATS)
+def test_sweep_csv_round_trip(case, min_fidelity):
+    vectors, grid, _ = case
+    pairwise = np.resize(vectors, (len(grid), len(grid)))
+    sweep = FidelitySweep(tuple(grid.tolist()), vectors, pairwise, min_fidelity)
+    loaded_grid, loaded, meta = formats.read_sweep_csv(
+        formats.write_sweep_csv(sweep, {"ranker": "classical"}))
+    assert _same_bits(loaded_grid, grid) and _same_bits(loaded, pairwise)
+    assert meta["ranker"] == "classical"
+    assert _same_bits(float(meta["min_fidelity"]), min_fidelity)
+
+
+@given(float_tables(), EXACT_FLOATS, EXACT_FLOATS)
+def test_attack_csv_round_trip(case, correlation, displacement):
+    _, pre, post = case
+    removed = tuple(range(len(pre), len(pre) + 2))
+    report = AttackReport(removed, tuple(range(len(pre))), pre, post, correlation, displacement)
+    loaded_pre, loaded_post, meta = formats.read_attack_csv(
+        formats.write_attack_csv(report, {"seed": 3}))
+    assert _same_bits(loaded_pre, pre) and _same_bits(loaded_post, post)
+    assert meta["removed"] == ";".join(map(str, removed))
+    assert _same_bits([float(meta["correlation"]), float(meta["mean_displacement"])],
+                      [correlation, displacement])
+
+
+@given(float_tables(), st.data())
+def test_compare_csv_round_trip(case, data):
+    _, classical, quantum = case
+    labels = data.draw(st.lists(LINE_TEXT | CSV_LABELS, min_size=len(classical),
+                                max_size=len(classical)))
+    text = formats.write_compare_csv(labels, classical, quantum, {"alpha": 0.85})
+    loaded_classical, loaded_quantum, meta = formats.read_compare_csv(text)
+    assert _same_bits(loaded_classical, classical) and _same_bits(loaded_quantum, quantum)
+    assert meta == {"alpha": "0.85"}
+    rows = formats._split_csv(text)[1][1:]
+    assert [row[1] for row in rows] == [labels[int(row[0])] for row in rows]
 
 
 @st.composite
