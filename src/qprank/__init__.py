@@ -5,11 +5,10 @@ from .analysis import (AttackReport, DegeneracyProfile, FidelitySweep, IprScalin
                        degeneracy_profile, fidelity, ipr, ipr_scaling,
                        loglog_slope, power_law_fit, rank_correlation, rank_vector,
                        top_nodes)
-from .graph import (DirectedGraph, GeneratorParams, GraphFormatError,
-                    benchmark_graph, generate, generate_binary_tree,
-                    generate_hierarchical, generate_scale_free, graph_digest,
-                    out_degree, parse_edge_list, parse_pajek, remove_nodes,
-                    to_edge_list, to_pajek)
+from .graph import (DirectedGraph, GraphFormatError, benchmark_graph, generate,
+                    generate_binary_tree, generate_hierarchical, generate_scale_free,
+                    graph_digest, out_degree, parse_edge_list, parse_pajek,
+                    remove_nodes, to_edge_list, to_pajek)
 from .pagerank import (GoogleMatrix, HyperlinkMatrix, PowerResult,
                        classical_pagerank, google_matrix, hyperlink_matrix,
                        patch_dangling, power_method, second_eigenvalue_modulus)

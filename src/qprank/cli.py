@@ -5,22 +5,22 @@ Subcommands compose the library into pipelines that write plot-ready CSV
 the explicit --seed flag, so rerunning a command with identical flags
 produces byte-identical output.
 
-Exit codes: 0 success, 2 input file not found, 3 graph parse error,
-4 invalid parameters.
+Exit codes: 0 success, 2 input or output file error, 3 graph parse error
+(including input that is not UTF-8), 4 invalid parameters.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Optional
 
 import numpy as np
 
 from . import analysis, formats
-from .graph import (DirectedGraph, GeneratorParams, GraphFormatError,
-                    benchmark_graph, generate, graph_digest, parse_edge_list,
-                    parse_pajek, to_edge_list)
+from .graph import (DirectedGraph, GraphFormatError, benchmark_graph, generate,
+                    graph_digest, parse_edge_list, parse_pajek, to_edge_list)
 from .pagerank import (DEFAULT_ALPHA, DEFAULT_TOL, classical_pagerank,
                        hyperlink_matrix, patch_dangling, power_method)
 from .szegedy import (DEFAULT_STEPS, quantum_pagerank, quantum_rank_series,
@@ -43,46 +43,34 @@ _GEN_ALIASES = {
 }
 
 
-def _add_common(p: _Parser, steps_default: int = DEFAULT_STEPS):
-    p.add_argument("--input", help="graph file (edge list or Pajek, sniffed)")
-    p.add_argument("--gen", help="generator spec family:size (scalefree, hierarchical, tree)")
-    p.add_argument("--benchmark", help="benchmark graph name (fig1a..fig1d, fig2b)")
-    p.add_argument("--seed", type=int, default=0, help="seed for generated graphs")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA, help="damping parameter")
-    p.add_argument("--steps", type=int, default=steps_default, help="quantum walk two-steps")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="power-method tolerance")
-    p.add_argument("--backend", choices=("auto", "direct", "spectral"), default="auto",
-                   help="quantum evolution backend")
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    p.add_argument("--output", help="output path (default: stdout)")
+# Every flag of any subcommand; _COMMANDS names the ones each one takes.
+_FLAGS = {
+    "input": dict(help="graph file (edge list or Pajek, sniffed)"),
+    "gen": dict(help="generator spec family:size (scalefree, hierarchical, tree)"),
+    "benchmark": dict(help="benchmark graph name (fig1a..fig1d, fig2b)"),
+    "seed": dict(type=int, default=0, help="seed for generated graphs"),
+    "alpha": dict(type=float, default=DEFAULT_ALPHA, help="damping parameter"),
+    "steps": dict(type=int, default=DEFAULT_STEPS, help="quantum walk two-steps"),
+    "tol": dict(type=float, default=DEFAULT_TOL, help="power-method tolerance"),
+    "backend": dict(choices=("auto", "direct", "spectral"), default="auto",
+                    help="quantum evolution backend"),
+    "format": dict(choices=("csv", "json"), default="csv", help="output format"),
+    "output": dict(help="output path (default: stdout)"),
+    "bare": dict(nargs="?", const="e", choices=("e", "h"),
+                 help="skip damping: iterate the patched (e) or raw (h) link matrix "
+                      "from a point mass on node 0"),
+    "grid": dict(required=True, help="alpha grid lo:hi:count (inclusive)"),
+    "remove": dict(type=int, required=True, help="number of top hubs to remove"),
+    "ranker": dict(choices=("classical", "quantum"), default="classical"),
+    "delta": dict(type=float, default=1e-4,
+                  help="relative spacing separating degeneracy classes"),
+}
+_SOURCE = ("input", "gen", "benchmark", "seed")
+_OUT = ("format", "output")
 
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qprank", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    _add_common(sub.add_parser("gen", help="emit a graph"))
-    rank = sub.add_parser("rank", help="classical PageRank")
-    _add_common(rank)
-    rank.add_argument("--bare", nargs="?", const="e", choices=("e", "h"),
-                      help="skip damping: iterate the patched (e) or raw (h) link matrix "
-                           "from a point mass on node 0")
-    _add_common(sub.add_parser("qrank", help="quantum rank series"))
-    sweep = sub.add_parser("sweep", help="damping-stability fidelity sweep")
-    _add_common(sweep)
-    sweep.add_argument("--grid", required=True, help="alpha grid lo:hi:count (inclusive)")
-    sweep.add_argument("--ranker", choices=("classical", "quantum"), default="classical")
-    attack = sub.add_parser("attack", help="hub-removal sensitivity report")
-    _add_common(attack)
-    attack.add_argument("--remove", type=int, required=True, help="number of top hubs to remove")
-    attack.add_argument("--ranker", choices=("classical", "quantum"), default="classical")
-    analyze = sub.add_parser("analyze", help="localization / scaling / degeneracy summary")
-    _add_common(analyze)
-    analyze.add_argument("--ranker", choices=("classical", "quantum", "both"), default="both")
-    analyze.add_argument("--delta", type=float, default=1e-4,
-                         help="relative spacing separating degeneracy classes")
-    _add_common(sub.add_parser("compare", help="classical vs quantum side by side"))
-    return parser
+# Blank lines and % comment lines, which parse_pajek skips before *Vertices;
+# the character class holds every line break str.splitlines knows.
+_PAJEK_PREAMBLE = re.compile(r"(?:\s+|%[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)*")
 
 
 def load_graph(args) -> tuple[DirectedGraph, dict]:
@@ -93,8 +81,13 @@ def load_graph(args) -> tuple[DirectedGraph, dict]:
     source = chosen[0]
     if source == "input":
         with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        if text.lstrip().lower().startswith("*vertices"):
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise GraphFormatError(f"{args.input}: byte {exc.start}: "
+                                       "not UTF-8 text") from None
+        head = _PAJEK_PREAMBLE.match(text).end()
+        if text[head:head + 9].lower() == "*vertices":
             g = parse_pajek(text)
         else:
             g = parse_edge_list(text)
@@ -109,7 +102,7 @@ def load_graph(args) -> tuple[DirectedGraph, dict]:
             size = int(size_s)
         except (KeyError, ValueError):
             raise UsageError(f"bad generator spec {args.gen!r}, expected family:size") from None
-        g = generate(GeneratorParams(model, size, seed=args.seed))
+        g = generate(model, size, seed=args.seed)
         meta = {"source": f"{model}:{size}", "seed": args.seed}
     meta["graph"] = graph_digest(g)
     return g, meta
@@ -231,15 +224,34 @@ def _cmd_compare(g, meta, args) -> str:
     return formats.write_compare_csv(_labels(g), classical, quantum, meta)
 
 
+# name -> (handler, help, the flags it reads besides the graph source flags
+# and --format/--output); a flag is a _FLAGS key, or a key and the settings
+# that replace its _FLAGS entry for this subcommand.
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "rank": _cmd_rank,
-    "qrank": _cmd_qrank,
-    "sweep": _cmd_sweep,
-    "attack": _cmd_attack,
-    "analyze": _cmd_analyze,
-    "compare": _cmd_compare,
+    "gen": (_cmd_gen, "emit a graph", ()),
+    "rank": (_cmd_rank, "classical PageRank", ("alpha", "tol", "bare")),
+    "qrank": (_cmd_qrank, "quantum rank series", ("alpha", "steps", "backend")),
+    "sweep": (_cmd_sweep, "damping-stability fidelity sweep",
+              ("steps", "backend", "grid", "ranker")),
+    "attack": (_cmd_attack, "hub-removal sensitivity report",
+               ("alpha", "steps", "backend", "remove", "ranker")),
+    "analyze": (_cmd_analyze, "localization / scaling / degeneracy summary",
+                ("alpha", "steps", "backend", "delta",
+                 ("ranker", dict(choices=("classical", "quantum", "both"), default="both")))),
+    "compare": (_cmd_compare, "classical vs quantum side by side",
+                ("alpha", "steps", "tol", "backend")),
 }
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="qprank", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*_SOURCE, *flags, *_OUT):
+            key, settings = (flag, _FLAGS[flag]) if isinstance(flag, str) else flag
+            p.add_argument(f"--{key}", **settings)
+    return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -254,7 +266,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         graph, meta = load_graph(args)
-        text = _COMMANDS[args.command](graph, meta, args)
+        text = _COMMANDS[args.command][0](graph, meta, args)
     except OSError as exc:
         print(f"qprank: cannot read input: {exc.filename or exc}", file=sys.stderr)
         return 2
@@ -266,8 +278,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 4
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError:
+            print(f"qprank: cannot write output: {args.output}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

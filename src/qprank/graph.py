@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -427,52 +426,17 @@ def to_pajek(g: DirectedGraph) -> str:
 # ---------------------------------------------------------------------------
 # generators
 
-def _check_mix(mix: tuple[float, float, float]) -> None:
-    if len(mix) != 3 or any(p < 0 for p in mix) or abs(sum(mix) - 1.0) > 1e-12:
-        raise ValueError("mix probabilities must be nonnegative and sum to 1")
-    if mix[0] + mix[2] == 0:
-        raise ValueError(f"mix {tuple(mix)!r} never adds a node: mix[0] + mix[2] must be positive")
-
-
-def _check_delta(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-
-
-@dataclass(frozen=True)
-class GeneratorParams:
-    """Parameters selecting one deterministic network instance.
-
-    ``model`` is one of ``scalefree``, ``hierarchical``, ``tree``. The
-    scale-free mix gives the probabilities of the three growth events
-    (new node with out-arc, arc between existing nodes, new node with
-    in-arc) plus the degree smoothing offsets.
-    """
-
-    model: str
-    size: int
-    seed: int = 0
-    mix: tuple[float, float, float] = (0.41, 0.54, 0.05)
-    delta_in: float = 0.2
-    delta_out: float = 0.0
-    toward_root: bool = True
-
-    def __post_init__(self):
-        if self.model not in ("scalefree", "hierarchical", "tree"):
-            raise ValueError(f"unknown model {self.model!r}")
-        _check_mix(self.mix)
-        _check_delta("delta_in", self.delta_in)
-        _check_delta("delta_out", self.delta_out)
-
-
-def generate(params: GeneratorParams) -> DirectedGraph:
-    """Dispatch to the generator named by ``params.model``."""
-    if params.model == "scalefree":
-        return generate_scale_free(params.size, params.seed, mix=params.mix,
-                                   delta_in=params.delta_in, delta_out=params.delta_out)
-    if params.model == "hierarchical":
-        return generate_hierarchical(params.size, toward_root=params.toward_root)
-    return generate_binary_tree(params.size)
+def generate(model: str, size: int, seed: int = 0) -> DirectedGraph:
+    """The ``model`` network of the given size: ``scalefree`` (``size``
+    nodes, from ``seed``), ``hierarchical`` (generation ``size``) or
+    ``tree`` (``size`` levels)."""
+    if model == "scalefree":
+        return generate_scale_free(size, seed)
+    if model == "hierarchical":
+        return generate_hierarchical(size)
+    if model == "tree":
+        return generate_binary_tree(size)
+    raise ValueError(f"unknown model {model!r}")
 
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -570,9 +534,13 @@ def generate_scale_free(n: int, seed: int,
     """
     if n < 3:
         raise ValueError("scale-free generator needs at least 3 nodes")
-    _check_mix(mix)
-    _check_delta("delta_in", delta_in)
-    _check_delta("delta_out", delta_out)
+    if len(mix) != 3 or any(p < 0 for p in mix) or abs(sum(mix) - 1.0) > 1e-12:
+        raise ValueError("mix probabilities must be nonnegative and sum to 1")
+    if mix[0] + mix[2] == 0:
+        raise ValueError(f"mix {tuple(mix)!r} never adds a node: mix[0] + mix[2] must be positive")
+    for name, value in (("delta_in", delta_in), ("delta_out", delta_out)):
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
     draw = _uniforms(np.random.default_rng(seed)).__next__
     p_new_out, p_internal, _ = mix
 

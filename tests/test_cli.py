@@ -1,3 +1,4 @@
+import argparse
 import functools
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 import qprank
 from graph_oracles import arc_set
 from qprank import formats
-from qprank.cli import main, parse_grid
+from qprank.cli import build_parser, main, parse_grid
 from qprank.graph import benchmark_graph, parse_edge_list
 
 
@@ -48,15 +49,24 @@ class TestParseGrid:
 
 
 class TestExitCodes:
-    def test_missing_file_is_2(self, capsys):
+    def test_missing_file_is_2(self, tmp_path, capsys):
         assert main(["rank", "--input", "/no/such/file.txt"]) == 2
         assert "cannot read input" in capsys.readouterr().err
+        # an output path in a missing directory, or naming a directory
+        for target in (tmp_path / "no" / "such" / "out.csv", tmp_path):
+            assert main(["rank", "--benchmark", "fig1a", "--output", str(target)]) == 2
+            assert f"qprank: cannot write output: {target}\n" == capsys.readouterr().err
 
     def test_parse_error_is_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("0 1 2\n")
         assert main(["rank", "--input", str(bad)]) == 3
         assert "parse error" in capsys.readouterr().err
+        # bytes that are not UTF-8; the offset counts raw bytes, before \r\n is read as \n
+        for data, offset in ((b"\xff\xfe1 2\n", 0), (b"0 1\r\n1 \xe9\n", 7)):
+            bad.write_bytes(data)
+            assert main(["rank", "--input", str(bad)]) == 3
+            assert f"parse error: {bad}: byte {offset}: not UTF-8" in capsys.readouterr().err
 
     def test_non_ascii_digits_and_empty_graphs_are_parse_errors(self, tmp_path, capsys):
         for name, text in (("sup.net", "*Vertices \u00b2\n*Arcs\n"),
@@ -101,6 +111,37 @@ class TestExitCodes:
         assert main(["analyze", "--benchmark", "fig2b", "--delta", "nan"]) == 4
         assert main(["rank", "--benchmark", "fig1a", "--tol", "nan"]) == 4
         capsys.readouterr()
+        # a flag its subcommand does not read is refused, not ignored
+        required = {"sweep": ["--grid", "0.5:0.8:2"], "attack": ["--remove", "1"]}
+        for command, flag, value in (
+                ("gen", "--alpha", "7"), ("gen", "--steps", "-5"), ("gen", "--tol", "-1"),
+                ("gen", "--backend", "direct"), ("rank", "--steps", "8"),
+                ("rank", "--backend", "direct"), ("qrank", "--tol", "0.5"),
+                ("sweep", "--alpha", "9"), ("sweep", "--tol", "0.5"),
+                ("attack", "--tol", "0.5"), ("analyze", "--tol", "0.5")):
+            argv = [command, "--gen", "scalefree:16", *required.get(command, []), flag, value]
+            assert main(argv) == 4, argv
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+            assert main(argv[:-2]) == 0, argv
+            capsys.readouterr()
+
+    def test_each_subcommand_offers_exactly_its_flags(self):
+        shared = {"--input", "--gen", "--benchmark", "--seed", "--format", "--output"}
+        expected = {
+            "gen": set(),
+            "rank": {"--alpha", "--tol", "--bare"},
+            "qrank": {"--alpha", "--steps", "--backend"},
+            "sweep": {"--steps", "--backend", "--grid", "--ranker"},
+            "attack": {"--alpha", "--steps", "--backend", "--remove", "--ranker"},
+            "analyze": {"--alpha", "--steps", "--backend", "--ranker", "--delta"},
+            "compare": {"--alpha", "--steps", "--tol", "--backend"},
+        }
+        subparsers, = (a for a in build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+        offered = {name: {flag for action in sub._actions for flag in action.option_strings}
+                   - {"-h", "--help"} for name, sub in subparsers.choices.items()}
+        assert offered == {name: shared | flags for name, flags in expected.items()}
+        assert sum(map(len, offered.values())) == 66
 
     def test_non_convergence_is_4(self, monkeypatch, capsys):
         import qprank.cli as cli
@@ -136,6 +177,19 @@ class TestPipelines:
         obj = json.loads(data)
         assert obj["degenerate"] is True
         assert obj["values"] == [0.0, 0.0]
+
+    def test_pajek_after_leading_comments_ranks_like_plain_pajek(self, tmp_path):
+        plain = tmp_path / "plain.net"
+        plain.write_text(TestRecordTables.LABELLED, encoding="utf-8")
+        noted = tmp_path / "noted.net"
+        noted.write_text("% exported by hand\n\n  %\r\n" + TestRecordTables.LABELLED,
+                         encoding="utf-8")
+        code, want = run_cli(["rank", "--input", str(plain)], tmp_path, "plain.csv")
+        assert code == 0
+        code, got = run_cli(["rank", "--input", str(noted)], tmp_path, "noted.csv")
+        assert code == 0
+        assert got.replace(b"noted.net", b"plain.net") == want
+        assert b'"home, page"' in got
 
     def test_gen_round_trips_through_parser(self, tmp_path):
         code, data = run_cli(["gen", "--gen", "scalefree:32", "--seed", "5"], tmp_path)
@@ -301,7 +355,8 @@ class TestBackendMetadata:
         ["rank"], ["sweep", "--grid", "0.5:0.8:2"], ["attack", "--remove", "1"],
         ["analyze", "--ranker", "classical"]], ids=lambda a: a[0])
     def test_classical_outputs_have_no_backend(self, argv, tmp_path):
-        code, data = run_cli([*argv, *self.GRAPH], tmp_path)
+        graph = self.GRAPH[:-2] if argv == ["rank"] else self.GRAPH  # rank takes no --steps
+        code, data = run_cli([*argv, *graph], tmp_path)
         assert code == 0
         assert b"backend" not in data
 

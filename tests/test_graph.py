@@ -7,7 +7,7 @@ import pytest
 
 from graph_oracles import arc_set, reference_arc_set, reference_remove_nodes
 from qprank import graph
-from qprank.graph import (DirectedGraph, GeneratorParams, GraphFormatError,
+from qprank.graph import (DirectedGraph, GraphFormatError,
                           benchmark_graph, generate, generate_binary_tree,
                           generate_hierarchical, generate_scale_free,
                           out_degree, parse_edge_list, parse_pajek,
@@ -444,8 +444,6 @@ class TestGenerators:
             for mix in ((0.0, 1.0, 0.0), (-0.0, 1.0, 0.0)):
                 with pytest.raises(ValueError, match="never adds a node"):
                     generate_scale_free(10, 0, mix=mix)
-                with pytest.raises(ValueError, match="never adds a node"):
-                    GeneratorParams("scalefree", 10, mix=mix)
             assert generate_scale_free(10, 0, mix=(0.0, 0.5, 0.5)).node_count == 10
 
     def test_hierarchical_node_counts(self):
@@ -492,16 +490,16 @@ class TestGenerators:
             generate_binary_tree(0)
 
     def test_generator_params_dispatch(self):
-        g = generate(GeneratorParams("tree", 3))
-        assert g == generate_binary_tree(3)
-        g = generate(GeneratorParams("scalefree", 16, seed=4))
-        assert g == generate_scale_free(16, 4)
+        assert generate("tree", 3) == generate_binary_tree(3)
+        assert generate("hierarchical", 2) == generate_hierarchical(2)
+        assert generate("scalefree", 16, seed=4) == generate_scale_free(16, 4)
+        assert generate("scalefree", 16) == generate_scale_free(16, 0)
 
     def test_generator_params_validation(self):
+        with pytest.raises(ValueError, match="unknown model"):
+            generate("mystery", 8)
         with pytest.raises(ValueError):
-            GeneratorParams("mystery", 8)
-        with pytest.raises(ValueError):
-            GeneratorParams("scalefree", 8, mix=(1.0, 1.0, 0.0))
+            generate("scalefree", 2)
 
 
 @contextlib.contextmanager
@@ -627,12 +625,6 @@ class TestScaleFreeDeltaValidation:
                 with pytest.raises(ValueError, match=name):
                     generate_scale_free(50, 0, **{name: value})
 
-    def test_params_reject_bad_delta(self):
-        for name in ("delta_in", "delta_out"):
-            for value in self.BAD:
-                with pytest.raises(ValueError, match=name):
-                    GeneratorParams("scalefree", 50, **{name: value})
-
     def test_overflowing_weights_raise_like_reference(self):
         with np.errstate(over="ignore"):
             for generator in (generate_scale_free, _reference_scale_free):
@@ -640,5 +632,5 @@ class TestScaleFreeDeltaValidation:
                     generator(50, 0, delta_in=1e308)
 
     def test_zero_delta_accepted(self):
-        g = generate(GeneratorParams("scalefree", 50, delta_in=0.0, delta_out=0.0))
+        g = generate_scale_free(50, 0, delta_in=0.0, delta_out=0.0)
         assert g == _reference_scale_free(50, 0, delta_in=0.0)
