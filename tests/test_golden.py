@@ -4,6 +4,8 @@ The sha256 of each output below was captured from the implementation that
 held arcs as a frozenset of tuples (the JSON outputs from the one that
 built each table's CSV and JSON separately), on
 ``gen --gen scalefree:2048 --seed 7`` and the same graph written as Pajek.
+The two bare-mode ``rank`` outputs, on the fig1d and fig1a benchmarks, were
+captured from the implementation that built rank's JSON by hand.
 Any change to the graph model, the parsers, the link matrix or the writers
 that moves a byte fails here.
 """
@@ -29,6 +31,10 @@ GOLDEN = {
 }
 GOLDEN.update({name.replace(".csv", ".json"): [*argv, "--format", "json"]
                for name, argv in list(GOLDEN.items()) if name.endswith(".csv")})
+GOLDEN.update({
+    "rank_bare_e.csv": ["rank", "--benchmark", "fig1d", "--alpha", "1.0", "--bare"],
+    "rank_bare_h.csv": ["rank", "--benchmark", "fig1a", "--bare", "h"],
+})
 
 SHA256 = {
     "gen.txt": "ef6e21feb915efbab3e7781b81697ad2ecb037f4d9e8a0e40d3e3de6fe9e74cb",
@@ -44,6 +50,8 @@ SHA256 = {
     "sweep.json": "6fed463244618e01206088c2768524e2b36363459fbd49052202e4cf22029ff1",
     "attack.json": "c33f7a17bfc3afc4cdcbf78bd6729cef96dbf79d79b4fd644cafbbeccc6c115e",
     "analyze.json": "8f2ddc555f38399c8b1254842c7687730db92d5871d920621d003720dec09662",
+    "rank_bare_e.csv": "f19a05f5977b4616d6843d68f8f5f06ce60aba620441994b14418f0baae70aee",
+    "rank_bare_h.csv": "44520f286d8d2d87d2dfad965aa136b57e8f2e64061b1c21c19aafd6ce50642c",
 }
 DIGEST = "ef6e21feb915efba"
 
