@@ -6,13 +6,13 @@ the explicit --seed flag, so rerunning a command with identical flags
 produces byte-identical output.
 
 Exit codes: 0 success, 2 input or output file error, 3 graph parse error
-(including input that is not UTF-8), 4 invalid parameters.
+(including input that is not UTF-8), 4 invalid parameters (including a run
+too large for the available memory).
 """
 
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from typing import Optional
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, formats
 from .graph import (DirectedGraph, GraphFormatError, benchmark_graph, generate,
-                    graph_digest, parse_edge_list, parse_pajek, to_edge_list)
+                    graph_digest, parse_graph, to_edge_list)
 from .pagerank import (DEFAULT_ALPHA, DEFAULT_TOL, classical_pagerank,
                        hyperlink_matrix, patch_dangling, power_method)
 from .szegedy import (DEFAULT_STEPS, quantum_pagerank, quantum_rank_series,
@@ -52,8 +52,8 @@ _FLAGS = {
     "alpha": dict(type=float, default=DEFAULT_ALPHA, help="damping parameter"),
     "steps": dict(type=int, default=DEFAULT_STEPS, help="quantum walk two-steps"),
     "tol": dict(type=float, default=DEFAULT_TOL, help="power-method tolerance"),
-    "backend": dict(choices=("auto", "direct", "spectral"), default="auto",
-                    help="quantum evolution backend"),
+    "backend": dict(choices=("auto", "direct", "spectral"),
+                    help="quantum evolution backend (default: auto)"),
     "format": dict(choices=("csv", "json"), default="csv", help="output format"),
     "output": dict(help="output path (default: stdout)"),
     "bare": dict(nargs="?", const="e", choices=("e", "h"),
@@ -67,10 +67,6 @@ _FLAGS = {
 }
 _SOURCE = ("input", "gen", "benchmark", "seed")
 _OUT = ("format", "output")
-
-# Blank lines and % comment lines, which parse_pajek skips before *Vertices;
-# the character class holds every line break str.splitlines knows.
-_PAJEK_PREAMBLE = re.compile(r"(?:\s+|%[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)*")
 
 
 def load_graph(args) -> tuple[DirectedGraph, dict]:
@@ -86,11 +82,7 @@ def load_graph(args) -> tuple[DirectedGraph, dict]:
             except UnicodeDecodeError as exc:
                 raise GraphFormatError(f"{args.input}: byte {exc.start}: "
                                        "not UTF-8 text") from None
-        head = _PAJEK_PREAMBLE.match(text).end()
-        if text[head:head + 9].lower() == "*vertices":
-            g = parse_pajek(text)
-        else:
-            g = parse_edge_list(text)
+        g = parse_graph(text)
         meta = {"source": args.input}
     elif source == "benchmark":
         g = benchmark_graph(args.benchmark)
@@ -108,17 +100,11 @@ def load_graph(args) -> tuple[DirectedGraph, dict]:
     return g, meta
 
 
-def _labels(g: DirectedGraph) -> list[str]:
-    return list(g.labels) if g.labels is not None else [""] * g.node_count
-
-
 def parse_grid(spec: str) -> list[float]:
     """Inclusive alpha grid from a lo:hi:count spec."""
-    parts = spec.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"bad grid {spec!r}, expected lo:hi:count")
     try:
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, count = spec.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise UsageError(f"bad grid {spec!r}, expected lo:hi:count") from None
     if count < 1:
@@ -126,9 +112,23 @@ def parse_grid(spec: str) -> list[float]:
     return [float(a) for a in np.linspace(lo, hi, count)]
 
 
-def _walk_meta(args, *rankers: str) -> dict:
-    """The resolved backend, when one of ``rankers`` runs the quantum walk."""
-    return {"backend": resolve_backend(args.backend)} if "quantum" in rankers else {}
+def _walk(args, *rankers: str) -> tuple[str, dict]:
+    """The backend to pass on, and the one it resolves to as metadata when
+    one of ``rankers`` runs the quantum walk. A --backend given for
+    classical rankers alone is refused rather than ignored."""
+    backend = args.backend or "auto"
+    if "quantum" in rankers:
+        return backend, {"backend": resolve_backend(backend)}
+    if args.backend is not None:
+        raise UsageError(f"--backend needs a quantum walk, and --ranker {args.ranker} runs none")
+    return backend, {}
+
+
+def _render(args, table: formats.Table) -> str:
+    """A record table as CSV, or as JSON records under its metadata."""
+    if args.format == "json":
+        return formats.dump_json(formats.records_json(table))
+    return formats.write_csv(table)
 
 
 def _cmd_gen(g, meta, args) -> str:
@@ -144,6 +144,8 @@ def _cmd_gen(g, meta, args) -> str:
 
 def _cmd_rank(g, meta, args) -> str:
     if args.bare:
+        if args.alpha not in (None, 1.0):
+            raise UsageError("--bare iterates the undamped matrix: omit --alpha or give 1")
         matrix = hyperlink_matrix(g)
         if args.bare == "e":
             matrix = patch_dangling(matrix)
@@ -151,25 +153,19 @@ def _cmd_rank(g, meta, args) -> str:
         i0[0] = 1.0
         result = power_method(matrix, i0, tol=args.tol)
         values = result.values
-        extra = {"bare": args.bare, "converged": result.converged,
-                 "degenerate": result.degenerate, "iterations": result.iterations}
+        meta = dict(meta, bare=args.bare, converged=result.converged,
+                    degenerate=result.degenerate, iterations=result.iterations)
     else:
-        values = classical_pagerank(g, args.alpha, tol=args.tol)
-        extra = {"alpha": args.alpha}
-    if args.format == "json":
-        return formats.dump_json({
-            "provenance": meta,
-            **extra,
-            "values": [float(x) for x in values],
-            "ranking": [int(i) for i in analysis.ranking_order(values)],
-        })
-    return formats.write_rank_csv(values, _labels(g), {**meta, **extra})
+        alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
+        values = classical_pagerank(g, alpha, tol=args.tol)
+        meta = dict(meta, alpha=alpha)
+    return _render(args, formats.rank_table(values, g.labels, meta))
 
 
 def _cmd_qrank(g, meta, args) -> str:
-    meta = dict(meta, alpha=args.alpha, steps=args.steps,
-                backend=resolve_backend(args.backend))
-    series = quantum_rank_series(g, args.alpha, args.steps, args.backend)
+    backend, walk = _walk(args, "quantum")
+    meta = dict(meta, alpha=args.alpha, steps=args.steps, **walk)
+    series = quantum_rank_series(g, args.alpha, args.steps, backend)
     if args.format == "json":
         return formats.dump_json(formats.series_json(series, meta))
     return formats.write_series_csv(series, meta)
@@ -177,21 +173,20 @@ def _cmd_qrank(g, meta, args) -> str:
 
 def _cmd_sweep(g, meta, args) -> str:
     grid = parse_grid(args.grid)
-    meta = dict(meta, ranker=args.ranker, steps=args.steps, **_walk_meta(args, args.ranker))
-    sweep = analysis.damping_sweep(g, grid, args.ranker, args.steps, args.backend)
+    backend, walk = _walk(args, args.ranker)
+    meta = dict(meta, ranker=args.ranker, steps=args.steps, **walk)
+    sweep = analysis.damping_sweep(g, grid, args.ranker, args.steps, backend)
     if args.format == "json":
         return formats.dump_json(formats.sweep_json(sweep, meta))
     return formats.write_sweep_csv(sweep, meta)
 
 
 def _cmd_attack(g, meta, args) -> str:
-    meta = dict(meta, ranker=args.ranker, alpha=args.alpha, steps=args.steps,
-                **_walk_meta(args, args.ranker))
+    backend, walk = _walk(args, args.ranker)
+    meta = dict(meta, ranker=args.ranker, alpha=args.alpha, steps=args.steps, **walk)
     report = analysis.attack_sensitivity(g, args.remove, args.ranker, args.alpha,
-                                         args.steps, args.backend)
-    if args.format == "json":
-        return formats.dump_json(formats.attack_json(report, meta))
-    return formats.write_attack_csv(report, meta)
+                                         args.steps, backend)
+    return _render(args, formats.attack_table(report, meta))
 
 
 _ANALYZE_HEADER = ("ranker", "ipr", "power_law_exponent", "power_law_intercept",
@@ -200,28 +195,24 @@ _ANALYZE_HEADER = ("ranker", "ipr", "power_law_exponent", "power_law_intercept",
 
 def _cmd_analyze(g, meta, args) -> str:
     rankers = ("classical", "quantum") if args.ranker == "both" else (args.ranker,)
-    meta = dict(meta, alpha=args.alpha, steps=args.steps, delta=args.delta,
-                **_walk_meta(args, *rankers))
+    backend, walk = _walk(args, *rankers)
+    meta = dict(meta, alpha=args.alpha, steps=args.steps, delta=args.delta, **walk)
     rows = []
     for ranker in rankers:
-        values = analysis.rank_vector(g, ranker, args.alpha, args.steps, args.backend)
+        values = analysis.rank_vector(g, ranker, args.alpha, args.steps, backend)
         fit = analysis.power_law_fit(values)
         rows.append((ranker, analysis.ipr(values), fit.exponent, fit.intercept, fit.r_squared,
                      analysis.degeneracy_profile(values, args.delta).class_count,
                      float(values.max() - values.min())))
-    if args.format == "json":
-        return formats.dump_json(formats.records_json(meta, _ANALYZE_HEADER, rows))
-    return formats.write_csv(meta, _ANALYZE_HEADER, rows)
+    return _render(args, formats.Table(meta, _ANALYZE_HEADER, rows))
 
 
 def _cmd_compare(g, meta, args) -> str:
-    meta = dict(meta, alpha=args.alpha, steps=args.steps,
-                backend=resolve_backend(args.backend))
+    backend, walk = _walk(args, "quantum")
+    meta = dict(meta, alpha=args.alpha, steps=args.steps, **walk)
     classical = classical_pagerank(g, args.alpha, tol=args.tol)
-    quantum = quantum_pagerank(g, args.alpha, args.steps, args.backend)
-    if args.format == "json":
-        return formats.dump_json(formats.compare_json(_labels(g), classical, quantum, meta))
-    return formats.write_compare_csv(_labels(g), classical, quantum, meta)
+    quantum = quantum_pagerank(g, args.alpha, args.steps, backend)
+    return _render(args, formats.compare_table(g.labels, classical, quantum, meta))
 
 
 # name -> (handler, help, the flags it reads besides the graph source flags
@@ -229,7 +220,8 @@ def _cmd_compare(g, meta, args) -> str:
 # that replace its _FLAGS entry for this subcommand.
 _COMMANDS = {
     "gen": (_cmd_gen, "emit a graph", ()),
-    "rank": (_cmd_rank, "classical PageRank", ("alpha", "tol", "bare")),
+    "rank": (_cmd_rank, "classical PageRank",
+             (("alpha", dict(_FLAGS["alpha"], default=None)), "tol", "bare")),
     "qrank": (_cmd_qrank, "quantum rank series", ("alpha", "steps", "backend")),
     "sweep": (_cmd_sweep, "damping-stability fidelity sweep",
               ("steps", "backend", "grid", "ranker")),
@@ -255,26 +247,23 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"qprank: {exc}", file=sys.stderr)
-        return 4
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-
-    try:
+        args = build_parser().parse_args(argv)
         graph, meta = load_graph(args)
         text = _COMMANDS[args.command][0](graph, meta, args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except OSError as exc:
         print(f"qprank: cannot read input: {exc.filename or exc}", file=sys.stderr)
         return 2
     except GraphFormatError as exc:
         print(f"qprank: parse error: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:  # UsageError included
         print(f"qprank: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"qprank: not enough memory: {exc}", file=sys.stderr)
         return 4
 
     if args.output:

@@ -405,6 +405,20 @@ def parse_pajek(text: str) -> DirectedGraph:
     return DirectedGraph(n, src, dst, label_tuple)
 
 
+# Blank lines and % comment lines, which parse_pajek skips before *Vertices;
+# the character class holds every line break str.splitlines knows.
+_PAJEK_PREAMBLE = re.compile(r"(?:\s+|%[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)*")
+
+
+def parse_graph(text: str) -> DirectedGraph:
+    """Parse Pajek when the first line :func:`parse_pajek` does not skip
+    opens ``*Vertices``, and an edge list otherwise."""
+    head = _PAJEK_PREAMBLE.match(text).end()
+    if text[head:head + 9].lower() == "*vertices":
+        return parse_pajek(text)
+    return parse_edge_list(text)
+
+
 def to_pajek(g: DirectedGraph) -> str:
     """Emit the Pajek subset understood by :func:`parse_pajek` (keeps labels).
 

@@ -111,6 +111,21 @@ class TestExitCodes:
         assert main(["analyze", "--benchmark", "fig2b", "--delta", "nan"]) == 4
         assert main(["rank", "--benchmark", "fig1a", "--tol", "nan"]) == 4
         capsys.readouterr()
+        # a flag the other flags' values leave unread is refused, not ignored
+        graph = ["--gen", "scalefree:16"]
+        for argv, message in (
+                (["rank", "--benchmark", "fig1d", "--bare", "--alpha", "0.3"], "--bare"),
+                (["rank", "--benchmark", "fig1a", "--bare", "h", "--alpha", "0.85"], "--bare"),
+                (["sweep", *graph, "--grid", "0.5:0.8:2", "--backend", "direct"], "--backend"),
+                (["attack", *graph, "--remove", "1", "--ranker", "classical",
+                  "--backend", "auto"], "--backend"),
+                (["analyze", *graph, "--ranker", "classical", "--backend", "spectral"],
+                 "--backend")):
+            assert main(argv) == 4, argv
+            assert message in capsys.readouterr().err
+        assert main(["rank", "--benchmark", "fig1d", "--bare", "--alpha", "1"]) == 0
+        assert main(["analyze", "--gen", "scalefree:16", "--backend", "direct"]) == 0
+        capsys.readouterr()
         # a flag its subcommand does not read is refused, not ignored
         required = {"sweep": ["--grid", "0.5:0.8:2"], "attack": ["--remove", "1"]}
         for command, flag, value in (
@@ -150,6 +165,19 @@ class TestExitCodes:
         assert main(["rank", "--gen", "scalefree:64", "--seed", "1"]) == 4
         assert "did not converge" in capsys.readouterr().err
 
+    def test_out_of_memory_is_4(self, monkeypatch, capsys):
+        import qprank.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "generate", exhausted)
+        assert main(["gen", "--gen", "tree:40"]) == 4
+        assert "qprank: not enough memory: Unable to allocate" in capsys.readouterr().err
+        monkeypatch.setattr(cli, "quantum_rank_series", exhausted)
+        assert main(["qrank", "--benchmark", "fig2b", "--steps", "100000000"]) == 4
+        assert "not enough memory" in capsys.readouterr().err
+
     def test_requires_exactly_one_source(self, capsys):
         assert main(["rank"]) == 4
         assert main(["rank", "--benchmark", "fig1a", "--gen", "tree:3"]) == 4
@@ -175,8 +203,8 @@ class TestPipelines:
                               "--format", "json"], tmp_path)
         assert code == 0
         obj = json.loads(data)
-        assert obj["degenerate"] is True
-        assert obj["values"] == [0.0, 0.0]
+        assert obj["provenance"]["degenerate"] is True
+        assert [row["score"] for row in obj["rows"]] == [0.0, 0.0]
 
     def test_pajek_after_leading_comments_ranks_like_plain_pajek(self, tmp_path):
         plain = tmp_path / "plain.net"
@@ -298,18 +326,31 @@ class TestPipelines:
 
 
 class TestRecordTables:
-    """``analyze`` and ``compare`` write one table in both formats: the JSON
-    provenance and rows are the CSV metadata and rows, field for field."""
+    """Every table subcommand builds one metadata record: its JSON
+    provenance is its CSV ``# key=value`` block, key for key. ``rank``,
+    ``attack``, ``analyze`` and ``compare`` write one table in both formats,
+    so their JSON rows are the CSV rows, field for field; ``qrank`` and
+    ``sweep`` have matrix-shaped JSON bodies."""
 
     LABELLED = ('*Vertices 5\n1 "home, page"\n2 "b"\n3 "c d"\n4 "x\'y"\n5 "e"\n'
                 "*Arcs\n1 2\n2 3\n3 1\n4 1\n1 4\n5 2\n")
+
+    COMMANDS = {
+        "analyze": ["analyze", "--ranker", "both", "--steps", "128"],
+        "compare": ["compare", "--steps", "128"],
+        "rank": ["rank"],
+        "rank-bare-e": ["rank", "--bare", "e"],
+        "rank-bare-h": ["rank", "--bare", "h"],
+        "attack": ["attack", "--remove", "2", "--ranker", "quantum", "--steps", "128"],
+        "qrank": ["qrank", "--steps", "16"],
+        "sweep": ["sweep", "--grid", "0.5:0.9:3", "--ranker", "quantum", "--steps", "128"],
+    }
 
     @staticmethod
     def _text(value):
         return repr(value) if isinstance(value, float) else str(value)
 
-    @pytest.mark.parametrize("command", [["analyze", "--ranker", "both"], ["compare"]],
-                             ids=lambda a: a[0])
+    @pytest.mark.parametrize("command", list(COMMANDS))
     @pytest.mark.parametrize("graph", ["fig2b", "labelled"])
     def test_json_rows_equal_csv_rows(self, command, graph, tmp_path):
         if graph == "labelled":
@@ -317,19 +358,22 @@ class TestRecordTables:
             source = ["--input", str(tmp_path / "web.net")]
         else:
             source = ["--benchmark", graph]
-        argv = [*command, *source, "--steps", "128"]
+        argv = [*self.COMMANDS[command], *source]
         code, text = run_cli(argv, tmp_path, "out.csv")
         assert code == 0
         code, data = run_cli([*argv, "--format", "json"], tmp_path, "out.json")
         assert code == 0
         meta, rows = formats._split_csv(text.decode())
         obj = json.loads(data)
-        assert {key: str(value) for key, value in obj["provenance"].items()} == meta
+        assert {key: self._text(value) for key, value in obj["provenance"].items()} == meta
+        if command in ("qrank", "sweep"):
+            assert "rows" not in obj
+            return
         assert len(obj["rows"]) == len(rows) - 1 > 0
         for record, row in zip(obj["rows"], rows[1:]):
             assert list(record) == rows[0]
             assert [self._text(value) for value in record.values()] == row
-        if graph == "labelled" and command[0] == "compare":
+        if graph == "labelled" and command in ("compare", "rank"):
             assert b'"home, page"' in text
 
 

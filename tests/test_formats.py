@@ -91,9 +91,12 @@ class TestAttackCsv:
     def test_json_fields(self):
         g = generate_scale_free(10, 4)
         report = attack_sensitivity(g, 1, "classical")
-        obj = formats.attack_json(report)
-        assert obj["removed"] == list(report.removed)
-        assert len(obj["post_ranking"]) == 9
+        obj = formats.records_json(formats.attack_table(report))
+        assert obj["provenance"]["removed"] == ";".join(str(i) for i in report.removed)
+        assert obj["provenance"]["mean_displacement"] == report.mean_displacement
+        assert [row["original_index"] for row in obj["rows"]] == list(report.survivors)
+        assert [row["post_value"] for row in obj["rows"]] == report.post_ranking.tolist()
+        assert len(obj["rows"]) == 9
         json.dumps(obj)
 
 

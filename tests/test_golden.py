@@ -1,8 +1,9 @@
 """Golden bytes of the graph and classical CLI pipelines, in CSV and JSON.
 
 The sha256 of each output below was captured from the implementation that
-held arcs as a frozenset of tuples (the JSON outputs from the one that
-built each table's CSV and JSON separately), on
+held arcs as a frozenset of tuples (the analyze JSON from the one that
+built each table's CSV and JSON separately, and the rank, sweep and attack
+JSON from the one that writes each JSON provenance as the CSV metadata), on
 ``gen --gen scalefree:2048 --seed 7`` and the same graph written as Pajek.
 The two bare-mode ``rank`` outputs, on the fig1d and fig1a benchmarks, were
 captured from the implementation that built rank's JSON by hand.
@@ -45,10 +46,10 @@ SHA256 = {
     "sweep.csv": "84f2fa1eebfdc0d04e15094ac7f3e28697e8a2779a12d9eeb2b96bf8a6b6041b",
     "attack.csv": "d0959c5b3ad3fde5665e432993b4c73cbe5731cefd23fab1dd7b17d24a487bd7",
     "analyze.csv": "b20b442c6943e61e0b3077db7c7a12c35870403d20b5a00360c6e2015239fac7",
-    "rank_edges.json": "b0f1f6ce5c4669193154529f0615821b2c0f2186168216588cc1cb4fb98e8ec0",
-    "rank_pajek.json": "a83ad153fc63f58c9730c71352b47ef6cf2f20bc5000d823414962794797b6d3",
-    "sweep.json": "6fed463244618e01206088c2768524e2b36363459fbd49052202e4cf22029ff1",
-    "attack.json": "c33f7a17bfc3afc4cdcbf78bd6729cef96dbf79d79b4fd644cafbbeccc6c115e",
+    "rank_edges.json": "7dc0755ea7483cef7bf19fef957dd677316d9c0518851dc88abe8cae889cdc3f",
+    "rank_pajek.json": "258b56f51f5fa6413f4f4bb988f573112797c410c5f7eb061476287f8a143195",
+    "sweep.json": "7195402fda2d60f490b9d4031b3fe5a40acac2f2f0d56ad6801eaa65e2e8c3f6",
+    "attack.json": "9e3b66403aaa604552c28da23d3b818660ad353e3cf79d7ad18cfdc8c005c835",
     "analyze.json": "8f2ddc555f38399c8b1254842c7687730db92d5871d920621d003720dec09662",
     "rank_bare_e.csv": "f19a05f5977b4616d6843d68f8f5f06ce60aba620441994b14418f0baae70aee",
     "rank_bare_h.csv": "44520f286d8d2d87d2dfad965aa136b57e8f2e64061b1c21c19aafd6ce50642c",

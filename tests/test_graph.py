@@ -10,7 +10,7 @@ from qprank import graph
 from qprank.graph import (DirectedGraph, GraphFormatError,
                           benchmark_graph, generate, generate_binary_tree,
                           generate_hierarchical, generate_scale_free,
-                          out_degree, parse_edge_list, parse_pajek,
+                          out_degree, parse_edge_list, parse_graph, parse_pajek,
                           remove_nodes, to_edge_list, to_pajek)
 
 
@@ -311,6 +311,19 @@ class TestPajek:
         for arcs, message in cases.items():
             with pytest.raises(GraphFormatError, match=message):
                 parse_pajek("*Vertices 3\n% comment\n*Arcs\n" + arcs)
+
+
+class TestParseGraph:
+    def test_picks_the_parser_by_the_first_statement(self):
+        g = DirectedGraph.from_arcs(3, [(0, 1), (2, 0)], labels=("x", "y", "z"))
+        pajek = to_pajek(g)
+        assert parse_graph(pajek) == g
+        assert parse_graph("% exported\n\n  %\r\n\u2028" + pajek) == g
+        assert parse_graph(pajek.lower()) == g
+        assert parse_graph(to_edge_list(g)) == parse_edge_list(to_edge_list(g))
+        # a '*Vertices' after a line parse_pajek does not skip is an edge-list token
+        with pytest.raises(GraphFormatError, match="expected 'src dst', got '\\*Arcs'"):
+            parse_graph("# note\n" + pajek)
 
 
 class TestBenchmarks:
