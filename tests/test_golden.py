@@ -1,4 +1,4 @@
-"""Golden bytes of the graph and classical CLI pipelines, in CSV and JSON.
+"""Golden bytes of the graph, classical and quantum sweep CLI pipelines, in CSV and JSON.
 
 The sha256 of each output below was captured from the implementation that
 held arcs as a frozenset of tuples (the analyze JSON from the one that
@@ -6,9 +6,11 @@ built each table's CSV and JSON separately, and the rank, sweep and attack
 JSON from the one that writes each JSON provenance as the CSV metadata), on
 ``gen --gen scalefree:2048 --seed 7`` and the same graph written as Pajek.
 The two bare-mode ``rank`` outputs, on the fig1d and fig1a benchmarks, were
-captured from the implementation that built rank's JSON by hand.
-Any change to the graph model, the parsers, the link matrix or the writers
-that moves a byte fails here.
+captured from the implementation that built rank's JSON by hand. The quantum
+sweep on ``scalefree:128`` pins the bytes of four direct walks at N = 128; it
+was captured from the implementation that ran them one after another.
+Any change to the graph model, the parsers, the link matrix, the walk kernel
+or the writers that moves a byte fails here.
 """
 
 import hashlib
@@ -35,7 +37,10 @@ GOLDEN.update({name.replace(".csv", ".json"): [*argv, "--format", "json"]
 GOLDEN.update({
     "rank_bare_e.csv": ["rank", "--benchmark", "fig1d", "--alpha", "1.0", "--bare"],
     "rank_bare_h.csv": ["rank", "--benchmark", "fig1a", "--bare", "h"],
+    "sweep_quantum.csv": ["sweep", "--gen", "scalefree:128", "--seed", "7",
+                          "--ranker", "quantum", "--grid", "0.65:0.95:4"],
 })
+GOLDEN["sweep_quantum.json"] = [*GOLDEN["sweep_quantum.csv"], "--format", "json"]
 
 SHA256 = {
     "gen.txt": "ef6e21feb915efbab3e7781b81697ad2ecb037f4d9e8a0e40d3e3de6fe9e74cb",
@@ -53,6 +58,8 @@ SHA256 = {
     "analyze.json": "8f2ddc555f38399c8b1254842c7687730db92d5871d920621d003720dec09662",
     "rank_bare_e.csv": "f19a05f5977b4616d6843d68f8f5f06ce60aba620441994b14418f0baae70aee",
     "rank_bare_h.csv": "44520f286d8d2d87d2dfad965aa136b57e8f2e64061b1c21c19aafd6ce50642c",
+    "sweep_quantum.csv": "aaa6938c75872377d730be1962e8d5b05160f401ef6b293f804df782ea693c81",
+    "sweep_quantum.json": "36075aaaf98b3febf8e1aaaacede9e6919bc303e00282212baa87060b8d940ae",
 }
 DIGEST = "ef6e21feb915efba"
 
