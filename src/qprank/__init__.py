@@ -16,7 +16,7 @@ from .szegedy import (DynamicalSubspace, QuantumRankSeries, SzegedyOperator,
                       apply_reflection, apply_swap, average_drift,
                       build_dynamical_subspace, build_operator, evolve,
                       evolve_spectral, initial_state, instantaneous_qpr,
-                      quantum_pagerank, quantum_rank_series, resolve_backend,
-                      two_step, walk_operator)
+                      quantum_pagerank, quantum_pageranks, quantum_rank_series,
+                      resolve_backend, two_step, walk_operator)
 
 __version__ = "0.1.0"

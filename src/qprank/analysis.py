@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import DirectedGraph, generate_scale_free, remove_nodes
 from .pagerank import DEFAULT_ALPHA, classical_pagerank
-from .szegedy import DEFAULT_STEPS, quantum_pagerank
+from .szegedy import DEFAULT_STEPS, quantum_pagerank, quantum_pageranks
 
 NORMALIZATION_TOL = 1e-8
 
@@ -48,6 +48,15 @@ def rank_vector(g: DirectedGraph, ranker: str, alpha: float = DEFAULT_ALPHA,
     if ranker == "uniform":
         return np.full(g.node_count, 1.0 / g.node_count)
     raise ValueError(f"unknown ranker {ranker!r}")
+
+
+def _rank_vectors(walks: Sequence[tuple[DirectedGraph, float]], ranker: str,
+                  steps: int, backend: str) -> np.ndarray:
+    """:func:`rank_vector` of each ``(graph, alpha)`` pair of one node count,
+    one row each; quantum walks run as stacks."""
+    if ranker == "quantum":
+        return quantum_pageranks(walks, steps, backend)
+    return np.array([rank_vector(g, ranker, a, steps, backend) for g, a in walks])
 
 
 def ipr(p: np.ndarray) -> float:
@@ -81,13 +90,16 @@ class FidelitySweep:
 
 def damping_sweep(g: DirectedGraph, alpha_grid: Sequence[float], ranker: str = "classical",
                   steps: int = DEFAULT_STEPS, backend: str = "auto") -> FidelitySweep:
-    """Rank at every damping value and compare all pairs of rankings."""
+    """Rank at every damping value and compare all pairs of rankings.
+
+    The quantum walks of the grid run as stacks (``quantum_pageranks``).
+    """
     grid = tuple(float(a) for a in alpha_grid)
     if not grid:
         raise ValueError("alpha grid is empty")
     if any(not 0.0 < a < 1.0 for a in grid):
         raise ValueError("alpha grid values must lie in (0, 1)")
-    vectors = np.array([rank_vector(g, ranker, a, steps, backend) for a in grid])
+    vectors = _rank_vectors([(g, a) for a in grid], ranker, steps, backend)
     k = len(grid)
     pairwise = np.ones((k, k))
     for i in range(k):
@@ -161,14 +173,12 @@ def degeneracy_profile(p: np.ndarray, delta: float) -> DegeneracyProfile:
     if not delta > 0:  # also rejects NaN
         raise ValueError(f"delta must be positive, got {delta!r}")
     values = np.sort(np.asarray(p, dtype=np.float64))[::-1]
-    class_sizes = [1]
-    for prev, cur in zip(values[:-1], values[1:]):
-        starts_class = prev != cur and prev - cur >= delta * abs(prev)
-        if starts_class:
-            class_sizes.append(1)
-        else:
-            class_sizes[-1] += 1
-    return DegeneracyProfile(len(class_sizes), tuple(class_sizes))
+    if not values.size:
+        raise ValueError("ranking is empty")
+    prev, cur = values[:-1], values[1:]
+    starts = np.flatnonzero((prev != cur) & (prev - cur >= delta * np.abs(prev))) + 1
+    class_sizes = np.diff(np.concatenate(([0], starts, [len(values)])))
+    return DegeneracyProfile(len(class_sizes), tuple(class_sizes.tolist()))
 
 
 def _dense_ranks(v: np.ndarray) -> np.ndarray:
@@ -340,8 +350,9 @@ def ipr_scaling(sizes: Sequence[int], instances: int, ranker: str,
     """Mean IPR per network size, with a sublinear-growth diagnosis.
 
     Generates ``instances`` scale-free graphs per size from a single seed,
-    ranks each, and fits the log-log slope of mean IPR against size. A
-    slope below ``sublinear_threshold`` is read as a localized walker.
+    ranks each (the quantum walks of one size as stacks), and fits the
+    log-log slope of mean IPR against size. A slope below
+    ``sublinear_threshold`` is read as a localized walker.
     """
     sizes = [int(n) for n in sizes]
     if len(sizes) < 3:
@@ -352,11 +363,9 @@ def ipr_scaling(sizes: Sequence[int], instances: int, ranker: str,
         len(sizes) * instances, dtype=np.uint64)
     points = []
     for si, n in enumerate(sizes):
-        values = []
-        for i in range(instances):
-            graph_seed = int(instance_seeds[si * instances + i])
-            graph = generate_scale_free(n, graph_seed)
-            values.append(ipr(rank_vector(graph, ranker, alpha, steps, backend)))
+        seeds = instance_seeds[si * instances:(si + 1) * instances]
+        walks = [(generate_scale_free(n, int(s)), alpha) for s in seeds]
+        values = [ipr(v) for v in _rank_vectors(walks, ranker, steps, backend)]
         points.append(IprScalingPoint(n, float(np.mean(values)), float(np.std(values))))
     slope = loglog_slope([pt.size for pt in points], [pt.mean_ipr for pt in points])
     return IprScaling(tuple(points), slope, slope < sublinear_threshold)

@@ -154,7 +154,8 @@ def _cmd_rank(g, meta, args) -> str:
         result = power_method(matrix, i0, tol=args.tol)
         values = result.values
         meta = dict(meta, bare=args.bare, converged=result.converged,
-                    degenerate=result.degenerate, iterations=result.iterations)
+                    degenerate=result.degenerate, iterations=result.iterations,
+                    orbit=result.orbit)
     else:
         alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
         values = classical_pagerank(g, alpha, tol=args.tol)

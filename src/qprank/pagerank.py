@@ -100,13 +100,16 @@ class PowerResult:
 
     ``degenerate`` marks a vanishing limit (all mass drained away, as on a
     bare hyperlink matrix with dangling nodes); the vector is then returned
-    unnormalized since there is nothing to normalize.
+    unnormalized since there is nothing to normalize. ``orbit`` marks a run
+    stopped on a detected two-point orbit, which is not converged either but,
+    unlike a run that used up its iterations, reached its limit set.
     """
 
     values: np.ndarray
     iterations: int
     converged: bool
     degenerate: bool = False
+    orbit: bool = False
 
 
 def power_method(m: LinearOperator, i0: np.ndarray,
@@ -135,7 +138,7 @@ def power_method(m: LinearOperator, i0: np.ndarray,
     # before declaring an orbit.
     orbit_floor = np.sqrt(tol)
     prev = None  # iterate two applications back
-    converged = False
+    converged = orbit = False
     iterations = 0
     for k in range(1, max_iter + 1):
         w = m.matvec(v)
@@ -147,6 +150,7 @@ def power_method(m: LinearOperator, i0: np.ndarray,
             break
         if prev is not None and step_change > orbit_floor and np.abs(w - prev).sum() < tol:
             v = w if k % 2 == 1 else v  # keep the odd-application point
+            orbit = True
             break
         prev = v
         v = w
@@ -156,8 +160,8 @@ def power_method(m: LinearOperator, i0: np.ndarray,
     initial_mass = np.abs(np.asarray(i0, dtype=np.float64)).sum()
     total = v.sum()
     if total <= 1e-6 * initial_mass:
-        return PowerResult(v, iterations, converged, degenerate=True)
-    return PowerResult(v / total, iterations, converged)
+        return PowerResult(v, iterations, converged, degenerate=True, orbit=orbit)
+    return PowerResult(v / total, iterations, converged, orbit=orbit)
 
 
 def classical_pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qprank.analysis import (attack_sensitivity, damping_sweep,
                              loglog_slope, power_law_fit, rank_correlation,
                              rank_vector, top_nodes)
 from qprank.graph import DirectedGraph, benchmark_graph, generate_scale_free
+from qprank.szegedy import STACK_BYTES, quantum_pagerank
 
 
 class TestIpr:
@@ -77,6 +80,16 @@ class TestFidelity:
             assert -1e-12 <= fidelity(p, q) <= 1.0 + 1e-12
 
 
+def _peak_bytes(run):
+    """Peak traced allocation while ``run`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestDampingSweep:
     def test_singleton_grid(self):
         sweep = damping_sweep(benchmark_graph("fig1d"), [0.85])
@@ -102,6 +115,33 @@ class TestDampingSweep:
         sweep = damping_sweep(benchmark_graph("fig2b"), [0.4, 0.85], "quantum", steps=128)
         assert sweep.rank_vectors.shape == (2, 7)
         assert np.abs(sweep.rank_vectors.sum(axis=1) - 1.0).max() < 1e-9
+
+    def test_quantum_sweep_across_stack_chunks_matches_single_walks(self):
+        # two walks of N = 160 fill one chunk, so five run as chunks of 2, 2 and 1
+        assert STACK_BYTES // (8 * 160 * 160) == 2
+        g = generate_scale_free(160, 11)
+        grid = (0.55, 0.65, 0.75, 0.85, 0.95)
+        sweep = damping_sweep(g, grid, "quantum", steps=512)
+        for row, alpha in zip(sweep.rank_vectors, grid):
+            assert np.abs(row - quantum_pagerank(g, alpha, 512)).max() <= 1e-15
+
+    def test_direct_and_spectral_quantum_sweeps_agree(self):
+        g = generate_scale_free(64, 12)
+        grid = (0.3, 0.6, 0.85, 0.9)
+        direct = damping_sweep(g, grid, "quantum", steps=512, backend="direct")
+        spectral = damping_sweep(g, grid, "quantum", steps=512, backend="spectral")
+        assert np.abs(direct.rank_vectors - spectral.rank_vectors).max() <= 1e-11
+        assert np.abs(direct.pairwise - spectral.pairwise).max() <= 1e-11
+
+    def test_quantum_sweep_memory_is_one_walk(self):
+        # at N = 512 every walk runs alone; a sweep that built all ten
+        # operators up front would hold ten pairs of dense N x N arrays
+        g = generate_scale_free(512, 13)
+        quantum_pagerank(g, 0.85, 4)  # warm up lazy imports and caches
+        single = _peak_bytes(lambda: quantum_pagerank(g, 0.85, 4))
+        grid = np.linspace(0.5, 0.95, 10)
+        sweep = _peak_bytes(lambda: damping_sweep(g, grid, "quantum", steps=4))
+        assert sweep <= 1.2 * single, (sweep, single)
 
 
 class TestPowerLawFit:
@@ -163,6 +203,11 @@ class TestDegeneracyProfile:
         for delta in (0.0, -1e-4, float("nan")):
             with pytest.raises(ValueError, match="delta"):
                 degeneracy_profile(np.array([0.5, 0.5]), delta)
+
+    def test_empty_ranking_rejected(self):
+        # the per-node loop reported one class of size 1 for no nodes
+        with pytest.raises(ValueError, match="empty"):
+            degeneracy_profile(np.array([]), 1e-4)
 
     def test_sizes_sum_to_n(self):
         rng = np.random.default_rng(7)
@@ -262,6 +307,17 @@ class TestIprScaling:
     def test_classical_walker_localizes_on_scale_free(self):
         result = ipr_scaling([32, 64, 128, 256], 5, "classical", seed=5)
         assert result.localized
+
+    def test_quantum_ensemble_matches_single_walks(self):
+        sizes, instances, seed = [16, 24, 32], 5, 4
+        result = ipr_scaling(sizes, instances, "quantum", seed=seed, steps=256)
+        seeds = np.random.SeedSequence(seed).generate_state(len(sizes) * instances,
+                                                            dtype=np.uint64)
+        for si, (n, point) in enumerate(zip(sizes, result.points)):
+            values = [ipr(quantum_pagerank(generate_scale_free(n, int(s)), 0.85, 256))
+                      for s in seeds[si * instances:(si + 1) * instances]]
+            assert abs(point.mean_ipr - np.mean(values)) <= 1e-12 * n
+            assert abs(point.std_ipr - np.std(values)) <= 1e-12 * n
 
     def test_loglog_slope_exact_line(self):
         xs = np.array([10.0, 100.0, 1000.0])

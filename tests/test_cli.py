@@ -197,6 +197,13 @@ class TestPipelines:
         values, _, meta = formats.read_rank_csv(data.decode())
         assert np.abs(values - np.array([0.0, 0.0, 0.6, 0.4])).max() < 1e-9
         assert meta["bare"] == "e"
+        assert (meta["orbit"], meta["converged"]) == ("True", "False")
+
+    def test_bare_rank_tells_exhausted_run_from_orbit(self, tmp_path):
+        code, data = run_cli(["rank", "--benchmark", "fig1c", "--bare"], tmp_path)
+        assert code == 0
+        _, _, meta = formats.read_rank_csv(data.decode())
+        assert (meta["orbit"], meta["converged"]) == ("False", "False")
 
     def test_bare_h_reports_degenerate(self, tmp_path):
         code, data = run_cli(["rank", "--benchmark", "fig1a", "--bare", "h",

@@ -6,7 +6,8 @@ built each table's CSV and JSON separately, and the rank, sweep and attack
 JSON from the one that writes each JSON provenance as the CSV metadata), on
 ``gen --gen scalefree:2048 --seed 7`` and the same graph written as Pajek.
 The two bare-mode ``rank`` outputs, on the fig1d and fig1a benchmarks, were
-captured from the implementation that built rank's JSON by hand. The quantum
+captured from the implementation that built rank's JSON by hand, with the
+``# orbit=`` line added since. The quantum
 sweep on ``scalefree:128`` pins the bytes of four direct walks at N = 128; it
 was captured from the implementation that ran them one after another.
 Any change to the graph model, the parsers, the link matrix, the walk kernel
@@ -56,8 +57,8 @@ SHA256 = {
     "sweep.json": "7195402fda2d60f490b9d4031b3fe5a40acac2f2f0d56ad6801eaa65e2e8c3f6",
     "attack.json": "9e3b66403aaa604552c28da23d3b818660ad353e3cf79d7ad18cfdc8c005c835",
     "analyze.json": "8f2ddc555f38399c8b1254842c7687730db92d5871d920621d003720dec09662",
-    "rank_bare_e.csv": "f19a05f5977b4616d6843d68f8f5f06ce60aba620441994b14418f0baae70aee",
-    "rank_bare_h.csv": "44520f286d8d2d87d2dfad965aa136b57e8f2e64061b1c21c19aafd6ce50642c",
+    "rank_bare_e.csv": "c4384eaf876711aeaacd6906f7742d44b77d62cb5a220b1e6560ac83be582222",
+    "rank_bare_h.csv": "f66178dcb8174c67538df66e819e585616146f924c9eeb582dd87be6ca22276f",
     "sweep_quantum.csv": "aaa6938c75872377d730be1962e8d5b05160f401ef6b293f804df782ea693c81",
     "sweep_quantum.json": "36075aaaf98b3febf8e1aaaacede9e6919bc303e00282212baa87060b8d940ae",
 }

@@ -127,11 +127,13 @@ class TestPowerMethod:
         r = power_method(e, np.array([1.0, 0, 0, 0]))
         assert np.abs(r.values - np.array([0, 0, 0.6, 0.4])).max() < 1e-9
         assert not r.degenerate
+        assert r.orbit and not r.converged
 
     def test_fig1c_never_converges(self):
         e = patch_dangling(hyperlink_matrix(benchmark_graph("fig1c")))
         r = power_method(e, np.array([1.0, 0, 0, 0]), max_iter=2000)
         assert not r.converged
+        assert not r.orbit
         assert r.iterations == 2000
 
     def test_tol_must_be_positive(self):
@@ -148,7 +150,7 @@ class TestPowerMethod:
     def test_result_normalized(self):
         e = patch_dangling(hyperlink_matrix(benchmark_graph("fig2b")))
         r = power_method(google_matrix(e, 0.85), np.array([5.0, 0, 0, 0, 0, 0, 0]))
-        assert r.converged
+        assert r.converged and not r.orbit
         assert abs(r.values.sum() - 1.0) < 1e-12
 
 

@@ -1,7 +1,8 @@
 """Round-trip properties of the graph files and of the rank, series, sweep,
 attack and compare CSVs, the array-backed graph model against its
-tuple-based reference, and the in-package Kendall tau-b against
-``scipy.stats.kendalltau``."""
+tuple-based reference, the in-package Kendall tau-b against
+``scipy.stats.kendalltau``, and the degeneracy classes against a per-node
+loop."""
 
 import csv
 import io
@@ -16,8 +17,9 @@ from scipy import stats
 from graph_oracles import (arc_set, reference_arc_set, reference_degrees,
                            reference_hyperlink, reference_remove_nodes)
 from qprank import formats
-from qprank.analysis import (AttackReport, FidelitySweep, _kendall_tau_b, rank_correlation,
-                             rank_positions, ranking_order)
+from qprank.analysis import (AttackReport, FidelitySweep, _kendall_tau_b,
+                             degeneracy_profile, rank_correlation, rank_positions,
+                             ranking_order)
 from qprank.graph import (DirectedGraph, generate_scale_free, parse_edge_list,
                           parse_pajek, remove_nodes, to_edge_list, to_pajek)
 from qprank.pagerank import hyperlink_matrix
@@ -341,3 +343,32 @@ def test_nan_input_gives_zero():
     assert rank_correlation(np.arange(4.0), values) == 0.0
     assert rank_correlation(values, values) == 0.0
     assert _scipy_rank_correlation(values, np.arange(4.0)) == 0.0
+
+
+def _loop_degeneracy(p, delta):
+    """Class sizes walking down the sorted values one node at a time."""
+    values = np.sort(np.asarray(p, dtype=np.float64))[::-1]
+    class_sizes = [1]
+    for prev, cur in zip(values[:-1], values[1:]):
+        if prev != cur and prev - cur >= delta * abs(prev):
+            class_sizes.append(1)
+        else:
+            class_sizes[-1] += 1
+    return len(class_sizes), tuple(class_sizes)
+
+
+# Rank-like values: a few levels give exact ties, and spacings near delta
+# sit on both sides of the class boundary.
+RANK_LEVELS = st.sampled_from([0.0, 1e-300, 0.1, 0.1 * (1 - 1e-4), 0.5]) | st.floats(0.0, 1.0)
+
+
+@settings(deadline=None)
+@given(st.data(), st.sampled_from([1e-12, 1e-4, 0.05, 1.0]))
+def test_degeneracy_profile_matches_loop(data, delta):
+    n = data.draw(st.integers(1, 200))
+    distinct = data.draw(st.sampled_from([2, 5, n]))
+    levels = data.draw(st.lists(RANK_LEVELS, min_size=1, max_size=distinct))
+    picks = data.draw(st.lists(st.integers(0, len(levels) - 1), min_size=n, max_size=n))
+    p = np.array([levels[i] for i in picks])
+    profile = degeneracy_profile(p, delta)
+    assert (profile.class_count, profile.class_sizes) == _loop_degeneracy(p, delta)

@@ -8,8 +8,8 @@ from qprank.pagerank import (classical_pagerank, google_matrix,
 from qprank.szegedy import (apply_reflection, apply_swap, average_drift,
                             build_dynamical_subspace, build_operator, evolve,
                             evolve_spectral, initial_state, instantaneous_qpr,
-                            quantum_pagerank, quantum_rank_series, two_step,
-                            walk_operator)
+                            quantum_pagerank, quantum_pageranks,
+                            quantum_rank_series, two_step, walk_operator)
 
 BENCHMARKS = ("fig1a", "fig1c", "fig1d", "fig2b")
 BACKENDS = ("direct", "spectral")
@@ -356,3 +356,35 @@ class TestSpectralBackend:
         assert np.abs(spectral.instantaneous - direct.instantaneous).max() < 1e-8
         with pytest.raises(ValueError):
             quantum_rank_series(g, 0.85, 16, backend="mystery")
+
+
+def bidirected_ring(n):
+    return DirectedGraph.from_arcs(n, [(i, (i + 1) % n) for i in range(n)]
+                                   + [((i + 1) % n, i) for i in range(n)])
+
+
+def unit_modes(g, alpha):
+    op = walk_operator(g, alpha)
+    return int((np.abs(np.abs(np.linalg.eigvalsh(op.amps * op.amps.T)) - 1.0) < 1e-9).sum())
+
+
+class TestStackedWalks:
+    def test_mixed_stack_matches_single_walks(self):
+        # the ring's symmetric G has the unit mode lambda = 1; the scale-free graph has none
+        ring, sf = bidirected_ring(64), generate_scale_free(64, 9)
+        assert (unit_modes(ring, 0.85), unit_modes(sf, 0.85)) == (1, 0)
+        walks = [(ring, 0.85), (sf, 0.85), (sf, 0.5)]
+        stacked = quantum_pageranks(walks, 512)
+        assert stacked.shape == (3, 64)
+        for row, (g, alpha) in zip(stacked, walks):
+            assert np.abs(row - quantum_pagerank(g, alpha, 512)).max() <= 1e-15
+
+    def test_rejects_unequal_sizes_and_empty_input(self):
+        walks = [(generate_scale_free(16, 1), 0.85), (generate_scale_free(17, 1), 0.85)]
+        for backend in BACKENDS:
+            with pytest.raises(ValueError, match="node count"):
+                quantum_pageranks(walks, 8, backend=backend)
+        with pytest.raises(ValueError, match="non-empty"):
+            quantum_pageranks([], 8)
+        with pytest.raises(ValueError, match="steps"):
+            quantum_pageranks(walks[:1], 0)
