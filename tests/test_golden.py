@@ -1,4 +1,4 @@
-"""Golden bytes of the graph, classical and quantum sweep CLI pipelines, in CSV and JSON.
+"""Golden bytes of the graph, classical and quantum CLI pipelines, in CSV and JSON.
 
 The sha256 of each output below was captured from the implementation that
 held arcs as a frozenset of tuples (the analyze JSON from the one that
@@ -10,6 +10,12 @@ captured from the implementation that built rank's JSON by hand, with the
 ``# orbit=`` line added since. The quantum
 sweep on ``scalefree:128`` pins the bytes of four direct walks at N = 128; it
 was captured from the implementation that ran them one after another.
+The ``qrank`` series on ``scalefree:64`` (both backends) and the ``compare``
+table on ``scalefree:128`` were captured from the implementation whose walk
+operator still carried the N^2-entry edge-space amplitudes. The ``compare``
+pin lists nodes in rank order, and nodes whose quantum values tie in exact
+arithmetic are ordered there by rounding, so a kernel change that moves last
+digits may move that pin without a wrong rank.
 Any change to the graph model, the parsers, the link matrix, the walk kernel
 or the writers that moves a byte fails here.
 """
@@ -42,6 +48,15 @@ GOLDEN.update({
                           "--ranker", "quantum", "--grid", "0.65:0.95:4"],
 })
 GOLDEN["sweep_quantum.json"] = [*GOLDEN["sweep_quantum.csv"], "--format", "json"]
+QRANK = ["qrank", "--gen", "scalefree:64", "--seed", "2", "--steps", "256"]
+COMPARE = ["compare", "--gen", "scalefree:128", "--seed", "7"]
+GOLDEN.update({
+    "qrank.csv": QRANK,
+    "qrank.json": [*QRANK, "--format", "json"],
+    "qrank_spectral.csv": [*QRANK, "--backend", "spectral"],
+    "compare.csv": COMPARE,
+    "compare.json": [*COMPARE, "--format", "json"],
+})
 
 SHA256 = {
     "gen.txt": "ef6e21feb915efbab3e7781b81697ad2ecb037f4d9e8a0e40d3e3de6fe9e74cb",
@@ -61,6 +76,11 @@ SHA256 = {
     "rank_bare_h.csv": "f66178dcb8174c67538df66e819e585616146f924c9eeb582dd87be6ca22276f",
     "sweep_quantum.csv": "aaa6938c75872377d730be1962e8d5b05160f401ef6b293f804df782ea693c81",
     "sweep_quantum.json": "36075aaaf98b3febf8e1aaaacede9e6919bc303e00282212baa87060b8d940ae",
+    "qrank.csv": "8f36cb381056b40964bd115b420438f77162020445209a41a735406bbe44a115",
+    "qrank.json": "661dc7512079c559366e03f12bcfb8e73be8111c872ad38a861d07a40f5506ce",
+    "qrank_spectral.csv": "c2e7c3a5abffc5f5cf286fc53086cdcf0c4167f440912690c58f43b340de2aa1",
+    "compare.csv": "5446cd4242d9ba4613f95e2b3f6bb94f2b5121252b32beae4917989ba73b890e",
+    "compare.json": "57c9cc7ad0f65b096b639a206c983da444fcce352750c20301b4ee23597fb992",
 }
 DIGEST = "ef6e21feb915efba"
 
