@@ -12,11 +12,8 @@ from .graph import (DirectedGraph, GraphFormatError, benchmark_graph, generate,
 from .pagerank import (GoogleMatrix, HyperlinkMatrix, PowerResult,
                        classical_pagerank, google_matrix, hyperlink_matrix,
                        patch_dangling, power_method, second_eigenvalue_modulus)
-from .szegedy import (DynamicalSubspace, QuantumRankSeries, SzegedyOperator,
-                      apply_reflection, apply_swap, average_drift,
-                      build_dynamical_subspace, build_operator, evolve,
-                      evolve_spectral, initial_state, instantaneous_qpr,
-                      quantum_pagerank, quantum_pageranks, quantum_rank_series,
-                      resolve_backend, two_step, walk_operator)
+from .szegedy import (DynamicalSubspace, QuantumRankSeries, WalkOperator, average_drift,
+                      build_dynamical_subspace, evolve, evolve_spectral, quantum_pagerank,
+                      quantum_pageranks, quantum_rank_series, resolve_backend, walk_operator)
 
 __version__ = "0.1.0"

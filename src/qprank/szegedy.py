@@ -1,8 +1,8 @@
 """Szegedy quantization of the Google matrix and the quantum rank series.
 
-The walk lives on ordered node pairs: an edge-space state is a complex
-vector of length N*N with amplitude(i, j) stored at i*N + j (register 1
-first). Column j of the Google matrix G defines
+The walk lives on ordered node pairs, the N^2-dimensional edge space with
+amplitude(i, j) at i*N + j (register 1 first). Column j of the Google
+matrix G defines
 
     psi_j = |j>_1 (x) sum_k sqrt(G[k, j]) |k>_2,
 
@@ -13,9 +13,11 @@ are swapped an even number of times and directedness survives. The node
 distribution reads out register 2.
 
 The walk starts at (1/sqrt(N)) sum_j psi_j and never leaves the span of
-{psi_j} and {S psi_j}, so the direct backend works on two real registers
-a, b in R^N with state A a + S A b, where A e_j = psi_j. The discriminant
-D = sqrt(G o G^T) (entrywise) drives them: one two-step is
+{psi_j} and {S psi_j}, of dimension at most 2N, so no edge-space state is
+ever built: the walk runs on two real registers a, b in R^N with state
+A a + S A b, where A e_j = psi_j. The walk operator is the two N x N
+matrices that drive them, G and the discriminant D = sqrt(G o G^T)
+(entrywise). One two-step is
 
     c = a + 2 D b,   (a, b) -> (-c, 2 D c - b),
 
@@ -28,9 +30,9 @@ the two-step while a and b grow linearly; that eigenspace is deflated
 exactly (split off at the start, held constant, and removed from the D
 the registers iterate with), so rounding cannot grow along it. Walks of
 one size (a damping sweep, an ensemble) step together as one stack of
-registers, so the loop's per-step cost is paid once per stack. The
-edge-space functions (``initial_state``, ``two_step``, ``apply_reflection``,
-``apply_swap``, ``instantaneous_qpr``) remain as the independent oracle.
+registers, so the loop's per-step cost is paid once per stack. The edge
+space itself (the N^2-entry state, reflection, swap and two-step) lives in
+``tests/szegedy_oracles.py``, as the independent oracle for both backends.
 
 The spectral backend reads the same series off the eigenpairs of D in
 closed form: with D = V diag(lambda) V^T and lambda = cos(theta), mode k
@@ -50,11 +52,9 @@ import numpy as np
 import scipy.linalg
 
 from .graph import DirectedGraph
-from .pagerank import (DEFAULT_ALPHA, GoogleMatrix, google_matrix,
-                       hyperlink_matrix, patch_dangling)
+from .pagerank import DEFAULT_ALPHA, google_matrix, hyperlink_matrix, patch_dangling
 
 DEFAULT_STEPS = 2048
-STOCHASTIC_TOL = 1e-12
 # Eigenvalues of D within this distance of modulus 1 are deflated exactly.
 UNIT_EIGEN_TOL = 1e-9
 # Equal-size direct walks run as stacks whose discriminants take at most
@@ -66,69 +66,30 @@ STACK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
-class SzegedyOperator:
-    """Edge-space walk operator data for one Google matrix.
-
-    ``amps[j, k]`` = sqrt(G[k, j]) is the register-2 amplitude profile of
-    psi_j; each row has unit norm because G is column-stochastic.
-    """
+class WalkOperator:
+    """The two N x N matrices the walk reads: the Google matrix ``google``,
+    for the readout, and the discriminant D = sqrt(G o G^T), for the
+    registers and the spectral factorization."""
 
     google: np.ndarray
-    amps: np.ndarray
+    discriminant: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.amps.shape[0]
+        return self.google.shape[0]
 
 
-def build_operator(gm: GoogleMatrix | np.ndarray) -> SzegedyOperator:
-    """Prepare the psi-vector amplitudes for a column-stochastic matrix."""
-    g = gm.dense() if hasattr(gm, "dense") else np.asarray(gm, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError("operator requires a square matrix")
-    if np.any(g < -STOCHASTIC_TOL):
-        raise ValueError("matrix has negative entries")
-    col_err = np.abs(g.sum(axis=0) - 1.0).max()
-    if col_err > 1e-9:
-        raise ValueError(f"matrix is not column-stochastic (max column error {col_err:.2e})")
-    return SzegedyOperator(google=g, amps=np.sqrt(np.clip(g, 0.0, None)).T)
+def walk_operator(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> WalkOperator:
+    """Google matrix at damping ``alpha`` and its discriminant."""
+    google = google_matrix(patch_dangling(hyperlink_matrix(g)), alpha).dense()
+    amps = np.sqrt(google).T
+    return WalkOperator(google, amps * amps.T)
 
 
-def initial_state(op: SzegedyOperator) -> np.ndarray:
-    """Uniform superposition (1/sqrt(N)) sum_j psi_j, a unit vector."""
+def initial_state(op: WalkOperator) -> np.ndarray:
+    """The register start a_0 = 1/sqrt(N) of the walk from (1/sqrt(N)) sum_j psi_j."""
     n = op.dim
-    return (op.amps / np.sqrt(n)).astype(np.complex128).reshape(n * n)
-
-
-def apply_reflection(state: np.ndarray, op: SzegedyOperator) -> np.ndarray:
-    """Reflect through span{psi_j}: state -> 2 sum_j <psi_j|state> psi_j - state."""
-    n = op.dim
-    mat = state.reshape(n, n)
-    coeff = np.einsum("jk,jk->j", op.amps, mat)
-    return (2.0 * coeff[:, None] * op.amps - mat).reshape(n * n)
-
-
-def apply_swap(state: np.ndarray) -> np.ndarray:
-    """Exchange the two registers: amplitude(i, j) <-> amplitude(j, i)."""
-    n = int(round(np.sqrt(state.shape[0])))
-    return state.reshape(n, n).T.reshape(n * n).copy()
-
-
-def two_step(state: np.ndarray, op: SzegedyOperator) -> np.ndarray:
-    """One application of the squared walk operator (reflection, swap, twice)."""
-    n = op.dim
-    mat = state.reshape(n, n)
-    for _ in range(2):
-        coeff = np.einsum("jk,jk->j", op.amps, mat)
-        mat = (2.0 * coeff[:, None] * op.amps - mat).T
-    return np.ascontiguousarray(mat).reshape(n * n)
-
-
-def instantaneous_qpr(state: np.ndarray) -> np.ndarray:
-    """Node occupation probabilities from register 2: sum_j |amp(j, i)|^2."""
-    n = int(round(np.sqrt(state.shape[0])))
-    mat = state.reshape(n, n)
-    return (mat.real ** 2 + mat.imag ** 2).sum(axis=0)
+    return np.full(n, 1.0 / np.sqrt(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,23 +119,22 @@ def _check_horizon(steps: int, offset: int) -> None:
         raise ValueError("offset must be nonnegative")
 
 
-def _discriminant_modes(op: SzegedyOperator):
-    """D = sqrt(G o G^T), its eigenpairs, and the mask of modes with |lambda| = 1.
+def _discriminant_modes(op: WalkOperator):
+    """The eigenpairs of D and the mask of modes with |lambda| = 1.
 
     Both backends factor D here, once per call.
     """
-    d = op.amps * op.amps.T
-    lam, vecs = scipy.linalg.eigh(d)
-    return d, lam, vecs, np.abs(np.abs(lam) - 1.0) <= UNIT_EIGEN_TOL
+    lam, vecs = scipy.linalg.eigh(op.discriminant)
+    return lam, vecs, np.abs(np.abs(lam) - 1.0) <= UNIT_EIGEN_TOL
 
 
-def _deflated(op: SzegedyOperator):
+def _deflated(op: WalkOperator):
     """2D with the +-1 eigenspace of D removed, the initial alpha, and that
     eigenspace's share of the initial a with its image under 2D (both None
     when D has no unit modes)."""
-    n = op.dim
-    d, lam, vecs, unit = _discriminant_modes(op)
-    alpha = np.full(n, 1.0 / np.sqrt(n))
+    d = op.discriminant
+    lam, vecs, unit = _discriminant_modes(op)
+    alpha = initial_state(op)
     if not unit.any():
         return 2.0 * d, alpha, None, None
     v1, lam1 = vecs[:, unit], lam[unit]
@@ -197,7 +157,7 @@ def _stack(arrays):
     return stack[:, :, None] if stack.ndim == 2 else stack
 
 
-def _register_walk(ops: Sequence[SzegedyOperator], steps: int, offset: int):
+def _register_walk(ops: Sequence[WalkOperator], steps: int, offset: int):
     """Yield ``(x, q)`` for two-steps m = offset .. offset+steps-1.
 
     The distribution after m two-steps is P_m = G(x*x) + q. The registers
@@ -231,7 +191,7 @@ def _register_walk(ops: Sequence[SzegedyOperator], steps: int, offset: int):
             yield alpha + sign * fixed, beta * (prev + sign * d_fixed)
 
 
-def evolve(op: SzegedyOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> QuantumRankSeries:
+def evolve(op: WalkOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> QuantumRankSeries:
     """Direct backend: record the distribution at each two-step.
 
     ``offset`` discards that many leading two-steps before recording, for
@@ -248,7 +208,7 @@ def evolve(op: SzegedyOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> 
     return QuantumRankSeries(inst, inst.mean(axis=0))
 
 
-def _stack_average(ops: Sequence[SzegedyOperator], steps: int) -> np.ndarray:
+def _stack_average(ops: Sequence[WalkOperator], steps: int) -> np.ndarray:
     """Mean distribution over m = 0..steps-1 of each walk in one stack,
     streamed without a history; one row per walk."""
     sx = _stack([np.zeros(op.dim) for op in ops])
@@ -271,7 +231,7 @@ class DynamicalSubspace:
     one for each ``unit`` mode (|lam| = 1).
     """
 
-    op: SzegedyOperator
+    op: WalkOperator
     lam: np.ndarray
     vecs: np.ndarray
     unit: np.ndarray
@@ -281,9 +241,9 @@ class DynamicalSubspace:
         return 2 * self.op.dim - int(self.unit.sum())
 
 
-def build_dynamical_subspace(op: SzegedyOperator) -> DynamicalSubspace:
+def build_dynamical_subspace(op: WalkOperator) -> DynamicalSubspace:
     """Factor the discriminant of ``op`` for the spectral backend."""
-    _, lam, vecs, unit = _discriminant_modes(op)
+    lam, vecs, unit = _discriminant_modes(op)
     return DynamicalSubspace(op, lam, vecs, unit)
 
 
@@ -296,7 +256,7 @@ def evolve_spectral(sub: DynamicalSubspace, steps: int = DEFAULT_STEPS,
     """
     _check_horizon(steps, offset)
     op = sub.op
-    a0 = sub.vecs.T @ np.full(op.dim, 1.0 / np.sqrt(op.dim))
+    a0 = sub.vecs.T @ initial_state(op)
     theta = np.arccos(np.clip(sub.lam, -1.0, 1.0))
     scale = np.divide(a0, np.sin(theta), out=np.zeros_like(a0), where=~sub.unit)
     m = np.arange(offset, offset + steps)[:, None]
@@ -309,11 +269,6 @@ def evolve_spectral(sub: DynamicalSubspace, steps: int = DEFAULT_STEPS,
 
 # ---------------------------------------------------------------------------
 # convenience pipeline
-
-def walk_operator(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> SzegedyOperator:
-    """Google matrix at damping ``alpha``, quantized."""
-    return build_operator(google_matrix(patch_dangling(hyperlink_matrix(g)), alpha))
-
 
 def resolve_backend(backend: str) -> str:
     """The backend that runs: ``auto`` is the direct kernel, which streams

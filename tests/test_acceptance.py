@@ -18,8 +18,8 @@ from qprank.graph import (DirectedGraph, benchmark_graph, generate_binary_tree,
 from qprank.pagerank import (classical_pagerank, google_matrix, hyperlink_matrix,
                              patch_dangling, power_method, second_eigenvalue_modulus)
 from qprank.szegedy import (build_dynamical_subspace, evolve, evolve_spectral,
-                            initial_state, instantaneous_qpr, quantum_pagerank,
-                            quantum_rank_series, two_step, walk_operator)
+                            quantum_pagerank, quantum_rank_series)
+from szegedy_oracles import initial_state, instantaneous_qpr, two_step, walk_operator
 
 MASTER_SEED = 12345
 ALPHA = 0.85

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+import qprank
+from qprank import szegedy
 from qprank.graph import (DirectedGraph, benchmark_graph, generate_binary_tree,
                           generate_scale_free)
 from qprank.pagerank import (classical_pagerank, google_matrix,
                              hyperlink_matrix, patch_dangling)
-from qprank.szegedy import (apply_reflection, apply_swap, average_drift,
-                            build_dynamical_subspace, build_operator, evolve,
-                            evolve_spectral, initial_state, instantaneous_qpr,
-                            quantum_pagerank, quantum_pageranks,
-                            quantum_rank_series, two_step, walk_operator)
+from qprank.szegedy import (average_drift, build_dynamical_subspace, evolve,
+                            evolve_spectral, quantum_pagerank, quantum_pageranks,
+                            quantum_rank_series, walk_operator)
+from szegedy_oracles import (amps, apply_reflection, apply_swap, initial_state,
+                             instantaneous_qpr, two_step)
 
 BENCHMARKS = ("fig1a", "fig1c", "fig1d", "fig2b")
 BACKENDS = ("direct", "spectral")
@@ -27,26 +29,26 @@ def dense_projector(op):
     n = op.dim
     cols = np.zeros((n * n, n))
     for j in range(n):
-        cols[j * n:(j + 1) * n, j] = op.amps[j]
+        cols[j * n:(j + 1) * n, j] = amps(op)[j]
     return cols @ cols.T
 
 
 def psi_vector(op, j):
     n = op.dim
     vec = np.zeros(n * n, dtype=complex)
-    vec[j * n:(j + 1) * n] = op.amps[j]
+    vec[j * n:(j + 1) * n] = amps(op)[j]
     return vec
 
 
 class TestOperator:
     def test_fig1a_psi_amplitudes(self):
         op = walk_operator(benchmark_graph("fig1a"), 0.85)
-        assert np.allclose(op.amps[0], [np.sqrt(0.075), np.sqrt(0.925)], atol=1e-15)
-        assert np.allclose(op.amps[1], [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
+        assert np.allclose(amps(op)[0], [np.sqrt(0.075), np.sqrt(0.925)], atol=1e-15)
+        assert np.allclose(amps(op)[1], [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-15)
 
     def test_uniform_columns_at_alpha_zero(self):
         op = walk_operator(benchmark_graph("fig2b"), 0.0)
-        assert np.allclose(op.amps, 1 / np.sqrt(7), atol=1e-15)
+        assert np.allclose(amps(op), 1 / np.sqrt(7), atol=1e-15)
 
     def test_psi_vectors_orthonormal(self):
         for name in BENCHMARKS:
@@ -56,9 +58,23 @@ class TestOperator:
             gram = cols.conj().T @ cols
             assert np.abs(gram - np.eye(n)).max() < 1e-10
 
-    def test_rejects_non_stochastic(self):
-        with pytest.raises(ValueError, match="stochastic"):
-            build_operator(np.array([[0.5, 0.2], [0.2, 0.5]]))
+    def test_edge_space_left_the_package(self):
+        for name in ("SzegedyOperator", "build_operator", "initial_state", "apply_reflection",
+                     "apply_swap", "two_step", "instantaneous_qpr"):
+            assert not hasattr(qprank, name), name
+            assert name == "initial_state" or not hasattr(szegedy, name), name
+
+    def test_initial_state_is_the_register_start(self, monkeypatch):
+        op = walk_operator(benchmark_graph("fig2b"), 0.85)
+        a = szegedy.initial_state(op)
+        assert np.array_equal(a, np.full(op.dim, 1 / np.sqrt(op.dim)))
+        assert abs(np.linalg.norm(a) - 1.0) < 1e-15
+        # both kernels start from it: the walk from node 0 alone first reads out G e_0
+        start = np.eye(op.dim)[0]
+        monkeypatch.setattr(szegedy, "initial_state", lambda op: start)
+        for backend in BACKENDS:
+            first = series(op, 1, backend).instantaneous[0]
+            assert np.abs(first - op.google[:, 0]).max() < 1e-12, backend
 
 
 class TestInitialState:
@@ -91,7 +107,7 @@ class TestReflection:
         op = walk_operator(benchmark_graph("fig1a"), 0.85)
         # orthogonal to both psi blocks: within block 0, perpendicular to amps[0]
         vec = np.zeros(4, dtype=complex)
-        vec[0], vec[1] = op.amps[0][1], -op.amps[0][0]
+        vec[0], vec[1] = amps(op)[0][1], -amps(op)[0][0]
         out = apply_reflection(vec, op)
         assert np.abs(out + vec).max() < 1e-12
 
@@ -266,7 +282,7 @@ class TestTwoRegisterKernel:
     def test_unit_eigenvalues_present_where_deflation_matters(self):
         for name, make, alpha in ORACLE_CASES[:4]:
             op = walk_operator(make(), alpha)
-            lam = np.linalg.eigvalsh(op.amps * op.amps.T)
+            lam = np.linalg.eigvalsh(amps(op) * amps(op).T)
             assert np.abs(np.abs(lam) - 1.0).min() < 1e-9, name
 
     def test_offset_matches_edge_space_oracle(self):
@@ -284,6 +300,14 @@ class TestTwoRegisterKernel:
             for backend in BACKENDS:
                 streamed = quantum_pagerank(g, alpha, 512, backend=backend)
                 assert np.abs(streamed - average).max() < 1e-12, backend
+
+    @pytest.mark.parametrize("make,alpha", [c[1:] for c in ORACLE_CASES],
+                             ids=[c[0] for c in ORACLE_CASES])
+    def test_discriminant_is_the_oracle_product(self, make, alpha):
+        op = walk_operator(make(), alpha)
+        a = amps(op)
+        assert np.array_equal(op.discriminant, a * a.T)
+        assert np.array_equal(op.discriminant, op.discriminant.T)
 
     def test_rejects_bad_horizon(self):
         g = benchmark_graph("fig1a")
@@ -365,7 +389,7 @@ def bidirected_ring(n):
 
 def unit_modes(g, alpha):
     op = walk_operator(g, alpha)
-    return int((np.abs(np.abs(np.linalg.eigvalsh(op.amps * op.amps.T)) - 1.0) < 1e-9).sum())
+    return int((np.abs(np.abs(np.linalg.eigvalsh(amps(op) * amps(op).T)) - 1.0) < 1e-9).sum())
 
 
 class TestStackedWalks:
