@@ -15,7 +15,12 @@ table on ``scalefree:128`` were captured from the implementation whose walk
 operator still carried the N^2-entry edge-space amplitudes. The ``compare``
 pin lists nodes in rank order, and nodes whose quantum values tie in exact
 arithmetic are ordered there by rounding, so a kernel change that moves last
-digits may move that pin without a wrong rank.
+digits may move that pin without a wrong rank. The quantum ``analyze`` and
+``attack`` outputs on ``scalefree:128`` were captured from the implementation
+that accepted an ``auto`` backend and dispatched each ranker in two places.
+The ``attack`` pin picks the removed hubs and lists survivors by their
+quantum values, and nodes whose values tie in exact arithmetic are ordered
+there by rounding, as in the ``compare`` pin.
 Any change to the graph model, the parsers, the link matrix, the walk kernel
 or the writers that moves a byte fails here.
 """
@@ -50,12 +55,19 @@ GOLDEN.update({
 GOLDEN["sweep_quantum.json"] = [*GOLDEN["sweep_quantum.csv"], "--format", "json"]
 QRANK = ["qrank", "--gen", "scalefree:64", "--seed", "2", "--steps", "256"]
 COMPARE = ["compare", "--gen", "scalefree:128", "--seed", "7"]
+ANALYZE = ["analyze", "--gen", "scalefree:128", "--seed", "7"]
+ATTACK = ["attack", "--gen", "scalefree:128", "--seed", "7", "--ranker", "quantum",
+          "--remove", "3"]
 GOLDEN.update({
     "qrank.csv": QRANK,
     "qrank.json": [*QRANK, "--format", "json"],
     "qrank_spectral.csv": [*QRANK, "--backend", "spectral"],
     "compare.csv": COMPARE,
     "compare.json": [*COMPARE, "--format", "json"],
+    "analyze_quantum.csv": ANALYZE,
+    "analyze_quantum.json": [*ANALYZE, "--format", "json"],
+    "attack_quantum.csv": ATTACK,
+    "attack_quantum.json": [*ATTACK, "--format", "json"],
 })
 
 SHA256 = {
@@ -81,6 +93,10 @@ SHA256 = {
     "qrank_spectral.csv": "c2e7c3a5abffc5f5cf286fc53086cdcf0c4167f440912690c58f43b340de2aa1",
     "compare.csv": "5446cd4242d9ba4613f95e2b3f6bb94f2b5121252b32beae4917989ba73b890e",
     "compare.json": "57c9cc7ad0f65b096b639a206c983da444fcce352750c20301b4ee23597fb992",
+    "analyze_quantum.csv": "fd237cb81741daca0aa56c0e3f0903e6aea56b1f0afaeb2f08e83d3f158d6895",
+    "analyze_quantum.json": "34deecaa310a4e39dea6f7404c233c77a5f978d61c7a079e6b7a5265675926de",
+    "attack_quantum.csv": "4e56af18cef7450b5f36ceb24282bb46af51dc6dbc17e9a2f3ef73f8c9e3ec68",
+    "attack_quantum.json": "ce7bdc278c3babd165317c2cf61f97c0802e3d3edb1c2ba61361b64c50ec2d71",
 }
 DIGEST = "ef6e21feb915efba"
 
