@@ -14,6 +14,6 @@ from .pagerank import (GoogleMatrix, HyperlinkMatrix, PowerResult,
                        patch_dangling, power_method, second_eigenvalue_modulus)
 from .szegedy import (DynamicalSubspace, QuantumRankSeries, WalkOperator, average_drift,
                       build_dynamical_subspace, evolve, evolve_spectral, quantum_pagerank,
-                      quantum_pageranks, quantum_rank_series, resolve_backend, walk_operator)
+                      quantum_pageranks, quantum_rank_series, walk_operator)
 
 __version__ = "0.1.0"

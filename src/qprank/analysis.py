@@ -22,7 +22,7 @@ import numpy as np
 
 from .graph import DirectedGraph, generate_scale_free, remove_nodes
 from .pagerank import DEFAULT_ALPHA, classical_pagerank
-from .szegedy import DEFAULT_STEPS, quantum_pagerank, quantum_pageranks
+from .szegedy import DEFAULT_STEPS, quantum_pageranks
 
 NORMALIZATION_TOL = 1e-8
 
@@ -38,25 +38,24 @@ def _checked(p: np.ndarray, name: str = "distribution") -> np.ndarray:
     return p
 
 
-def rank_vector(g: DirectedGraph, ranker: str, alpha: float = DEFAULT_ALPHA,
-                steps: int = DEFAULT_STEPS, backend: str = "auto") -> np.ndarray:
-    """Dispatch to the named ranker: classical, quantum, or uniform (control)."""
+def _rank_vectors(walks: Sequence[tuple[DirectedGraph, float]], ranker: str,
+                  steps: int, backend: str) -> np.ndarray:
+    """The named ranker's vector of each ``(graph, alpha)`` pair of one node
+    count, one row each: classical, quantum (the walks run as stacks), or
+    uniform (control)."""
     if ranker == "classical":
-        return classical_pagerank(g, alpha)
+        return np.array([classical_pagerank(g, a) for g, a in walks])
     if ranker == "quantum":
-        return quantum_pagerank(g, alpha, steps, backend)
+        return quantum_pageranks(walks, steps, backend)
     if ranker == "uniform":
-        return np.full(g.node_count, 1.0 / g.node_count)
+        return np.array([np.full(g.node_count, 1.0 / g.node_count) for g, _ in walks])
     raise ValueError(f"unknown ranker {ranker!r}")
 
 
-def _rank_vectors(walks: Sequence[tuple[DirectedGraph, float]], ranker: str,
-                  steps: int, backend: str) -> np.ndarray:
-    """:func:`rank_vector` of each ``(graph, alpha)`` pair of one node count,
-    one row each; quantum walks run as stacks."""
-    if ranker == "quantum":
-        return quantum_pageranks(walks, steps, backend)
-    return np.array([rank_vector(g, ranker, a, steps, backend) for g, a in walks])
+def rank_vector(g: DirectedGraph, ranker: str, alpha: float = DEFAULT_ALPHA,
+                steps: int = DEFAULT_STEPS, backend: str = "direct") -> np.ndarray:
+    """The named ranker's vector of one graph at damping ``alpha``."""
+    return _rank_vectors([(g, alpha)], ranker, steps, backend)[0]
 
 
 def ipr(p: np.ndarray) -> float:
@@ -89,7 +88,7 @@ class FidelitySweep:
 
 
 def damping_sweep(g: DirectedGraph, alpha_grid: Sequence[float], ranker: str = "classical",
-                  steps: int = DEFAULT_STEPS, backend: str = "auto") -> FidelitySweep:
+                  steps: int = DEFAULT_STEPS, backend: str = "direct") -> FidelitySweep:
     """Rank at every damping value and compare all pairs of rankings.
 
     The quantum walks of the grid run as stacks (``quantum_pageranks``).
@@ -118,19 +117,18 @@ class PowerLawFit:
     fitted_range: tuple[int, int]
 
 
-def power_law_fit(p: np.ndarray, fit_range: Optional[tuple[int, int]] = None,
-                  tail_cut: float = 0.05) -> PowerLawFit:
+def power_law_fit(p: np.ndarray, fit_range: Optional[tuple[int, int]] = None) -> PowerLawFit:
     """Fit value ~ rank^(-beta) to the descending-sorted entries of ``p``.
 
     Without an explicit ``fit_range`` the fit uses the strictly positive
-    values minus the final ``tail_cut`` fraction, where discreteness bends
-    the curve. ``fit_range`` is a half-open index interval into the sorted
-    list; zeros inside it are an error since their log is undefined.
+    values minus the final 5%, where discreteness bends the curve.
+    ``fit_range`` is a half-open index interval into the sorted list; zeros
+    inside it are an error since their log is undefined.
     """
     values = np.sort(np.asarray(p, dtype=np.float64))[::-1]
     if fit_range is None:
         positive = int((values > 0).sum())
-        end = max(5, int(np.floor(positive * (1.0 - tail_cut))))
+        end = max(5, int(np.floor(positive * 0.95)))
         fit_range = (0, min(end, positive))
     start, end = fit_range
     if not 0 <= start < end <= len(values):
@@ -156,10 +154,6 @@ class DegeneracyProfile:
 
     class_count: int
     class_sizes: tuple[int, ...]
-
-    @property
-    def largest_class(self) -> int:
-        return max(self.class_sizes)
 
 
 def degeneracy_profile(p: np.ndarray, delta: float) -> DegeneracyProfile:
@@ -222,13 +216,10 @@ def _tied_pairs(counts: np.ndarray) -> int:
     return int((counts * (counts - 1) // 2).sum())
 
 
-def _kendall_tau_b(a: np.ndarray, b: np.ndarray) -> float:
-    """Kendall tau-b of two non-constant vectors without NaN.
-
-    Ties and discordant pairs are exact integer counts, and tau-b is the
-    float expression ``scipy.stats.kendalltau`` evaluates, so the result
-    matches it bit for bit.
-    """
+def _tau_b_counts(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
+    """Kendall tau-b of two non-constant vectors without NaN as exact integer
+    counts: concordant less discordant pairs, over the geometric mean of the
+    pairs untied in ``a`` and the pairs untied in ``b``."""
     x, y = _dense_ranks(a), _dense_ranks(b)
     y_levels = int(y.max()) + 1
     pairs = np.sort(x * y_levels + y)  # (x, y) order; below n * n
@@ -236,8 +227,15 @@ def _kendall_tau_b(a: np.ndarray, b: np.ndarray) -> float:
     total = len(x) * (len(x) - 1) // 2
     x_ties, y_ties = _tied_pairs(np.bincount(x)), _tied_pairs(np.bincount(y))
     joint_ties = _tied_pairs(np.unique(pairs, return_counts=True)[1])
-    return float((total - x_ties - y_ties + joint_ties - 2 * discordant)
-                 / np.sqrt(total - x_ties) / np.sqrt(total - y_ties))
+    return total - x_ties - y_ties + joint_ties - 2 * discordant, total - x_ties, total - y_ties
+
+
+def _kendall_tau_b(a: np.ndarray, b: np.ndarray) -> float:
+    """Kendall tau-b of two non-constant vectors without NaN, unclipped, in
+    the float expression ``scipy.stats.kendalltau`` evaluates on the exact
+    counts, so the result matches it bit for bit."""
+    concordance, untied_a, untied_b = _tau_b_counts(a, b)
+    return float(concordance / np.sqrt(untied_a) / np.sqrt(untied_b))
 
 
 def rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
@@ -256,16 +254,14 @@ def rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
     b_const = bool(np.all(b == b[0]))
     if a_const or b_const:
         return 1.0 if a_const and b_const else 0.0
-    if np.array_equal(a, b):
-        return 1.0
     if np.isnan(a).any() or np.isnan(b).any():
         return 0.0
-    tau = _kendall_tau_b(a, b)
-    # attainable tau values near +-1 are at least 4/(n(n-1)) apart, so values
-    # this close can only be rounding error on an exact +-1
-    if abs(abs(tau) - 1.0) < 1e-9:
-        return float(np.sign(tau))
-    return float(np.clip(tau, -1.0, 1.0))
+    concordance, untied_a, untied_b = _tau_b_counts(a, b)
+    # every untied pair concordant, or every one discordant (equal or reversed
+    # dense ranks): tau-b is exactly +-1, which the float expression can miss
+    if abs(concordance) == untied_a == untied_b:
+        return float(np.sign(concordance))
+    return float(np.clip(concordance / np.sqrt(untied_a) / np.sqrt(untied_b), -1.0, 1.0))
 
 
 def ranking_order(values: np.ndarray) -> np.ndarray:
@@ -300,7 +296,7 @@ class AttackReport:
 
 def attack_sensitivity(g: DirectedGraph, k: int, ranker: str = "classical",
                        alpha: float = DEFAULT_ALPHA, steps: int = DEFAULT_STEPS,
-                       backend: str = "auto") -> AttackReport:
+                       backend: str = "direct") -> AttackReport:
     """Remove the k top-ranked nodes and compare survivor orderings.
 
     Ranks the full graph, deletes the k most important nodes, re-ranks the
@@ -345,14 +341,13 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def ipr_scaling(sizes: Sequence[int], instances: int, ranker: str,
                 alpha: float = DEFAULT_ALPHA, seed: int = 0,
-                steps: int = DEFAULT_STEPS, backend: str = "auto",
-                sublinear_threshold: float = 0.9) -> IprScaling:
+                steps: int = DEFAULT_STEPS, backend: str = "direct") -> IprScaling:
     """Mean IPR per network size, with a sublinear-growth diagnosis.
 
     Generates ``instances`` scale-free graphs per size from a single seed,
     ranks each (the quantum walks of one size as stacks), and fits the
-    log-log slope of mean IPR against size. A slope below
-    ``sublinear_threshold`` is read as a localized walker.
+    log-log slope of mean IPR against size. A slope below 0.9 is read as a
+    localized walker.
     """
     sizes = [int(n) for n in sizes]
     if len(sizes) < 3:
@@ -368,4 +363,4 @@ def ipr_scaling(sizes: Sequence[int], instances: int, ranker: str,
         values = [ipr(v) for v in _rank_vectors(walks, ranker, steps, backend)]
         points.append(IprScalingPoint(n, float(np.mean(values)), float(np.std(values))))
     slope = loglog_slope([pt.size for pt in points], [pt.mean_ipr for pt in points])
-    return IprScaling(tuple(points), slope, slope < sublinear_threshold)
+    return IprScaling(tuple(points), slope, slope < 0.9)

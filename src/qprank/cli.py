@@ -23,8 +23,7 @@ from .graph import (DirectedGraph, GraphFormatError, benchmark_graph, generate,
                     graph_digest, parse_graph, to_edge_list)
 from .pagerank import (DEFAULT_ALPHA, DEFAULT_TOL, classical_pagerank,
                        hyperlink_matrix, patch_dangling, power_method)
-from .szegedy import (DEFAULT_STEPS, quantum_pagerank, quantum_rank_series,
-                      resolve_backend)
+from .szegedy import DEFAULT_STEPS, quantum_pagerank, quantum_rank_series
 
 
 class UsageError(ValueError):
@@ -52,8 +51,8 @@ _FLAGS = {
     "alpha": dict(type=float, default=DEFAULT_ALPHA, help="damping parameter"),
     "steps": dict(type=int, default=DEFAULT_STEPS, help="quantum walk two-steps"),
     "tol": dict(type=float, default=DEFAULT_TOL, help="power-method tolerance"),
-    "backend": dict(choices=("auto", "direct", "spectral"),
-                    help="quantum evolution backend (default: auto)"),
+    "backend": dict(choices=("direct", "spectral"),
+                    help="quantum evolution backend (default: direct)"),
     "format": dict(choices=("csv", "json"), default="csv", help="output format"),
     "output": dict(help="output path (default: stdout)"),
     "bare": dict(nargs="?", const="e", choices=("e", "h"),
@@ -113,12 +112,12 @@ def parse_grid(spec: str) -> list[float]:
 
 
 def _walk(args, *rankers: str) -> tuple[str, dict]:
-    """The backend to pass on, and the one it resolves to as metadata when
-    one of ``rankers`` runs the quantum walk. A --backend given for
-    classical rankers alone is refused rather than ignored."""
-    backend = args.backend or "auto"
+    """The backend to pass on, and the same name as metadata when one of
+    ``rankers`` runs the quantum walk. A --backend given for classical
+    rankers alone is refused rather than ignored."""
+    backend = args.backend or "direct"
     if "quantum" in rankers:
-        return backend, {"backend": resolve_backend(backend)}
+        return backend, {"backend": backend}
     if args.backend is not None:
         raise UsageError(f"--backend needs a quantum walk, and --ranker {args.ranker} runs none")
     return backend, {}

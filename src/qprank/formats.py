@@ -185,10 +185,6 @@ def attack_table(report: AttackReport, meta: Optional[dict] = None) -> Table:
     return Table(meta, _ATTACK_HEADER, rows, quoted=False)
 
 
-def write_attack_csv(report: AttackReport, meta: Optional[dict] = None) -> str:
-    return write_csv(attack_table(report, meta))
-
-
 def read_attack_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:
     meta, _, rows = _read(text, _ATTACK_HEADER, "attack")
     pre = np.array([float(row[2]) for row in rows])
@@ -213,11 +209,6 @@ def compare_table(labels: Optional[Sequence[str]], classical: np.ndarray,
                           _floats(np.asarray(quantum)[order]),
                           (rank_positions(classical)[order] + 1).tolist(),
                           (rank_positions(quantum)[order] + 1).tolist())))
-
-
-def write_compare_csv(labels: Optional[Sequence[str]], classical: np.ndarray,
-                      quantum: np.ndarray, meta: Optional[dict] = None) -> str:
-    return write_csv(compare_table(labels, classical, quantum, meta))
 
 
 def read_compare_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:

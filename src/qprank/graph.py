@@ -598,13 +598,12 @@ def _bottom_layer(generation: int) -> list[int]:
     return [size + b for b in inner] + [2 * size + b for b in inner]
 
 
-def generate_hierarchical(generation: int, toward_root: bool = True) -> DirectedGraph:
+def generate_hierarchical(generation: int) -> DirectedGraph:
     """Recursive modular digraph with 3**generation nodes.
 
     Generation 1 is the directed 3-cycle 0->1->2->0. Each later generation
-    takes three copies of the previous one and wires the deepest-layer
-    nodes of the two new copies to the global root (node 0), toward the
-    root by default; ``toward_root=False`` reverses those connecting arcs.
+    takes three copies of the previous one and links the deepest-layer
+    nodes of the two new copies to the global root (node 0).
     """
     if not 1 <= generation <= 6:
         raise ValueError("generation must be between 1 and 6")
@@ -613,10 +612,8 @@ def generate_hierarchical(generation: int, toward_root: bool = True) -> Directed
         size = 3 ** level
         bottom = np.array(_bottom_layer(level))
         hubs = np.concatenate([bottom + size, bottom + 2 * size])
-        root = np.zeros_like(hubs)
-        links = (hubs, root) if toward_root else (root, hubs)
-        src = np.concatenate([src, src + size, src + 2 * size, links[0]])
-        dst = np.concatenate([dst, dst + size, dst + 2 * size, links[1]])
+        src = np.concatenate([src, src + size, src + 2 * size, hubs])
+        dst = np.concatenate([dst, dst + size, dst + 2 * size, np.zeros_like(hubs)])
     return DirectedGraph(3 ** generation, src, dst)
 
 

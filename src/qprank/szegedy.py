@@ -270,26 +270,24 @@ def evolve_spectral(sub: DynamicalSubspace, steps: int = DEFAULT_STEPS,
 # ---------------------------------------------------------------------------
 # convenience pipeline
 
-def resolve_backend(backend: str) -> str:
-    """The backend that runs: ``auto`` is the direct kernel, which streams
-    the average with no history."""
-    if backend not in ("auto", "direct", "spectral"):
+def _spectral(backend: str) -> bool:
+    """Whether ``backend`` names the spectral kernel rather than the direct one."""
+    if backend not in ("direct", "spectral"):
         raise ValueError(f"unknown backend {backend!r}")
-    return "direct" if backend == "auto" else backend
+    return backend == "spectral"
 
 
 def quantum_rank_series(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
-                        steps: int = DEFAULT_STEPS, backend: str = "auto",
-                        offset: int = 0) -> QuantumRankSeries:
-    """Full rank series for a graph; backend is auto, direct, or spectral."""
+                        steps: int = DEFAULT_STEPS, backend: str = "direct") -> QuantumRankSeries:
+    """Full rank series for a graph; backend is direct or spectral."""
     op = walk_operator(g, alpha)
-    if resolve_backend(backend) == "spectral":
-        return evolve_spectral(build_dynamical_subspace(op), steps, offset=offset)
-    return evolve(op, steps, offset=offset)
+    if _spectral(backend):
+        return evolve_spectral(build_dynamical_subspace(op), steps)
+    return evolve(op, steps)
 
 
 def quantum_pageranks(walks: Sequence[tuple[DirectedGraph, float]],
-                      steps: int = DEFAULT_STEPS, backend: str = "auto") -> np.ndarray:
+                      steps: int = DEFAULT_STEPS, backend: str = "direct") -> np.ndarray:
     """Time-averaged quantum rank vectors of ``(graph, alpha)`` pairs, one row each.
 
     Every graph must have the same node count N. The direct backend steps
@@ -304,7 +302,7 @@ def quantum_pageranks(walks: Sequence[tuple[DirectedGraph, float]],
         raise ValueError("walks must be non-empty and share one node count, "
                          f"got {sorted(sizes)}")
     _check_horizon(steps, 0)
-    if resolve_backend(backend) == "spectral":
+    if _spectral(backend):
         return np.array([evolve_spectral(build_dynamical_subspace(walk_operator(g, a)),
                                          steps).average for g, a in walks])
     n = sizes.pop()
@@ -315,7 +313,7 @@ def quantum_pageranks(walks: Sequence[tuple[DirectedGraph, float]],
 
 
 def quantum_pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
-                     steps: int = DEFAULT_STEPS, backend: str = "auto") -> np.ndarray:
+                     steps: int = DEFAULT_STEPS, backend: str = "direct") -> np.ndarray:
     """Time-averaged quantum rank vector (the quantum ranking object)."""
     return quantum_pageranks([(g, alpha)], steps, backend)[0]
 

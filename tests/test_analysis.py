@@ -184,7 +184,6 @@ class TestDegeneracyProfile:
         profile = degeneracy_profile(np.full(10, 0.1), 1e-4)
         assert profile.class_count == 1
         assert profile.class_sizes == (10,)
-        assert profile.largest_class == 10
 
     def test_distinct_values_all_separate(self):
         p = np.array([0.4, 0.3, 0.2, 0.1])

@@ -118,7 +118,8 @@ class TestExitCodes:
                 (["rank", "--benchmark", "fig1a", "--bare", "h", "--alpha", "0.85"], "--bare"),
                 (["sweep", *graph, "--grid", "0.5:0.8:2", "--backend", "direct"], "--backend"),
                 (["attack", *graph, "--remove", "1", "--ranker", "classical",
-                  "--backend", "auto"], "--backend"),
+                  "--backend", "direct"], "--backend"),
+                (["qrank", *graph, "--backend", "auto"], "--backend"),
                 (["analyze", *graph, "--ranker", "classical", "--backend", "spectral"],
                  "--backend")):
             assert main(argv) == 4, argv
@@ -385,7 +386,7 @@ class TestRecordTables:
 
 
 class TestBackendMetadata:
-    """Outputs that ran the quantum walk name the backend ``auto`` resolved to."""
+    """Outputs that ran the quantum walk name its backend, ``direct`` by default."""
 
     GRAPH = ["--gen", "scalefree:16", "--seed", "3", "--steps", "32"]
 
@@ -394,11 +395,10 @@ class TestBackendMetadata:
         ["attack", "--remove", "1", "--ranker", "quantum"], ["analyze"],
         ["analyze", "--ranker", "quantum"]], ids=lambda a: "-".join(a[::2]))
     def test_quantum_outputs_record_backend(self, argv, tmp_path):
-        for backend, resolved in (("auto", "direct"), ("direct", "direct"),
-                                  ("spectral", "spectral")):
+        for backend in ("direct", "spectral"):
             code, data = run_cli([*argv, *self.GRAPH, "--backend", backend], tmp_path)
             assert code == 0
-            assert f"# backend={resolved}\n" in data.decode()
+            assert f"# backend={backend}\n" in data.decode()
         code, data = run_cli([*argv, *self.GRAPH, "--format", "json"], tmp_path)
         assert json.loads(data)["provenance"]["backend"] == "direct"
 

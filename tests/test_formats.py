@@ -81,7 +81,7 @@ class TestAttackCsv:
     def test_round_trip(self):
         g = generate_scale_free(12, 3)
         report = attack_sensitivity(g, 2, "classical")
-        text = formats.write_attack_csv(report, {"seed": 3})
+        text = formats.write_csv(formats.attack_table(report, {"seed": 3}))
         pre, post, meta = formats.read_attack_csv(text)
         assert np.array_equal(pre, report.pre_ranking)
         assert np.array_equal(post, report.post_ranking)
@@ -104,7 +104,7 @@ class TestCompareCsv:
     def test_round_trip(self):
         classical = np.array([0.5, 0.3, 0.2])
         quantum = np.array([0.4, 0.35, 0.25])
-        text = formats.write_compare_csv(["", "", ""], classical, quantum)
+        text = formats.write_csv(formats.compare_table(["", "", ""], classical, quantum))
         c, q, _ = formats.read_compare_csv(text)
         assert np.array_equal(c, classical)
         assert np.array_equal(q, quantum)
@@ -113,6 +113,7 @@ class TestCompareCsv:
         classical = np.array([0.2, 0.5, 0.3])
         quantum = np.array([0.3, 0.3, 0.4])
         rows = [line.split(",") for line in
-                formats.write_compare_csv(["x", "y", "z"], classical, quantum).splitlines()][1:]
+                formats.write_csv(formats.compare_table(["x", "y", "z"], classical,
+                                                        quantum)).splitlines()][1:]
         assert [r[0] for r in rows] == ["1", "2", "0"]
         assert [int(r[4]) for r in rows] == [1, 2, 3]

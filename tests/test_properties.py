@@ -168,7 +168,7 @@ def test_attack_csv_round_trip(case, correlation, displacement):
     removed = tuple(range(len(pre), len(pre) + 2))
     report = AttackReport(removed, tuple(range(len(pre))), pre, post, correlation, displacement)
     loaded_pre, loaded_post, meta = formats.read_attack_csv(
-        formats.write_attack_csv(report, {"seed": 3}))
+        formats.write_csv(formats.attack_table(report, {"seed": 3})))
     assert _same_bits(loaded_pre, pre) and _same_bits(loaded_post, post)
     assert meta["removed"] == ";".join(map(str, removed))
     assert _same_bits([float(meta["correlation"]), float(meta["mean_displacement"])],
@@ -180,7 +180,7 @@ def test_compare_csv_round_trip(case, data):
     _, classical, quantum = case
     labels = data.draw(st.lists(LINE_TEXT | CSV_LABELS, min_size=len(classical),
                                 max_size=len(classical)))
-    text = formats.write_compare_csv(labels, classical, quantum, {"alpha": 0.85})
+    text = formats.write_csv(formats.compare_table(labels, classical, quantum, {"alpha": 0.85}))
     loaded_classical, loaded_quantum, meta = formats.read_compare_csv(text)
     assert _same_bits(loaded_classical, classical) and _same_bits(loaded_quantum, quantum)
     assert meta == {"alpha": "0.85"}
@@ -241,7 +241,7 @@ def test_writers_match_csv_module(case):
         None, ["node_index", "label", "score"], ([i, "", fmt(values[i])] for i in order))
 
     positions = rank_positions(values) + 1, rank_positions(other) + 1
-    assert formats.write_compare_csv(labels, values, other, meta) == _csv_module(
+    assert formats.write_csv(formats.compare_table(labels, values, other, meta)) == _csv_module(
         meta, ["node", "label", "classical", "quantum_avg", "classical_rank", "quantum_rank"],
         ([i, labels[i], fmt(values[i]), fmt(other[i]), positions[0][i], positions[1][i]]
          for i in order))
@@ -260,28 +260,30 @@ def test_writers_match_csv_module(case):
 
     survivors = tuple(range(2, 2 + len(values)))
     report = AttackReport((0, 1), survivors, values, other, 0.25, 1.5)
-    assert formats.write_attack_csv(report, meta) == _csv_module(
+    assert formats.write_csv(formats.attack_table(report, meta)) == _csv_module(
         {**meta, "removed": "0;1", "correlation": "0.25", "mean_displacement": "1.5"},
         ["survivor", "original_index", "pre_value", "post_value"],
         ([new, old, fmt(values[new]), fmt(other[new])] for new, old in enumerate(survivors)))
 
 
 def _scipy_rank_correlation(a, b):
-    """rank_correlation as it was written on ``scipy.stats.kendalltau``: the
-    test-only oracle for the in-package tau-b, with the same guards."""
+    """rank_correlation on ``scipy.stats.kendalltau``: the test-only oracle
+    for the in-package tau-b, with the same guards. Tau-b is exactly +-1
+    when the dense ranks of a and b are equal or reversed."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     a_const = bool(np.all(a == a[0]))
     b_const = bool(np.all(b == b[0]))
     if a_const or b_const:
         return 1.0 if a_const and b_const else 0.0
-    if np.array_equal(a, b):
-        return 1.0
     tau = stats.kendalltau(a, b).statistic
     if not np.isfinite(tau):
         return 0.0
-    if abs(abs(tau) - 1.0) < 1e-9:
-        return float(np.sign(tau))
+    ra, rb = stats.rankdata(a, method="dense"), stats.rankdata(b, method="dense")
+    if np.array_equal(ra, rb):
+        return 1.0
+    if np.array_equal(ra, rb.max() + 1 - rb):
+        return -1.0
     return float(np.clip(tau, -1.0, 1.0))
 
 
@@ -335,6 +337,17 @@ def test_tau_b_matches_brute_force(case):
     if np.all(a == a[0]) or np.all(b == b[0]):  # tau-b is undefined
         return
     assert _kendall_tau_b(a, b) == _brute_force_tau_b(a, b)
+
+
+def test_one_swap_in_a_long_ranking_is_not_rounded_to_one():
+    # one discordant pair among n = 100 000: 1 - tau is 4e-10, which a snap
+    # to +-1 within 1e-9 of it would erase
+    a = np.arange(100_000.0)
+    b = a.copy()
+    b[:2] = b[1::-1]
+    tau = rank_correlation(a, b)
+    assert tau == _scipy_rank_correlation(a, b) == stats.kendalltau(a, b).statistic < 1.0
+    assert rank_correlation(a, a[::-1]) == -1.0
 
 
 def test_nan_input_gives_zero():

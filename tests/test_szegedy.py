@@ -373,13 +373,15 @@ class TestSpectralBackend:
 
     def test_backend_selection(self):
         g = generate_scale_free(16, 8)
-        auto = quantum_rank_series(g, 0.85, 128, backend="auto")
+        default = quantum_rank_series(g, 0.85, 128)
         direct = quantum_rank_series(g, 0.85, 128, backend="direct")
         spectral = quantum_rank_series(g, 0.85, 128, backend="spectral")
-        assert np.abs(auto.instantaneous - direct.instantaneous).max() < 1e-8
+        assert np.array_equal(default.instantaneous, direct.instantaneous)
         assert np.abs(spectral.instantaneous - direct.instantaneous).max() < 1e-8
-        with pytest.raises(ValueError):
-            quantum_rank_series(g, 0.85, 16, backend="mystery")
+        for name in ("mystery", "auto"):
+            for run in (quantum_rank_series, quantum_pagerank):
+                with pytest.raises(ValueError, match="unknown backend"):
+                    run(g, 0.85, 16, backend=name)
 
 
 def bidirected_ring(n):
@@ -402,6 +404,17 @@ class TestStackedWalks:
         assert stacked.shape == (3, 64)
         for row, (g, alpha) in zip(stacked, walks):
             assert np.abs(row - quantum_pagerank(g, alpha, 512)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n, chunks", [(181, [2]), (182, [1, 1])])
+    def test_stack_holds_two_walks_up_to_n_181(self, n, chunks, monkeypatch):
+        # max(1, STACK_BYTES // (8 N^2)) is 2 at N = 181 and 1 from N = 182
+        stacks = []
+        run = szegedy._stack_average
+        monkeypatch.setattr(szegedy, "_stack_average",
+                            lambda ops, steps: stacks.append(len(ops)) or run(ops, steps))
+        g = generate_scale_free(n, 5)
+        assert quantum_pageranks([(g, 0.85), (g, 0.5)], 2).shape == (2, n)
+        assert stacks == chunks
 
     def test_rejects_unequal_sizes_and_empty_input(self):
         walks = [(generate_scale_free(16, 1), 0.85), (generate_scale_free(17, 1), 0.85)]
