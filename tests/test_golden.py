@@ -7,7 +7,9 @@ JSON from the one that writes each JSON provenance as the CSV metadata), on
 ``gen --gen scalefree:2048 --seed 7`` and the same graph written as Pajek.
 The two bare-mode ``rank`` outputs, on the fig1d and fig1a benchmarks, were
 captured from the implementation that built rank's JSON by hand, with the
-``# orbit=`` line added since. The quantum
+``# orbit=`` line added since. The ``hierarchical:4`` and ``tree:5`` edge
+lists were captured from the implementation whose CLI accepted alias
+spellings of the generator families. The quantum
 sweep on ``scalefree:128`` pins the bytes of four direct walks at N = 128; it
 was captured from the implementation that ran them one after another.
 The ``qrank`` series on ``scalefree:64`` (both backends) and the ``compare``
@@ -49,6 +51,8 @@ GOLDEN.update({name.replace(".csv", ".json"): [*argv, "--format", "json"]
 GOLDEN.update({
     "rank_bare_e.csv": ["rank", "--benchmark", "fig1d", "--alpha", "1.0", "--bare"],
     "rank_bare_h.csv": ["rank", "--benchmark", "fig1a", "--bare", "h"],
+    "gen_hierarchical.txt": ["gen", "--gen", "hierarchical:4"],
+    "gen_tree.txt": ["gen", "--gen", "tree:5"],
     "sweep_quantum.csv": ["sweep", "--gen", "scalefree:128", "--seed", "7",
                           "--ranker", "quantum", "--grid", "0.65:0.95:4"],
 })
@@ -86,6 +90,8 @@ SHA256 = {
     "analyze.json": "8f2ddc555f38399c8b1254842c7687730db92d5871d920621d003720dec09662",
     "rank_bare_e.csv": "c4384eaf876711aeaacd6906f7742d44b77d62cb5a220b1e6560ac83be582222",
     "rank_bare_h.csv": "f66178dcb8174c67538df66e819e585616146f924c9eeb582dd87be6ca22276f",
+    "gen_hierarchical.txt": "fde85e79570bb2272241e4fb90f4180be1a296fbb835d922fba5da2d36bc83fc",
+    "gen_tree.txt": "7bf8311cc0be6d4ed3d3a6811407542fc99bcbd7ff544d25c60eff2c3842272d",
     "sweep_quantum.csv": "aaa6938c75872377d730be1962e8d5b05160f401ef6b293f804df782ea693c81",
     "sweep_quantum.json": "36075aaaf98b3febf8e1aaaacede9e6919bc303e00282212baa87060b8d940ae",
     "qrank.csv": "8f36cb381056b40964bd115b420438f77162020445209a41a735406bbe44a115",
