@@ -7,7 +7,7 @@ from .analysis import (AttackReport, DegeneracyProfile, FidelitySweep, IprScalin
                        top_nodes)
 from .graph import (DirectedGraph, GraphFormatError, benchmark_graph, generate,
                     generate_binary_tree, generate_hierarchical, generate_scale_free,
-                    graph_digest, out_degree, parse_edge_list, parse_graph, parse_pajek,
+                    graph_digest, parse_edge_list, parse_graph, parse_pajek,
                     remove_nodes, to_edge_list, to_pajek)
 from .pagerank import (GoogleMatrix, HyperlinkMatrix, PowerResult,
                        classical_pagerank, google_matrix, hyperlink_matrix,

@@ -35,19 +35,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_GEN_ALIASES = {
-    "scalefree": "scalefree", "scale-free": "scalefree", "sf": "scalefree",
-    "hierarchical": "hierarchical", "hier": "hierarchical",
-    "tree": "tree", "binarytree": "tree",
-}
-
-
 # Every flag of any subcommand; _COMMANDS names the ones each one takes.
 _FLAGS = {
     "input": dict(help="graph file (edge list or Pajek, sniffed)"),
     "gen": dict(help="generator spec family:size (scalefree, hierarchical, tree)"),
     "benchmark": dict(help="benchmark graph name (fig1a..fig1d, fig2b)"),
-    "seed": dict(type=int, default=0, help="seed for generated graphs"),
+    "seed": dict(type=int, help="seed for --gen scalefree: (default: 0)"),
     "alpha": dict(type=float, default=DEFAULT_ALPHA, help="damping parameter"),
     "steps": dict(type=int, default=DEFAULT_STEPS, help="quantum walk two-steps"),
     "tol": dict(type=float, default=DEFAULT_TOL, help="power-method tolerance"),
@@ -74,6 +67,9 @@ def load_graph(args) -> tuple[DirectedGraph, dict]:
     if len(chosen) != 1:
         raise UsageError("exactly one of --input, --gen, --benchmark is required")
     source = chosen[0]
+    model = args.gen.partition(":")[0] if source == "gen" else None
+    if args.seed is not None and model != "scalefree":
+        raise UsageError("--seed needs a random graph, and only --gen scalefree: draws one")
     if source == "input":
         with open(args.input, "r", encoding="utf-8") as fh:
             try:
@@ -85,16 +81,17 @@ def load_graph(args) -> tuple[DirectedGraph, dict]:
         meta = {"source": args.input}
     elif source == "benchmark":
         g = benchmark_graph(args.benchmark)
-        meta = {"source": f"benchmark:{args.benchmark.lower()}"}
+        meta = {"source": f"benchmark:{args.benchmark}"}
     else:
         try:
-            family, _, size_s = args.gen.partition(":")
-            model = _GEN_ALIASES[family.strip().lower()]
-            size = int(size_s)
-        except (KeyError, ValueError):
+            size = int(args.gen.partition(":")[2])
+        except ValueError:
             raise UsageError(f"bad generator spec {args.gen!r}, expected family:size") from None
-        g = generate(model, size, seed=args.seed)
-        meta = {"source": f"{model}:{size}", "seed": args.seed}
+        seed = args.seed or 0
+        g = generate(model, size, seed=seed)
+        meta = {"source": f"{model}:{size}"}
+        if model == "scalefree":
+            meta["seed"] = seed
     meta["graph"] = graph_digest(g)
     return g, meta
 

@@ -111,9 +111,16 @@ class TestExitCodes:
         assert main(["analyze", "--benchmark", "fig2b", "--delta", "nan"]) == 4
         assert main(["rank", "--benchmark", "fig1a", "--tol", "nan"]) == 4
         capsys.readouterr()
-        # a flag the other flags' values leave unread is refused, not ignored
+        # a misspelt source, or a flag the other flags' values leave unread,
+        # is refused, not ignored
         graph = ["--gen", "scalefree:16"]
         for argv, message in (
+                (["rank", "--gen", "sf:64"], "scalefree"),
+                (["rank", "--gen", "ScaleFree:64"], "scalefree"),
+                (["rank", "--benchmark", "FIG1D"], "unknown benchmark"),
+                (["rank", "--gen", "scalefree:x"], "bad generator spec"),
+                (["rank", "--benchmark", "fig1d", "--seed", "5"], "--seed"),
+                (["rank", "--gen", "tree:3", "--seed", "1"], "--seed"),
                 (["rank", "--benchmark", "fig1d", "--bare", "--alpha", "0.3"], "--bare"),
                 (["rank", "--benchmark", "fig1a", "--bare", "h", "--alpha", "0.85"], "--bare"),
                 (["sweep", *graph, "--grid", "0.5:0.8:2", "--backend", "direct"], "--backend"),

@@ -1,6 +1,4 @@
-import contextlib
 import pickle
-import signal
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ from qprank import graph
 from qprank.graph import (DirectedGraph, GraphFormatError,
                           benchmark_graph, generate, generate_binary_tree,
                           generate_hierarchical, generate_scale_free,
-                          out_degree, parse_edge_list, parse_graph, parse_pajek,
+                          parse_edge_list, parse_graph, parse_pajek,
                           remove_nodes, to_edge_list, to_pajek)
 
 
@@ -355,20 +353,6 @@ class TestBenchmarks:
             benchmark_graph("fig9z")
 
 
-class TestOutDegree:
-    def test_fig1a_values(self):
-        g = benchmark_graph("fig1a")
-        assert out_degree(g, 0) == 1
-        assert out_degree(g, 1) == 0  # dangling
-
-    def test_fig1d_hub(self):
-        assert out_degree(benchmark_graph("fig1d"), 0) == 3
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            out_degree(benchmark_graph("fig1a"), 2)
-
-
 class TestRemoveNodes:
     def test_cycle_minus_one_node(self):
         g = benchmark_graph("fig1c")
@@ -447,18 +431,6 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate_scale_free(2, 0)
 
-    def test_scale_free_bad_mix(self):
-        with pytest.raises(ValueError, match="mix"):
-            generate_scale_free(10, 0, mix=(0.5, 0.6, 0.1))
-
-    def test_mix_that_never_adds_a_node_is_rejected(self):
-        # without the guard the growth loop never ends; the alarm turns that into a failure
-        with _deadline(20):
-            for mix in ((0.0, 1.0, 0.0), (-0.0, 1.0, 0.0)):
-                with pytest.raises(ValueError, match="never adds a node"):
-                    generate_scale_free(10, 0, mix=mix)
-            assert generate_scale_free(10, 0, mix=(0.0, 0.5, 0.5)).node_count == 10
-
     def test_hierarchical_node_counts(self):
         for n in range(1, 7):
             assert generate_hierarchical(n).node_count == 3 ** n
@@ -513,27 +485,16 @@ class TestGenerators:
             generate("scalefree", 2)
 
 
-@contextlib.contextmanager
-def _deadline(seconds):
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _reference_scale_free(n, seed, mix=(0.41, 0.54, 0.05), delta_in=0.2, delta_out=0.0):
+def _reference_scale_free(n, seed):
     """The generator as one ``rng.choice`` per attachment, O(n) per event.
 
-    ``generate_scale_free`` must reproduce its arc sets exactly.
+    ``generate_scale_free`` must reproduce its arc sets exactly. The model's
+    constants are written out here rather than imported, so an edit to the
+    generator's constants fails the comparison.
     """
     rng = np.random.default_rng(seed)
-    p_new_out, p_internal, _ = mix
+    p_new_out, p_internal = 0.41, 0.54
+    delta_in, delta_out = 0.2, 0.0
 
     multi_arcs: list[tuple[int, int]] = [(0, 1), (1, 2), (2, 0)]
     in_deg = np.zeros(n, dtype=np.float64)
@@ -580,15 +541,6 @@ class TestScaleFreeMatchesReference:
             for seed in range(6):
                 assert generate_scale_free(n, seed) == _reference_scale_free(n, seed), (n, seed)
 
-    def test_non_default_mix_and_deltas(self):
-        settings = [((0.3, 0.3, 0.4), 1.0, 0.5),
-                    ((0.6, 0.2, 0.2), 0.0, 0.0),
-                    ((0.1, 0.8, 0.1), 2.5, 1e-3)]
-        for mix, delta_in, delta_out in settings:
-            for n, seed in ((10, 0), (100, 1), (500, 2)):
-                fast = generate_scale_free(n, seed, mix, delta_in, delta_out)
-                assert fast == _reference_scale_free(n, seed, mix, delta_in, delta_out)
-
     def test_acceptance_ensembles(self):
         # criterion 3, the CLI seeds, criteria 4 and 10 (master 777),
         # criteria 7 and 8 (master 12345), and criterion 9's ipr_scaling draws
@@ -626,22 +578,3 @@ class TestScaleFreeMatchesReference:
                 assert w[picked] > 0
                 assert calls == [u]
 
-
-class TestScaleFreeDeltaValidation:
-    BAD = (-3.0, -1.0, float("nan"), float("inf"))
-
-    def test_generator_rejects_bad_delta(self):
-        for name in ("delta_in", "delta_out"):
-            for value in self.BAD:
-                with pytest.raises(ValueError, match=name):
-                    generate_scale_free(50, 0, **{name: value})
-
-    def test_overflowing_weights_raise_like_reference(self):
-        with np.errstate(over="ignore"):
-            for generator in (generate_scale_free, _reference_scale_free):
-                with pytest.raises(ValueError):
-                    generator(50, 0, delta_in=1e308)
-
-    def test_zero_delta_accepted(self):
-        g = generate_scale_free(50, 0, delta_in=0.0, delta_out=0.0)
-        assert g == _reference_scale_free(50, 0, delta_in=0.0)
