@@ -39,23 +39,23 @@ def _checked(p: np.ndarray, name: str = "distribution") -> np.ndarray:
 
 
 def _rank_vectors(walks: Sequence[tuple[DirectedGraph, float]], ranker: str,
-                  steps: int, backend: str) -> np.ndarray:
+                  steps: int) -> np.ndarray:
     """The named ranker's vector of each ``(graph, alpha)`` pair of one node
     count, one row each: classical, quantum (the walks run as stacks), or
     uniform (control)."""
     if ranker == "classical":
         return np.array([classical_pagerank(g, a) for g, a in walks])
     if ranker == "quantum":
-        return quantum_pageranks(walks, steps, backend)
+        return quantum_pageranks(walks, steps)
     if ranker == "uniform":
         return np.array([np.full(g.node_count, 1.0 / g.node_count) for g, _ in walks])
     raise ValueError(f"unknown ranker {ranker!r}")
 
 
 def rank_vector(g: DirectedGraph, ranker: str, alpha: float = DEFAULT_ALPHA,
-                steps: int = DEFAULT_STEPS, backend: str = "direct") -> np.ndarray:
+                steps: int = DEFAULT_STEPS) -> np.ndarray:
     """The named ranker's vector of one graph at damping ``alpha``."""
-    return _rank_vectors([(g, alpha)], ranker, steps, backend)[0]
+    return _rank_vectors([(g, alpha)], ranker, steps)[0]
 
 
 def ipr(p: np.ndarray) -> float:
@@ -88,7 +88,7 @@ class FidelitySweep:
 
 
 def damping_sweep(g: DirectedGraph, alpha_grid: Sequence[float], ranker: str = "classical",
-                  steps: int = DEFAULT_STEPS, backend: str = "direct") -> FidelitySweep:
+                  steps: int = DEFAULT_STEPS) -> FidelitySweep:
     """Rank at every damping value and compare all pairs of rankings.
 
     The quantum walks of the grid run as stacks (``quantum_pageranks``).
@@ -98,7 +98,7 @@ def damping_sweep(g: DirectedGraph, alpha_grid: Sequence[float], ranker: str = "
         raise ValueError("alpha grid is empty")
     if any(not 0.0 < a < 1.0 for a in grid):
         raise ValueError("alpha grid values must lie in (0, 1)")
-    vectors = _rank_vectors([(g, a) for a in grid], ranker, steps, backend)
+    vectors = _rank_vectors([(g, a) for a in grid], ranker, steps)
     k = len(grid)
     pairwise = np.ones((k, k))
     for i in range(k):
@@ -295,8 +295,8 @@ class AttackReport:
 
 
 def attack_sensitivity(g: DirectedGraph, k: int, ranker: str = "classical",
-                       alpha: float = DEFAULT_ALPHA, steps: int = DEFAULT_STEPS,
-                       backend: str = "direct") -> AttackReport:
+                       alpha: float = DEFAULT_ALPHA,
+                       steps: int = DEFAULT_STEPS) -> AttackReport:
     """Remove the k top-ranked nodes and compare survivor orderings.
 
     Ranks the full graph, deletes the k most important nodes, re-ranks the
@@ -307,10 +307,10 @@ def attack_sensitivity(g: DirectedGraph, k: int, ranker: str = "classical",
         raise ValueError("attack analysis needs at least 3 nodes")
     if not 0 <= k < g.node_count:
         raise ValueError(f"k must lie in [0, {g.node_count})")
-    full = rank_vector(g, ranker, alpha, steps, backend)
+    full = rank_vector(g, ranker, alpha, steps)
     removed = top_nodes(full, k)
     reduced, survivors = remove_nodes(g, removed)
-    post = rank_vector(reduced, ranker, alpha, steps, backend)
+    post = rank_vector(reduced, ranker, alpha, steps)
     pre = full[list(survivors)]
     correlation = rank_correlation(pre, post)
     displacement = float(np.abs(rank_positions(pre) - rank_positions(post)).mean())
@@ -341,7 +341,7 @@ def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def ipr_scaling(sizes: Sequence[int], instances: int, ranker: str,
                 alpha: float = DEFAULT_ALPHA, seed: int = 0,
-                steps: int = DEFAULT_STEPS, backend: str = "direct") -> IprScaling:
+                steps: int = DEFAULT_STEPS) -> IprScaling:
     """Mean IPR per network size, with a sublinear-growth diagnosis.
 
     Generates ``instances`` scale-free graphs per size from a single seed,
@@ -360,7 +360,7 @@ def ipr_scaling(sizes: Sequence[int], instances: int, ranker: str,
     for si, n in enumerate(sizes):
         seeds = instance_seeds[si * instances:(si + 1) * instances]
         walks = [(generate_scale_free(n, int(s)), alpha) for s in seeds]
-        values = [ipr(v) for v in _rank_vectors(walks, ranker, steps, backend)]
+        values = [ipr(v) for v in _rank_vectors(walks, ranker, steps)]
         points.append(IprScalingPoint(n, float(np.mean(values)), float(np.std(values))))
     slope = loglog_slope([pt.size for pt in points], [pt.mean_ipr for pt in points])
     return IprScaling(tuple(points), slope, slope < 0.9)

@@ -13,6 +13,7 @@ too large for the available memory).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import Optional
 
@@ -21,8 +22,8 @@ import numpy as np
 from . import analysis, formats
 from .graph import (DirectedGraph, GraphFormatError, benchmark_graph, generate,
                     graph_digest, parse_graph, to_edge_list)
-from .pagerank import (DEFAULT_ALPHA, DEFAULT_TOL, classical_pagerank,
-                       hyperlink_matrix, patch_dangling, power_method)
+from .pagerank import (DEFAULT_ALPHA, classical_pagerank, hyperlink_matrix,
+                       patch_dangling, power_method)
 from .szegedy import DEFAULT_STEPS, quantum_pagerank, quantum_rank_series
 
 
@@ -43,9 +44,6 @@ _FLAGS = {
     "seed": dict(type=int, help="seed for --gen scalefree: (default: 0)"),
     "alpha": dict(type=float, default=DEFAULT_ALPHA, help="damping parameter"),
     "steps": dict(type=int, default=DEFAULT_STEPS, help="quantum walk two-steps"),
-    "tol": dict(type=float, default=DEFAULT_TOL, help="power-method tolerance"),
-    "backend": dict(choices=("direct", "spectral"),
-                    help="quantum evolution backend (default: direct)"),
     "format": dict(choices=("csv", "json"), default="csv", help="output format"),
     "output": dict(help="output path (default: stdout)"),
     "bare": dict(nargs="?", const="e", choices=("e", "h"),
@@ -83,15 +81,14 @@ def load_graph(args) -> tuple[DirectedGraph, dict]:
         g = benchmark_graph(args.benchmark)
         meta = {"source": f"benchmark:{args.benchmark}"}
     else:
-        try:
-            size = int(args.gen.partition(":")[2])
-        except ValueError:
-            raise UsageError(f"bad generator spec {args.gen!r}, expected family:size") from None
-        seed = args.seed or 0
-        g = generate(model, size, seed=seed)
+        size = args.gen.partition(":")[2]
+        # ASCII digits without a leading zero, so each source has one spelling
+        if not re.fullmatch("[1-9][0-9]*", size):
+            raise UsageError(f"bad generator spec {args.gen!r}, expected family:size")
+        g = generate(model, int(size), args.seed)
         meta = {"source": f"{model}:{size}"}
         if model == "scalefree":
-            meta["seed"] = seed
+            meta["seed"] = args.seed or 0
     meta["graph"] = graph_digest(g)
     return g, meta
 
@@ -108,16 +105,11 @@ def parse_grid(spec: str) -> list[float]:
     return [float(a) for a in np.linspace(lo, hi, count)]
 
 
-def _walk(args, *rankers: str) -> tuple[str, dict]:
-    """The backend to pass on, and the same name as metadata when one of
-    ``rankers`` runs the quantum walk. A --backend given for classical
-    rankers alone is refused rather than ignored."""
-    backend = args.backend or "direct"
-    if "quantum" in rankers:
-        return backend, {"backend": backend}
-    if args.backend is not None:
-        raise UsageError(f"--backend needs a quantum walk, and --ranker {args.ranker} runs none")
-    return backend, {}
+def _walk(*rankers: str) -> dict:
+    """Metadata naming the walk kernel when one of ``rankers`` runs the
+    quantum walk. The CLI always runs the direct kernel, the library's
+    default; the spectral kernel is the library's reference for it."""
+    return {"backend": "direct"} if "quantum" in rankers else {}
 
 
 def _render(args, table: formats.Table) -> str:
@@ -147,22 +139,21 @@ def _cmd_rank(g, meta, args) -> str:
             matrix = patch_dangling(matrix)
         i0 = np.zeros(g.node_count)
         i0[0] = 1.0
-        result = power_method(matrix, i0, tol=args.tol)
+        result = power_method(matrix, i0)
         values = result.values
         meta = dict(meta, bare=args.bare, converged=result.converged,
                     degenerate=result.degenerate, iterations=result.iterations,
                     orbit=result.orbit)
     else:
         alpha = DEFAULT_ALPHA if args.alpha is None else args.alpha
-        values = classical_pagerank(g, alpha, tol=args.tol)
+        values = classical_pagerank(g, alpha)
         meta = dict(meta, alpha=alpha)
     return _render(args, formats.rank_table(values, g.labels, meta))
 
 
 def _cmd_qrank(g, meta, args) -> str:
-    backend, walk = _walk(args, "quantum")
-    meta = dict(meta, alpha=args.alpha, steps=args.steps, **walk)
-    series = quantum_rank_series(g, args.alpha, args.steps, backend)
+    meta = dict(meta, alpha=args.alpha, steps=args.steps, **_walk("quantum"))
+    series = quantum_rank_series(g, args.alpha, args.steps)
     if args.format == "json":
         return formats.dump_json(formats.series_json(series, meta))
     return formats.write_series_csv(series, meta)
@@ -170,19 +161,17 @@ def _cmd_qrank(g, meta, args) -> str:
 
 def _cmd_sweep(g, meta, args) -> str:
     grid = parse_grid(args.grid)
-    backend, walk = _walk(args, args.ranker)
-    meta = dict(meta, ranker=args.ranker, steps=args.steps, **walk)
-    sweep = analysis.damping_sweep(g, grid, args.ranker, args.steps, backend)
+    meta = dict(meta, ranker=args.ranker, steps=args.steps, **_walk(args.ranker))
+    sweep = analysis.damping_sweep(g, grid, args.ranker, args.steps)
     if args.format == "json":
         return formats.dump_json(formats.sweep_json(sweep, meta))
     return formats.write_sweep_csv(sweep, meta)
 
 
 def _cmd_attack(g, meta, args) -> str:
-    backend, walk = _walk(args, args.ranker)
-    meta = dict(meta, ranker=args.ranker, alpha=args.alpha, steps=args.steps, **walk)
-    report = analysis.attack_sensitivity(g, args.remove, args.ranker, args.alpha,
-                                         args.steps, backend)
+    meta = dict(meta, ranker=args.ranker, alpha=args.alpha, steps=args.steps,
+                **_walk(args.ranker))
+    report = analysis.attack_sensitivity(g, args.remove, args.ranker, args.alpha, args.steps)
     return _render(args, formats.attack_table(report, meta))
 
 
@@ -192,11 +181,10 @@ _ANALYZE_HEADER = ("ranker", "ipr", "power_law_exponent", "power_law_intercept",
 
 def _cmd_analyze(g, meta, args) -> str:
     rankers = ("classical", "quantum") if args.ranker == "both" else (args.ranker,)
-    backend, walk = _walk(args, *rankers)
-    meta = dict(meta, alpha=args.alpha, steps=args.steps, delta=args.delta, **walk)
+    meta = dict(meta, alpha=args.alpha, steps=args.steps, delta=args.delta, **_walk(*rankers))
     rows = []
     for ranker in rankers:
-        values = analysis.rank_vector(g, ranker, args.alpha, args.steps, backend)
+        values = analysis.rank_vector(g, ranker, args.alpha, args.steps)
         fit = analysis.power_law_fit(values)
         rows.append((ranker, analysis.ipr(values), fit.exponent, fit.intercept, fit.r_squared,
                      analysis.degeneracy_profile(values, args.delta).class_count,
@@ -205,10 +193,9 @@ def _cmd_analyze(g, meta, args) -> str:
 
 
 def _cmd_compare(g, meta, args) -> str:
-    backend, walk = _walk(args, "quantum")
-    meta = dict(meta, alpha=args.alpha, steps=args.steps, **walk)
-    classical = classical_pagerank(g, args.alpha, tol=args.tol)
-    quantum = quantum_pagerank(g, args.alpha, args.steps, backend)
+    meta = dict(meta, alpha=args.alpha, steps=args.steps, **_walk("quantum"))
+    classical = classical_pagerank(g, args.alpha)
+    quantum = quantum_pagerank(g, args.alpha, args.steps)
     return _render(args, formats.compare_table(g.labels, classical, quantum, meta))
 
 
@@ -218,17 +205,15 @@ def _cmd_compare(g, meta, args) -> str:
 _COMMANDS = {
     "gen": (_cmd_gen, "emit a graph", ()),
     "rank": (_cmd_rank, "classical PageRank",
-             (("alpha", dict(_FLAGS["alpha"], default=None)), "tol", "bare")),
-    "qrank": (_cmd_qrank, "quantum rank series", ("alpha", "steps", "backend")),
-    "sweep": (_cmd_sweep, "damping-stability fidelity sweep",
-              ("steps", "backend", "grid", "ranker")),
+             (("alpha", dict(_FLAGS["alpha"], default=None)), "bare")),
+    "qrank": (_cmd_qrank, "quantum rank series", ("alpha", "steps")),
+    "sweep": (_cmd_sweep, "damping-stability fidelity sweep", ("steps", "grid", "ranker")),
     "attack": (_cmd_attack, "hub-removal sensitivity report",
-               ("alpha", "steps", "backend", "remove", "ranker")),
+               ("alpha", "steps", "remove", "ranker")),
     "analyze": (_cmd_analyze, "localization / scaling / degeneracy summary",
-                ("alpha", "steps", "backend", "delta",
+                ("alpha", "steps", "delta",
                  ("ranker", dict(choices=("classical", "quantum", "both"), default="both")))),
-    "compare": (_cmd_compare, "classical vs quantum side by side",
-                ("alpha", "steps", "tol", "backend")),
+    "compare": (_cmd_compare, "classical vs quantum side by side", ("alpha", "steps")),
 }
 
 

@@ -433,18 +433,20 @@ def to_pajek(g: DirectedGraph) -> str:
 # ---------------------------------------------------------------------------
 # generators
 
-def generate(model: str, size: int, seed: int = 0) -> DirectedGraph:
+def generate(model: str, size: int, seed: Optional[int] = None) -> DirectedGraph:
     """The ``model`` network of the given size: ``scalefree`` (``size``
-    nodes, from ``seed``), ``hierarchical`` (generation ``size``) or
-    ``tree`` (``size`` levels)."""
+    nodes, from ``seed``, 0 when None), ``hierarchical`` (generation
+    ``size``) or ``tree`` (``size`` levels). The last two are not random,
+    so they refuse a seed rather than ignore it."""
     if model == "scalefree":
-        return generate_scale_free(size, seed)
-    if model == "hierarchical":
-        return generate_hierarchical(size)
-    if model == "tree":
-        return generate_binary_tree(size)
-    raise ValueError(f"unknown model {model!r}; expected one of "
-                     "['hierarchical', 'scalefree', 'tree']")
+        return generate_scale_free(size, 0 if seed is None else seed)
+    build = {"hierarchical": generate_hierarchical, "tree": generate_binary_tree}.get(model)
+    if build is None:
+        raise ValueError(f"unknown model {model!r}; expected one of "
+                         "['hierarchical', 'scalefree', 'tree']")
+    if seed is not None:
+        raise ValueError(f"the {model} family is not random and takes no seed")
+    return build(size)
 
 
 _EPS = float(np.finfo(np.float64).eps)

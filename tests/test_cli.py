@@ -2,6 +2,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,17 @@ def child_env():
     src = str(Path(qprank.__file__).resolve().parents[1])
     return {**os.environ,
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+SHARED_FLAGS = {"--input", "--gen", "--benchmark", "--seed", "--format", "--output"}
+
+
+def offered_flags():
+    """Each subcommand's option strings, without --help."""
+    subparsers, = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for action in sub._actions for flag in action.option_strings}
+            - {"-h", "--help"} for name, sub in subparsers.choices.items()}
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -109,39 +121,45 @@ class TestExitCodes:
         assert main(["sweep", "--benchmark", "fig1a", "--grid", "nope"]) == 4
         assert main(["frobnicate"]) == 4
         assert main(["analyze", "--benchmark", "fig2b", "--delta", "nan"]) == 4
-        assert main(["rank", "--benchmark", "fig1a", "--tol", "nan"]) == 4
         capsys.readouterr()
-        # a misspelt source, or a flag the other flags' values leave unread,
-        # is refused, not ignored
+        # a misspelt or non-canonical source, a flag the other flags' values
+        # leave unread, or a flag for the walk kernel or the tolerance is
+        # refused, not ignored
         graph = ["--gen", "scalefree:16"]
         for argv, message in (
                 (["rank", "--gen", "sf:64"], "scalefree"),
                 (["rank", "--gen", "ScaleFree:64"], "scalefree"),
                 (["rank", "--benchmark", "FIG1D"], "unknown benchmark"),
                 (["rank", "--gen", "scalefree:x"], "bad generator spec"),
+                (["rank", "--gen", "tree: +3"], "bad generator spec"),
+                (["rank", "--gen", "scalefree:6_4"], "bad generator spec"),
+                (["rank", "--gen", "scalefree:\u0666\u0664"], "bad generator spec"),
+                (["rank", "--gen", "scalefree:064"], "bad generator spec"),
                 (["rank", "--benchmark", "fig1d", "--seed", "5"], "--seed"),
                 (["rank", "--gen", "tree:3", "--seed", "1"], "--seed"),
                 (["rank", "--benchmark", "fig1d", "--bare", "--alpha", "0.3"], "--bare"),
                 (["rank", "--benchmark", "fig1a", "--bare", "h", "--alpha", "0.85"], "--bare"),
-                (["sweep", *graph, "--grid", "0.5:0.8:2", "--backend", "direct"], "--backend"),
+                (["rank", "--benchmark", "fig1a", "--tol", "nan"],
+                 "unrecognized arguments: --tol nan"),
+                (["sweep", *graph, "--grid", "0.5:0.8:2", "--backend", "direct"],
+                 "unrecognized arguments: --backend direct"),
                 (["attack", *graph, "--remove", "1", "--ranker", "classical",
-                  "--backend", "direct"], "--backend"),
-                (["qrank", *graph, "--backend", "auto"], "--backend"),
+                  "--backend", "direct"], "unrecognized arguments: --backend direct"),
+                (["qrank", *graph, "--backend", "auto"], "unrecognized arguments: --backend auto"),
                 (["analyze", *graph, "--ranker", "classical", "--backend", "spectral"],
-                 "--backend")):
+                 "unrecognized arguments: --backend spectral")):
             assert main(argv) == 4, argv
             assert message in capsys.readouterr().err
         assert main(["rank", "--benchmark", "fig1d", "--bare", "--alpha", "1"]) == 0
-        assert main(["analyze", "--gen", "scalefree:16", "--backend", "direct"]) == 0
         capsys.readouterr()
-        # a flag its subcommand does not read is refused, not ignored
+        # a flag its subcommand does not read is refused, not ignored; no
+        # subcommand reads one for the walk kernel or the tolerance
         required = {"sweep": ["--grid", "0.5:0.8:2"], "attack": ["--remove", "1"]}
         for command, flag, value in (
-                ("gen", "--alpha", "7"), ("gen", "--steps", "-5"), ("gen", "--tol", "-1"),
-                ("gen", "--backend", "direct"), ("rank", "--steps", "8"),
-                ("rank", "--backend", "direct"), ("qrank", "--tol", "0.5"),
-                ("sweep", "--alpha", "9"), ("sweep", "--tol", "0.5"),
-                ("attack", "--tol", "0.5"), ("analyze", "--tol", "0.5")):
+                ("gen", "--alpha", "7"), ("gen", "--steps", "-5"), ("rank", "--steps", "8"),
+                ("sweep", "--alpha", "9"),
+                *((command, flag, value) for command in offered_flags()
+                  for flag, value in (("--tol", "0.5"), ("--backend", "direct")))):
             argv = [command, "--gen", "scalefree:16", *required.get(command, []), flag, value]
             assert main(argv) == 4, argv
             assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
@@ -149,22 +167,29 @@ class TestExitCodes:
             capsys.readouterr()
 
     def test_each_subcommand_offers_exactly_its_flags(self):
-        shared = {"--input", "--gen", "--benchmark", "--seed", "--format", "--output"}
         expected = {
             "gen": set(),
-            "rank": {"--alpha", "--tol", "--bare"},
-            "qrank": {"--alpha", "--steps", "--backend"},
-            "sweep": {"--steps", "--backend", "--grid", "--ranker"},
-            "attack": {"--alpha", "--steps", "--backend", "--remove", "--ranker"},
-            "analyze": {"--alpha", "--steps", "--backend", "--ranker", "--delta"},
-            "compare": {"--alpha", "--steps", "--tol", "--backend"},
+            "rank": {"--alpha", "--bare"},
+            "qrank": {"--alpha", "--steps"},
+            "sweep": {"--steps", "--grid", "--ranker"},
+            "attack": {"--alpha", "--steps", "--remove", "--ranker"},
+            "analyze": {"--alpha", "--steps", "--ranker", "--delta"},
+            "compare": {"--alpha", "--steps"},
         }
-        subparsers, = (a for a in build_parser()._actions
-                       if isinstance(a, argparse._SubParsersAction))
-        offered = {name: {flag for action in sub._actions for flag in action.option_strings}
-                   - {"-h", "--help"} for name, sub in subparsers.choices.items()}
-        assert offered == {name: shared | flags for name, flags in expected.items()}
-        assert sum(map(len, offered.values())) == 66
+        offered = offered_flags()
+        assert offered == {name: SHARED_FLAGS | flags for name, flags in expected.items()}
+        assert sum(map(len, offered.values())) == 59
+
+    def test_readme_flag_table_matches_the_parser(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| subcommand | flags besides source and output |\n|---|---|\n")[1]
+        rows = {}
+        for line in table.splitlines():
+            if not line.startswith("| `"):
+                break
+            command, flags = re.fullmatch(r"\| `(\w+)` \| (.*) \|", line).groups()
+            rows[command] = set(re.findall(r"--[a-z]+", flags))
+        assert rows == {name: flags - SHARED_FLAGS for name, flags in offered_flags().items()}
 
     def test_non_convergence_is_4(self, monkeypatch, capsys):
         import qprank.cli as cli
@@ -393,7 +418,7 @@ class TestRecordTables:
 
 
 class TestBackendMetadata:
-    """Outputs that ran the quantum walk name its backend, ``direct`` by default."""
+    """Outputs that ran the quantum walk name its backend, always ``direct``."""
 
     GRAPH = ["--gen", "scalefree:16", "--seed", "3", "--steps", "32"]
 
@@ -402,10 +427,9 @@ class TestBackendMetadata:
         ["attack", "--remove", "1", "--ranker", "quantum"], ["analyze"],
         ["analyze", "--ranker", "quantum"]], ids=lambda a: "-".join(a[::2]))
     def test_quantum_outputs_record_backend(self, argv, tmp_path):
-        for backend in ("direct", "spectral"):
-            code, data = run_cli([*argv, *self.GRAPH, "--backend", backend], tmp_path)
-            assert code == 0
-            assert f"# backend={backend}\n" in data.decode()
+        code, data = run_cli([*argv, *self.GRAPH], tmp_path)
+        assert code == 0
+        assert "# backend=direct\n" in data.decode()
         code, data = run_cli([*argv, *self.GRAPH, "--format", "json"], tmp_path)
         assert json.loads(data)["provenance"]["backend"] == "direct"
 

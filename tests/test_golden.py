@@ -12,10 +12,12 @@ lists were captured from the implementation whose CLI accepted alias
 spellings of the generator families. The quantum
 sweep on ``scalefree:128`` pins the bytes of four direct walks at N = 128; it
 was captured from the implementation that ran them one after another.
-The ``qrank`` series on ``scalefree:64`` (both backends) and the ``compare``
-table on ``scalefree:128`` were captured from the implementation whose walk
-operator still carried the N^2-entry edge-space amplitudes. The ``compare``
-pin lists nodes in rank order, and nodes whose quantum values tie in exact
+The ``qrank`` series on ``scalefree:64`` and the ``compare`` table on
+``scalefree:128`` were captured from the implementation whose walk operator
+still carried the N^2-entry edge-space amplitudes. So was the same series
+from the spectral kernel, which the CLI no longer runs; it is pinned through
+the library, with the metadata the CLI wrote for it. The ``compare`` pin
+lists nodes in rank order, and nodes whose quantum values tie in exact
 arithmetic are ordered there by rounding, so a kernel change that moves last
 digits may move that pin without a wrong rank. The quantum ``analyze`` and
 ``attack`` outputs on ``scalefree:128`` were captured from the implementation
@@ -32,7 +34,9 @@ import hashlib
 import pytest
 
 from qprank.cli import main
-from qprank.graph import graph_digest, parse_edge_list, to_pajek
+from qprank.formats import write_series_csv
+from qprank.graph import generate_scale_free, graph_digest, parse_edge_list, to_pajek
+from qprank.szegedy import quantum_rank_series
 
 GEN = ["--gen", "scalefree:2048", "--seed", "7"]
 
@@ -65,7 +69,6 @@ ATTACK = ["attack", "--gen", "scalefree:128", "--seed", "7", "--ranker", "quantu
 GOLDEN.update({
     "qrank.csv": QRANK,
     "qrank.json": [*QRANK, "--format", "json"],
-    "qrank_spectral.csv": [*QRANK, "--backend", "spectral"],
     "compare.csv": COMPARE,
     "compare.json": [*COMPARE, "--format", "json"],
     "analyze_quantum.csv": ANALYZE,
@@ -127,6 +130,14 @@ def test_cli_output_bytes(name, workdir, monkeypatch):
     monkeypatch.chdir(workdir)
     assert main([*GOLDEN[name], "--output", f"out_{name}"]) == 0
     assert _sha(workdir / f"out_{name}") == SHA256[name]
+
+
+def test_spectral_series_bytes():
+    g = generate_scale_free(64, 2)
+    meta = {"source": "scalefree:64", "seed": 2, "graph": graph_digest(g),
+            "alpha": 0.85, "steps": 256, "backend": "spectral"}
+    text = write_series_csv(quantum_rank_series(g, 0.85, 256, backend="spectral"), meta)
+    assert hashlib.sha256(text.encode()).hexdigest() == SHA256["qrank_spectral.csv"]
 
 
 def test_pajek_writer_bytes(workdir):

@@ -476,7 +476,15 @@ class TestGenerators:
         assert generate("tree", 3) == generate_binary_tree(3)
         assert generate("hierarchical", 2) == generate_hierarchical(2)
         assert generate("scalefree", 16, seed=4) == generate_scale_free(16, 4)
-        assert generate("scalefree", 16) == generate_scale_free(16, 0)
+
+    def test_scalefree_seed_defaults_to_zero(self):
+        assert generate("scalefree", 16, seed=None) == generate_scale_free(16, 0)
+
+    @pytest.mark.parametrize("model, size", [("tree", 3), ("hierarchical", 2)])
+    def test_deterministic_families_refuse_a_seed(self, model, size):
+        for seed in (0, 5):
+            with pytest.raises(ValueError, match=f"the {model} family .* takes no seed"):
+                generate(model, size, seed=seed)
 
     def test_generator_params_validation(self):
         with pytest.raises(ValueError, match="unknown model"):
