@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, formats
-from .graph import (DirectedGraph, GraphFormatError, benchmark_graph, generate,
-                    graph_digest, parse_graph, to_edge_list)
+from .graph import (_MAX_DIGITS, DirectedGraph, GraphFormatError, _shown, benchmark_graph,
+                    generate, graph_digest, parse_graph, to_edge_list)
 from .pagerank import (DEFAULT_ALPHA, classical_pagerank, hyperlink_matrix,
                        patch_dangling, power_method)
 from .szegedy import DEFAULT_STEPS, quantum_pagerank, quantum_rank_series
@@ -85,6 +85,8 @@ def load_graph(args) -> tuple[DirectedGraph, dict]:
         # ASCII digits without a leading zero, so each source has one spelling
         if not re.fullmatch("[1-9][0-9]*", size):
             raise UsageError(f"bad generator spec {args.gen!r}, expected family:size")
+        if len(size) > _MAX_DIGITS:  # out of range for every family; int() may refuse it
+            raise UsageError(f"generator size {_shown(size)} is out of range")
         g = generate(model, int(size), args.seed)
         meta = {"source": f"{model}:{size}"}
         if model == "scalefree":

@@ -540,8 +540,8 @@ def generate_scale_free(n: int, seed: int) -> DirectedGraph:
     ``rng.choice(k, p=w / w.sum())`` per attachment would consume it, with
     the same picks.
     """
-    if n < 3:
-        raise ValueError("scale-free generator needs at least 3 nodes")
+    if not 3 <= n <= MAX_NODES:
+        raise ValueError(f"scale-free generator needs between 3 and {MAX_NODES} nodes")
     draw = _uniforms(np.random.default_rng(seed)).__next__
     p_new_out, p_internal, _ = _MIX
 
@@ -604,6 +604,10 @@ def generate_hierarchical(generation: int) -> DirectedGraph:
     return DirectedGraph(3 ** generation, src, dst)
 
 
+# Deepest tree whose 2**levels - 1 nodes stay within MAX_NODES.
+_MAX_LEVELS = (MAX_NODES + 1).bit_length() - 1
+
+
 def generate_binary_tree(levels: int) -> DirectedGraph:
     """Directed binary tree with 2**levels - 1 nodes, arcs child -> parent.
 
@@ -611,8 +615,9 @@ def generate_binary_tree(levels: int) -> DirectedGraph:
     internal page links up toward the home page, so the root collects
     the inlinks and the root itself is dangling.
     """
-    if levels < 1:
-        raise ValueError("levels must be at least 1")
+    if not 1 <= levels <= _MAX_LEVELS:  # before the power, which could be huge
+        raise ValueError(f"levels must be between 1 and {_MAX_LEVELS}: a deeper tree "
+                         f"exceeds the limit of {MAX_NODES} nodes")
     n = 2 ** levels - 1
     child = np.arange(1, n)
     return DirectedGraph(n, child, (child - 1) // 2)

@@ -1,10 +1,11 @@
 """Classical PageRank: hyperlink matrix, dangling patch, Google matrix, solver.
 
 The chain of constructions is hyperlink_matrix -> patch_dangling ->
-google_matrix. The dangling-patched matrix E is the Google matrix at
-alpha = 1, so both are one class. The Google matrix is never materialised
-densely for the solver: it is applied as alpha * E @ v plus a uniform
-teleport term, so a matrix-vector product costs O(arcs + N).
+google_matrix. H, E and G are one class, GoogleMatrix: H patches no
+column, E patches the dangling ones, and both are G at alpha = 1. The
+operator is never materialised densely for the solver: it is applied as
+alpha * E @ v plus a uniform teleport term, so a matrix-vector product
+costs O(arcs + N). The power method runs to an L1 change of 1e-12.
 """
 
 from __future__ import annotations
@@ -22,30 +23,13 @@ DEFAULT_MAX_ITER = 100_000
 
 
 @dataclass(frozen=True, eq=False)
-class HyperlinkMatrix:
-    """Column j holds 1/outdeg(j) on the rows j links to; dangling columns are zero."""
-
-    links: sp.csr_matrix
-    dangling: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.links.shape[0]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.links @ v
-
-    def dense(self) -> np.ndarray:
-        return self.links.toarray()
-
-
-@dataclass(frozen=True, eq=False)
 class GoogleMatrix:
     """alpha * E + (1 - alpha)/N * ones, where E is the link matrix with each
-    dangling (all-zero) column replaced by 1/N; E itself is alpha = 1."""
+    ``patched`` column replaced by 1/N. H patches no column, E patches the
+    dangling (all-zero) ones, and both are alpha = 1."""
 
     links: sp.csr_matrix
-    dangling: np.ndarray
+    patched: np.ndarray
     alpha: float = 1.0
 
     def __post_init__(self):
@@ -58,40 +42,37 @@ class GoogleMatrix:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.links @ v
-        if self.dangling.any():
-            out = out + v[self.dangling].sum() / self.dim
-        if self.alpha == 1.0:  # E itself: skip the scaling and teleport passes
+        if self.patched.any():
+            out = out + v[self.patched].sum() / self.dim
+        if self.alpha == 1.0:  # H or E: skip the scaling and teleport passes
             return out
         return self.alpha * out + (1.0 - self.alpha) / self.dim * v.sum()
 
     def dense(self) -> np.ndarray:
         n = self.dim
         e = self.links.toarray()
-        e[:, self.dangling] = 1.0 / n
+        e[:, self.patched] = 1.0 / n
         return self.alpha * e + (1.0 - self.alpha) / n
 
 
-LinearOperator = HyperlinkMatrix | GoogleMatrix
-
-
-def hyperlink_matrix(g: DirectedGraph) -> HyperlinkMatrix:
-    """Build H with H[i, j] = 1/outdeg(j) for every arc j -> i."""
+def hyperlink_matrix(g: DirectedGraph) -> GoogleMatrix:
+    """H with H[i, j] = 1/outdeg(j) for every arc j -> i; no column patched."""
     n = g.node_count
     out_deg = g.out_degrees()
     src = g.sources()
     links = sp.csr_matrix((1.0 / out_deg[src], (g.targets, src)), shape=(n, n))
-    return HyperlinkMatrix(links, out_deg == 0)
+    return GoogleMatrix(links, np.zeros(n, dtype=bool))
 
 
-def patch_dangling(h: HyperlinkMatrix) -> GoogleMatrix:
+def patch_dangling(h: GoogleMatrix) -> GoogleMatrix:
     """E: dangling (all-zero) columns replaced by the uniform column 1/N."""
-    return GoogleMatrix(h.links, h.dangling)
+    return GoogleMatrix(h.links, np.bincount(h.links.indices, minlength=h.dim) == 0)
 
 
 def google_matrix(e: GoogleMatrix, alpha: float) -> GoogleMatrix:
     """Damped matrix alpha * E + (1 - alpha)/N * ones. Damping a damped
     matrix multiplies the two alphas, which is exact algebra."""
-    return GoogleMatrix(e.links, e.dangling, alpha * e.alpha)
+    return GoogleMatrix(e.links, e.patched, alpha * e.alpha)
 
 
 @dataclass(frozen=True)
@@ -112,10 +93,9 @@ class PowerResult:
     orbit: bool = False
 
 
-def power_method(m: LinearOperator, i0: np.ndarray,
-                 tol: float = DEFAULT_TOL,
+def power_method(m: GoogleMatrix, i0: np.ndarray,
                  max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
-    """Iterate v <- M v until the L1 change drops below ``tol``.
+    """Iterate v <- M v until the L1 change drops below ``DEFAULT_TOL``.
 
     Non-convergent inputs are returned as observations rather than errors:
     the last iterate comes back with ``converged=False``. Reducible
@@ -124,8 +104,6 @@ def power_method(m: LinearOperator, i0: np.ndarray,
     an odd number of applications is returned, which is the branch the
     classical literature quotes for the standard reducible examples.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     v = np.asarray(i0, dtype=np.float64).copy()
     if v.shape != (m.dim,):
         raise ValueError(f"initial vector must have shape ({m.dim},)")
@@ -136,7 +114,7 @@ def power_method(m: LinearOperator, i0: np.ndarray,
     # two-step change vanishes; a decaying oscillation (negative subdominant
     # eigenvalue) sends both to zero, so demand a macroscopic step change
     # before declaring an orbit.
-    orbit_floor = np.sqrt(tol)
+    orbit_floor = np.sqrt(DEFAULT_TOL)
     prev = None  # iterate two applications back
     converged = orbit = False
     iterations = 0
@@ -144,11 +122,11 @@ def power_method(m: LinearOperator, i0: np.ndarray,
         w = m.matvec(v)
         iterations = k
         step_change = np.abs(w - v).sum()
-        if step_change < tol:
+        if step_change < DEFAULT_TOL:
             v = w
             converged = True
             break
-        if prev is not None and step_change > orbit_floor and np.abs(w - prev).sum() < tol:
+        if prev is not None and step_change > orbit_floor and np.abs(w - prev).sum() < DEFAULT_TOL:
             v = w if k % 2 == 1 else v  # keep the odd-application point
             orbit = True
             break
@@ -164,27 +142,26 @@ def power_method(m: LinearOperator, i0: np.ndarray,
     return PowerResult(v / total, iterations, converged, orbit=orbit)
 
 
-def classical_pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
-                       max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
+def classical_pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> np.ndarray:
     """Stationary distribution of the Google matrix at damping ``alpha``.
 
     Requires alpha < 1 so the matrix is primitive and the fixed point
     unique; the result sums to 1 and does not depend on the start vector.
     Raises ValueError if the power method has not converged to
-    ``DEFAULT_TOL`` within ``max_iter`` iterations.
+    ``DEFAULT_TOL`` within ``DEFAULT_MAX_ITER`` iterations.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     gm = google_matrix(patch_dangling(hyperlink_matrix(g)), alpha)
     i0 = np.full(g.node_count, 1.0 / g.node_count)
-    result = power_method(gm, i0, max_iter=max_iter)
+    result = power_method(gm, i0)
     if not result.converged:
         raise ValueError(f"power method did not converge to tol={DEFAULT_TOL:g} "
                          f"in {result.iterations} iterations")
     return result.values
 
 
-def second_eigenvalue_modulus(gm: LinearOperator) -> float:
+def second_eigenvalue_modulus(gm: GoogleMatrix) -> float:
     """|lambda_2| of the (densified) operator, via the full small spectrum."""
     if gm.dim < 2:
         raise ValueError("need at least 2 nodes for a second eigenvalue")

@@ -135,6 +135,12 @@ class TestExitCodes:
                 (["rank", "--gen", "scalefree:6_4"], "bad generator spec"),
                 (["rank", "--gen", "scalefree:\u0666\u0664"], "bad generator spec"),
                 (["rank", "--gen", "scalefree:064"], "bad generator spec"),
+                (["gen", "--gen", "tree:" + "1" * 5000],
+                 "generator size 11111111111111111111... (5000 digits) is out of range"),
+                (["gen", "--gen", "hierarchical:" + "9" * 5000], "(5000 digits) is out of range"),
+                (["gen", "--gen", "scalefree:99999999999"],
+                 "generator size 99999999999 is out of range"),
+                (["gen", "--gen", "tree:32"], "levels must be between 1 and 31"),
                 (["rank", "--benchmark", "fig1d", "--seed", "5"], "--seed"),
                 (["rank", "--gen", "tree:3", "--seed", "1"], "--seed"),
                 (["rank", "--benchmark", "fig1d", "--bare", "--alpha", "0.3"], "--bare"),
@@ -191,10 +197,17 @@ class TestExitCodes:
             rows[command] = set(re.findall(r"--[a-z]+", flags))
         assert rows == {name: flags - SHARED_FLAGS for name, flags in offered_flags().items()}
 
+    def test_readme_library_names_resolve(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        names = set(re.findall(r"\bq\.(\w+(?:\.\w+)*)", readme))
+        assert {"GoogleMatrix", "DirectedGraph.from_arcs", "szegedy.STACK_BYTES"} <= names
+        for name in sorted(names):
+            functools.reduce(getattr, name.split("."), qprank)
+
     def test_non_convergence_is_4(self, monkeypatch, capsys):
-        import qprank.cli as cli
-        monkeypatch.setattr(cli, "classical_pagerank",
-                            functools.partial(cli.classical_pagerank, max_iter=5))
+        from qprank import pagerank
+        monkeypatch.setattr(pagerank, "power_method",
+                            functools.partial(pagerank.power_method, max_iter=5))
         assert main(["rank", "--gen", "scalefree:64", "--seed", "1"]) == 4
         assert "did not converge" in capsys.readouterr().err
 

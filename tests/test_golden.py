@@ -7,11 +7,13 @@ JSON from the one that writes each JSON provenance as the CSV metadata), on
 ``gen --gen scalefree:2048 --seed 7`` and the same graph written as Pajek.
 The two bare-mode ``rank`` outputs, on the fig1d and fig1a benchmarks, were
 captured from the implementation that built rank's JSON by hand, with the
-``# orbit=`` line added since. The ``hierarchical:4`` and ``tree:5`` edge
-lists were captured from the implementation whose CLI accepted alias
-spellings of the generator families. The quantum
-sweep on ``scalefree:128`` pins the bytes of four direct walks at N = 128; it
-was captured from the implementation that ran them one after another.
+``# orbit=`` line added since. That implementation held H in its own
+class; ``rank_bare_h.csv`` now iterates H as a ``GoogleMatrix`` that
+patches no column, with the same bytes. The ``hierarchical:4`` and
+``tree:5`` edge lists were captured from the implementation whose CLI
+accepted alias spellings of the generator families. The quantum sweep on
+``scalefree:128`` pins the bytes of four direct walks at N = 128; it was
+captured from the implementation that ran them one after another.
 The ``qrank`` series on ``scalefree:64`` and the ``compare`` table on
 ``scalefree:128`` were captured from the implementation whose walk operator
 still carried the N^2-entry edge-space amplitudes. So was the same series

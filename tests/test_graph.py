@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -431,6 +432,11 @@ class TestGenerators:
         with pytest.raises(ValueError):
             generate_scale_free(2, 0)
 
+    def test_scale_free_too_large_refused_up_front(self):
+        for n in (graph.MAX_NODES + 1, 10 ** 5000):
+            with pytest.raises(ValueError, match=f"between 3 and {graph.MAX_NODES} nodes"):
+                generate_scale_free(n, 0)
+
     def test_hierarchical_node_counts(self):
         for n in range(1, 7):
             assert generate_hierarchical(n).node_count == 3 ** n
@@ -471,6 +477,20 @@ class TestGenerators:
     def test_binary_tree_rejects_zero(self):
         with pytest.raises(ValueError):
             generate_binary_tree(0)
+
+    def test_binary_tree_too_deep_refused_before_the_power(self):
+        # 31 levels are the deepest within MAX_NODES; 2 ** (10 ** 11) alone
+        # would take 12 GB, so the refusal must come before the power
+        assert 2 ** 31 - 1 <= graph.MAX_NODES < 2 ** 32 - 1
+        tracemalloc.start()
+        try:
+            for levels in (32, 10 ** 11):
+                with pytest.raises(ValueError, match=f"between 1 and 31: .* limit of "
+                                                     f"{graph.MAX_NODES} nodes"):
+                    generate_binary_tree(levels)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
     def test_generator_params_dispatch(self):
         assert generate("tree", 3) == generate_binary_tree(3)

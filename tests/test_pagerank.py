@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 
+from qprank import pagerank
 from qprank.graph import DirectedGraph, benchmark_graph, generate_scale_free
 from qprank.pagerank import (classical_pagerank, google_matrix,
                              hyperlink_matrix, patch_dangling, power_method,
@@ -25,17 +28,17 @@ class TestHyperlinkMatrix:
     def test_fig1a(self):
         h = hyperlink_matrix(benchmark_graph("fig1a"))
         assert h.dense().tolist() == [[0.0, 0.0], [1.0, 0.0]]
-        assert h.dangling.tolist() == [False, True]
+        assert patch_dangling(h).patched.tolist() == [False, True]
 
     def test_fig1d_matches_printed_matrix(self):
         h = hyperlink_matrix(benchmark_graph("fig1d"))
         assert np.allclose(h.dense(), FIG1D_E, atol=1e-15)
-        assert not h.dangling.any()
+        assert not patch_dangling(h).patched.any()
 
     def test_single_dangling_node(self):
         h = hyperlink_matrix(DirectedGraph.from_arcs(1, []))
         assert h.dense().tolist() == [[0.0]]
-        assert h.dangling.tolist() == [True]
+        assert patch_dangling(h).patched.tolist() == [True]
 
     def test_column_sums_one_or_zero(self):
         rng = np.random.default_rng(11)
@@ -43,7 +46,7 @@ class TestHyperlinkMatrix:
             g = random_digraph(rng)
             h = hyperlink_matrix(g)
             sums = h.dense().sum(axis=0)
-            expected = np.where(h.dangling, 0.0, 1.0)
+            expected = np.where(g.out_degrees() == 0, 0.0, 1.0)
             assert np.abs(sums - expected).max() < 1e-12
 
 
@@ -136,12 +139,6 @@ class TestPowerMethod:
         assert not r.orbit
         assert r.iterations == 2000
 
-    def test_tol_must_be_positive(self):
-        e = patch_dangling(hyperlink_matrix(benchmark_graph("fig1a")))
-        for tol in (0.0, -1e-9, float("nan")):
-            with pytest.raises(ValueError, match="tol must be positive"):
-                power_method(e, np.array([1.0, 0.0]), tol=tol)
-
     def test_zero_start_rejected(self):
         e = patch_dangling(hyperlink_matrix(benchmark_graph("fig1a")))
         with pytest.raises(ValueError, match="nonzero"):
@@ -204,9 +201,11 @@ class TestClassicalPagerank:
         with pytest.raises(ValueError):
             classical_pagerank(benchmark_graph("fig1a"), 1.0)
 
-    def test_non_convergence_raises(self):
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(pagerank, "power_method",
+                            functools.partial(pagerank.power_method, max_iter=5))
         with pytest.raises(ValueError, match=r"tol=1e-12 in 5 iterations"):
-            classical_pagerank(generate_scale_free(64, 1), 0.85, max_iter=5)
+            classical_pagerank(generate_scale_free(64, 1), 0.85)
 
 
 class TestSecondEigenvalue:

@@ -22,7 +22,7 @@ from qprank.analysis import (AttackReport, FidelitySweep, _kendall_tau_b,
                              ranking_order)
 from qprank.graph import (DirectedGraph, generate_scale_free, parse_edge_list,
                           parse_pajek, remove_nodes, to_edge_list, to_pajek)
-from qprank.pagerank import hyperlink_matrix
+from qprank.pagerank import hyperlink_matrix, patch_dangling
 from qprank.szegedy import QuantumRankSeries
 from test_graph import _reference_scale_free
 
@@ -77,6 +77,8 @@ def test_arrays_match_tuple_reference(case):
     links, want = hyperlink_matrix(g).links, reference_hyperlink(g)
     for field in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(links, field), getattr(want, field)), field
+    assert not hyperlink_matrix(g).patched.any()
+    assert np.array_equal(patch_dangling(hyperlink_matrix(g)).patched, g.out_degrees() == 0)
 
 
 @given(arc_lists(), st.data())
