@@ -27,6 +27,12 @@ that accepted an ``auto`` backend and dispatched each ranker in two places.
 The ``attack`` pin picks the removed hubs and lists survivors by their
 quantum values, and nodes whose values tie in exact arithmetic are ordered
 there by rounding, as in the ``compare`` pin.
+The three walks on the ``fig1a`` and ``fig2b`` benchmarks are the only pins
+whose discriminant has eigenvalues +-1, so they hold the deflated walk: the
+``fig1a`` series and the ``fig1a`` sweep's stack of three walks have one +1
+mode each, and the ``fig2b`` series at alpha = 1 has one +1 and one -1 mode.
+They were captured from the implementation whose pipelines still accepted
+the spectral kernel as a ``backend``.
 Any change to the graph model, the parsers, the link matrix, the walk kernel
 or the writers that moves a byte fails here.
 """
@@ -77,6 +83,10 @@ GOLDEN.update({
     "analyze_quantum.json": [*ANALYZE, "--format", "json"],
     "attack_quantum.csv": ATTACK,
     "attack_quantum.json": [*ATTACK, "--format", "json"],
+    "qrank_fig1a.csv": ["qrank", "--benchmark", "fig1a", "--steps", "64"],
+    "qrank_fig2b.csv": ["qrank", "--benchmark", "fig2b", "--alpha", "1", "--steps", "128"],
+    "sweep_quantum_fig1a.csv": ["sweep", "--benchmark", "fig1a", "--ranker", "quantum",
+                                "--grid", "0.5:0.9:3"],
 })
 
 SHA256 = {
@@ -108,6 +118,9 @@ SHA256 = {
     "analyze_quantum.json": "34deecaa310a4e39dea6f7404c233c77a5f978d61c7a079e6b7a5265675926de",
     "attack_quantum.csv": "4e56af18cef7450b5f36ceb24282bb46af51dc6dbc17e9a2f3ef73f8c9e3ec68",
     "attack_quantum.json": "ce7bdc278c3babd165317c2cf61f97c0802e3d3edb1c2ba61361b64c50ec2d71",
+    "qrank_fig1a.csv": "5fccee4465d1c2c0c5364e982a046f4057007d3b7a5e69562920e001ce46dbfc",
+    "qrank_fig2b.csv": "877cc1559dbbb01d4702bc57031a3d68ea0dc38184de23a91d8390ce2149659d",
+    "sweep_quantum_fig1a.csv": "47781e836a2a5400c1ceec670e4cf1e8ec050d10e8a9a3d36d0aec5a982f6ab0",
 }
 DIGEST = "ef6e21feb915efba"
 
