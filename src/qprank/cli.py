@@ -109,8 +109,8 @@ def parse_grid(spec: str) -> list[float]:
 
 def _walk(*rankers: str) -> dict:
     """Metadata naming the walk kernel when one of ``rankers`` runs the
-    quantum walk. The CLI always runs the direct kernel, the library's
-    default; the spectral kernel is the library's reference for it."""
+    quantum walk: always ``direct``, the one kernel the library's pipelines
+    run. The spectral closed form is only the reference it is tested against."""
     return {"backend": "direct"} if "quantum" in rankers else {}
 
 

@@ -26,32 +26,25 @@ from .analysis import AttackReport, FidelitySweep, rank_positions, ranking_order
 from .szegedy import QuantumRankSeries
 
 
-def fmt(x: float) -> str:
-    """Shortest exact decimal form of a float."""
-    return repr(float(x))
-
-
 def _floats(values) -> list[float]:
-    """Python floats, whose ``str`` is the text ``fmt`` writes."""
+    """Python floats, whose ``str`` is their shortest round-trip ``repr``."""
     return np.asarray(values, dtype=np.float64).tolist()
 
 
 class Table(NamedTuple):
     """One output: run metadata, a header and rows of Python scalars. CSV
-    writes ``meta`` as its ``# key=value`` lines and JSON as ``provenance``.
-    A ``quoted`` table holds labels, which the csv module quotes where
-    needed; the other tables hold numbers and plain names only."""
+    writes ``meta`` as its ``# key=value`` lines and JSON as ``provenance``."""
 
     meta: dict
     header: Sequence[str]
     rows: Sequence[tuple]
-    quoted: bool = True
 
 
 def write_csv(table: Table) -> str:
-    """The table as CSV; a float field is written as its repr, the text of ``fmt``."""
+    """The table as CSV; a float field is written as its repr. Only a
+    ``label`` column holds free text, which the csv module quotes if needed."""
     head = "".join(f"# {key}={value}\n" for key, value in table.meta.items())
-    if not table.quoted:  # one format string per row: faster than the csv module
+    if "label" not in table.header:  # one format string per row: faster than the csv module
         line = ",".join(["%s"] * len(table.header)) + "\n"
         return head + ",".join(table.header) + "\n" + "".join([line % row for row in table.rows])
     out = io.StringIO()
@@ -119,7 +112,7 @@ def write_series_csv(series: QuantumRankSeries, meta: Optional[dict] = None) -> 
     rows = [(m, *row) for m, row in enumerate(_floats(series.instantaneous))]
     rows.append(("avg", *_floats(series.average)))
     header = ["m", *(f"node_{i}" for i in range(series.node_count))]
-    return write_csv(Table(meta or {}, header, rows, quoted=False))
+    return write_csv(Table(meta or {}, header, rows))
 
 
 def read_series_csv(text: str) -> tuple[QuantumRankSeries, dict]:
@@ -149,8 +142,7 @@ def _sweep_meta(sweep: FidelitySweep, meta: Optional[dict]) -> dict:
 def write_sweep_csv(sweep: FidelitySweep, meta: Optional[dict] = None) -> str:
     grid = _floats(sweep.alpha_grid)
     rows = [(a, *row) for a, row in zip(grid, _floats(sweep.pairwise))]
-    return write_csv(Table(_sweep_meta(sweep, meta), ["alpha", *map(str, grid)], rows,
-                           quoted=False))
+    return write_csv(Table(_sweep_meta(sweep, meta), ["alpha", *map(str, grid)], rows))
 
 
 def read_sweep_csv(text: str) -> tuple[tuple[float, ...], np.ndarray, dict]:
@@ -182,7 +174,7 @@ def attack_table(report: AttackReport, meta: Optional[dict] = None) -> Table:
             "mean_displacement": float(report.mean_displacement)}
     rows = list(zip(range(len(report.survivors)), report.survivors,
                     _floats(report.pre_ranking), _floats(report.post_ranking)))
-    return Table(meta, _ATTACK_HEADER, rows, quoted=False)
+    return Table(meta, _ATTACK_HEADER, rows)
 
 
 def read_attack_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:

@@ -32,15 +32,15 @@ the registers iterate with), so rounding cannot grow along it. Walks of
 one size (a damping sweep, an ensemble) step together as one stack of
 registers, so the loop's per-step cost is paid once per stack. The edge
 space itself (the N^2-entry state, reflection, swap and two-step) lives in
-``tests/szegedy_oracles.py``, as the independent oracle for both backends.
+``tests/szegedy_oracles.py``, as the independent oracle for both kernels.
 
-The spectral backend reads the same series off the eigenpairs of D in
-closed form: with D = V diag(lambda) V^T and lambda = cos(theta), mode k
-of a and b after m two-steps is
+The pipelines run this direct kernel only. Its spectral reference reads the
+same series off the eigenpairs of D in closed form: with D = V diag(lambda) V^T
+and lambda = cos(theta), mode k of a and b after m two-steps is
 
     a_m = -a_0 sin((2m-1) theta) / sin(theta),   b_m = a_0 sin(2m theta) / sin(theta),
 
-with the +-1 modes held at a = a_0, b = 0, as the direct backend does.
+with the +-1 modes held at a = a_0, b = 0, as the direct kernel does.
 """
 
 from __future__ import annotations
@@ -120,10 +120,8 @@ def _check_horizon(steps: int, offset: int) -> None:
 
 
 def _discriminant_modes(op: WalkOperator):
-    """The eigenpairs of D and the mask of modes with |lambda| = 1.
-
-    Both backends factor D here, once per call.
-    """
+    """The eigenpairs of D and the mask of modes with |lambda| = 1; both
+    kernels factor D here, once per call."""
     lam, vecs = scipy.linalg.eigh(op.discriminant)
     return lam, vecs, np.abs(np.abs(lam) - 1.0) <= UNIT_EIGEN_TOL
 
@@ -192,7 +190,7 @@ def _register_walk(ops: Sequence[WalkOperator], steps: int, offset: int):
 
 
 def evolve(op: WalkOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> QuantumRankSeries:
-    """Direct backend: record the distribution at each two-step.
+    """Direct kernel: record the distribution at each two-step.
 
     ``offset`` discards that many leading two-steps before recording, for
     experiments that want the average to start later than m = 0.
@@ -220,7 +218,7 @@ def _stack_average(ops: Sequence[WalkOperator], steps: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# spectral backend
+# spectral reference
 
 @dataclass(frozen=True, eq=False)
 class DynamicalSubspace:
@@ -242,59 +240,55 @@ class DynamicalSubspace:
 
 
 def build_dynamical_subspace(op: WalkOperator) -> DynamicalSubspace:
-    """Factor the discriminant of ``op`` for the spectral backend."""
-    lam, vecs, unit = _discriminant_modes(op)
-    return DynamicalSubspace(op, lam, vecs, unit)
+    """Factor the discriminant of ``op`` for the spectral reference."""
+    return DynamicalSubspace(op, *_discriminant_modes(op))
 
 
-def evolve_spectral(sub: DynamicalSubspace, steps: int = DEFAULT_STEPS,
-                    offset: int = 0) -> QuantumRankSeries:
-    """Spectral backend: the distribution at each two-step in closed form.
+def evolve_spectral(sub: DynamicalSubspace, steps: int = DEFAULT_STEPS) -> QuantumRankSeries:
+    """Spectral reference: the distribution at each two-step in closed form.
 
     Each mode of the registers a, b is a sine of its angle theta = arccos(lam)
     (module docstring); the node basis is one product with V per register.
+    It divides by sin(theta), so it loses accuracy as |lam| -> 1.
     """
-    _check_horizon(steps, offset)
-    op = sub.op
-    a0 = sub.vecs.T @ initial_state(op)
+    _check_horizon(steps, 0)
+    a0 = sub.vecs.T @ initial_state(sub.op)
     theta = np.arccos(np.clip(sub.lam, -1.0, 1.0))
     scale = np.divide(a0, np.sin(theta), out=np.zeros_like(a0), where=~sub.unit)
-    m = np.arange(offset, offset + steps)[:, None]
+    m = np.arange(steps)[:, None]
     a = np.where(sub.unit, a0, -scale * np.sin((2 * m - 1) * theta))
     b = scale * np.sin(2 * m * theta)
     a_nodes, b_nodes, da_nodes = (c @ sub.vecs.T for c in (a, b, a * sub.lam))
-    inst = np.square(a_nodes) @ op.google.T + b_nodes * (b_nodes + 2.0 * da_nodes)
+    inst = np.square(a_nodes) @ sub.op.google.T + b_nodes * (b_nodes + 2.0 * da_nodes)
     return QuantumRankSeries(inst, inst.mean(axis=0))
 
 
 # ---------------------------------------------------------------------------
 # convenience pipeline
 
-def _spectral(backend: str) -> bool:
-    """Whether ``backend`` names the spectral kernel rather than the direct one."""
-    if backend not in ("direct", "spectral"):
-        raise ValueError(f"unknown backend {backend!r}")
-    return backend == "spectral"
+def _check_backend(backend: str) -> None:
+    """Refuse every kernel but the direct one, which the benchmark harness names."""
+    if backend != "direct":
+        raise ValueError(f"backend {backend!r} is not offered; the spectral reference is "
+                         "evolve_spectral(build_dynamical_subspace(walk_operator(g, alpha)), "
+                         "steps)")
 
 
 def quantum_rank_series(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
                         steps: int = DEFAULT_STEPS, backend: str = "direct") -> QuantumRankSeries:
-    """Full rank series for a graph; backend is direct or spectral."""
-    op = walk_operator(g, alpha)
-    if _spectral(backend):
-        return evolve_spectral(build_dynamical_subspace(op), steps)
-    return evolve(op, steps)
+    """Full rank series for a graph, from the direct kernel."""
+    _check_backend(backend)
+    return evolve(walk_operator(g, alpha), steps)
 
 
 def quantum_pageranks(walks: Sequence[tuple[DirectedGraph, float]],
-                      steps: int = DEFAULT_STEPS, backend: str = "direct") -> np.ndarray:
+                      steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Time-averaged quantum rank vectors of ``(graph, alpha)`` pairs, one row each.
 
-    Every graph must have the same node count N. The direct backend steps
-    the walks as stacks of at most max(1, STACK_BYTES // (8 N^2)) and
-    builds each stack's operators only when it runs, so a long sweep never
-    holds more than one stack of dense N x N arrays. The spectral backend
-    factors one pair at a time.
+    Every graph must have the same node count N. The walks step as stacks
+    of at most max(1, STACK_BYTES // (8 N^2)), and each stack's operators
+    are built only when it runs, so a long sweep never holds more than one
+    stack of dense N x N arrays.
     """
     walks = list(walks)
     sizes = {g.node_count for g, _ in walks}
@@ -302,9 +296,6 @@ def quantum_pageranks(walks: Sequence[tuple[DirectedGraph, float]],
         raise ValueError("walks must be non-empty and share one node count, "
                          f"got {sorted(sizes)}")
     _check_horizon(steps, 0)
-    if _spectral(backend):
-        return np.array([evolve_spectral(build_dynamical_subspace(walk_operator(g, a)),
-                                         steps).average for g, a in walks])
     n = sizes.pop()
     chunk = max(1, STACK_BYTES // (8 * n * n))
     return np.concatenate([_stack_average([walk_operator(g, a) for g, a in walks[i:i + chunk]],
@@ -315,7 +306,8 @@ def quantum_pageranks(walks: Sequence[tuple[DirectedGraph, float]],
 def quantum_pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,
                      steps: int = DEFAULT_STEPS, backend: str = "direct") -> np.ndarray:
     """Time-averaged quantum rank vector (the quantum ranking object)."""
-    return quantum_pageranks([(g, alpha)], steps, backend)[0]
+    _check_backend(backend)
+    return quantum_pageranks([(g, alpha)], steps)[0]
 
 
 def average_drift(series: QuantumRankSeries) -> float:

@@ -17,8 +17,10 @@ captured from the implementation that ran them one after another.
 The ``qrank`` series on ``scalefree:64`` and the ``compare`` table on
 ``scalefree:128`` were captured from the implementation whose walk operator
 still carried the N^2-entry edge-space amplitudes. So was the same series
-from the spectral kernel, which the CLI no longer runs; it is pinned through
-the library, with the metadata the CLI wrote for it. The ``compare`` pin
+from the spectral kernel, which neither the CLI nor the library's pipelines
+run any more; it is pinned through the reference pair
+``evolve_spectral(build_dynamical_subspace(walk_operator(g, 0.85)), 256)``,
+with the metadata the CLI wrote for it. The ``compare`` pin
 lists nodes in rank order, and nodes whose quantum values tie in exact
 arithmetic are ordered there by rounding, so a kernel change that moves last
 digits may move that pin without a wrong rank. The quantum ``analyze`` and
@@ -44,7 +46,7 @@ import pytest
 from qprank.cli import main
 from qprank.formats import write_series_csv
 from qprank.graph import generate_scale_free, graph_digest, parse_edge_list, to_pajek
-from qprank.szegedy import quantum_rank_series
+from qprank.szegedy import build_dynamical_subspace, evolve_spectral, walk_operator
 
 GEN = ["--gen", "scalefree:2048", "--seed", "7"]
 
@@ -151,7 +153,8 @@ def test_spectral_series_bytes():
     g = generate_scale_free(64, 2)
     meta = {"source": "scalefree:64", "seed": 2, "graph": graph_digest(g),
             "alpha": 0.85, "steps": 256, "backend": "spectral"}
-    text = write_series_csv(quantum_rank_series(g, 0.85, 256, backend="spectral"), meta)
+    series = evolve_spectral(build_dynamical_subspace(walk_operator(g, 0.85)), 256)
+    text = write_series_csv(series, meta)
     assert hashlib.sha256(text.encode()).hexdigest() == SHA256["qrank_spectral.csv"]
 
 

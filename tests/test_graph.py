@@ -437,6 +437,24 @@ class TestGenerators:
             with pytest.raises(ValueError, match=f"between 3 and {graph.MAX_NODES} nodes"):
                 generate_scale_free(n, 0)
 
+    def test_scale_free_beyond_physical_memory_refused_up_front(self, monkeypatch):
+        # at 320 bytes a node, 10**6 nodes need 320 MB, more than a 256 MiB
+        # machine has; the 8192 nodes of the CLI ingest benchmark need 2.6 MB
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 256 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="of 1000000 nodes takes about 320000000 "
+                                                  "bytes .* 268435456 bytes of physical"):
+                generate_scale_free(10 ** 6, 0)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        assert generate_scale_free(8192, 0).node_count == 8192
+        # where the platform reports no memory figure, nothing is refused
+        monkeypatch.setattr(graph, "_physical_memory", lambda: None)
+        monkeypatch.setattr(graph, "_SCALE_FREE_NODE_BYTES", 1 << 62)
+        assert generate_scale_free(16, 0).node_count == 16
+
     def test_hierarchical_node_counts(self):
         for n in range(1, 7):
             assert generate_hierarchical(n).node_count == 3 ** n

@@ -1,8 +1,8 @@
 """Round-trip properties of the graph files and of the rank, series, sweep,
 attack and compare CSVs, the array-backed graph model against its
 tuple-based reference, the in-package Kendall tau-b against
-``scipy.stats.kendalltau``, and the degeneracy classes against a per-node
-loop."""
+``scipy.stats.kendalltau``, the degeneracy classes against a per-node
+loop, and the direct quantum walk against the edge-space oracle."""
 
 import csv
 import io
@@ -23,7 +23,9 @@ from qprank.analysis import (AttackReport, FidelitySweep, _kendall_tau_b,
 from qprank.graph import (DirectedGraph, generate_scale_free, parse_edge_list,
                           parse_pajek, remove_nodes, to_edge_list, to_pajek)
 from qprank.pagerank import hyperlink_matrix, patch_dangling
-from qprank.szegedy import QuantumRankSeries
+from qprank.szegedy import (QuantumRankSeries, quantum_pagerank, quantum_pageranks,
+                            walk_operator)
+from szegedy_oracles import initial_state, instantaneous_qpr, two_step
 from test_graph import _reference_scale_free
 
 # Labels as the parsers can produce them: any printable text on one line.
@@ -55,9 +57,9 @@ def test_pajek_round_trip(g):
 
 
 @st.composite
-def arc_lists(draw):
+def arc_lists(draw, max_nodes=10):
     """A node count and an arc list with repeats, in any order."""
-    n = draw(st.integers(2, 10))
+    n = draw(st.integers(2, max_nodes))
     pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda a: a[0] != a[1])
     distinct = draw(st.lists(pairs, max_size=25))
     repeats = draw(st.lists(st.sampled_from(distinct), max_size=10)) if distinct else []
@@ -79,6 +81,30 @@ def test_arrays_match_tuple_reference(case):
         assert np.array_equal(getattr(links, field), getattr(want, field)), field
     assert not hyperlink_matrix(g).patched.any()
     assert np.array_equal(patch_dangling(hyperlink_matrix(g)).patched, g.out_degrees() == 0)
+
+
+# Each case runs 256 edge-space two-steps in Python; 60 cases keep the test
+# near 1.5 s on 2 vCPU.
+@settings(deadline=None, max_examples=60)
+@given(arc_lists(max_nodes=12), st.booleans(), st.sampled_from([0.5, 0.85, 1.0]))
+def test_direct_walk_matches_edge_space_oracle(case, symmetrise, alpha):
+    """The streamed direct kernel, alone and stacked, against the N^2-entry
+    edge-space walk. Symmetric graphs and alpha = 1 give D eigenvalues +-1,
+    so many cases run the deflated walk."""
+    n, arcs = case
+    if symmetrise:
+        arcs = arcs + [(d, s) for s, d in arcs]
+    g = DirectedGraph.from_arcs(n, arcs)
+    steps = 256
+    average = quantum_pagerank(g, alpha, steps)
+    stacked = quantum_pageranks([(g, alpha), (g, alpha)], steps)
+    assert np.array_equal(stacked, [average, average])
+    op = walk_operator(g, alpha)
+    psi, total = initial_state(op), np.zeros(n)
+    for _ in range(steps):
+        total += instantaneous_qpr(psi)
+        psi = two_step(psi, op)
+    assert np.abs(average - total / steps).max() <= 1e-11
 
 
 @given(arc_lists(), st.data())
@@ -124,7 +150,7 @@ def test_rank_csv_round_trip(case):
     assert loaded_labels == labels
 
 
-# Finite or infinite, with -0.0: every float ``fmt`` writes and reads back
+# Finite or infinite, with -0.0: every float the writers write and read back
 # bit for bit (a NaN reads back as some NaN, not as the same bits).
 EXACT_FLOATS = st.floats(allow_nan=False) | st.sampled_from([-0.0, 5e-324, 0.1])
 
@@ -196,6 +222,11 @@ def test_scale_free_matches_rng_choice_reference(n, seed):
     assert generate_scale_free(n, seed) == _reference_scale_free(n, seed)
 
 
+def fmt(x):
+    """A float's text in the writers' output: its shortest round-trip repr."""
+    return repr(float(x))
+
+
 def _csv_module(meta, header, rows):
     """The writers' text as the csv module writes it, one ``fmt`` per float."""
     out = io.StringIO()
@@ -223,7 +254,6 @@ def tables(draw):
 @given(tables())
 def test_writers_match_csv_module(case):
     matrix, labels = case
-    fmt = formats.fmt
     meta = {"alpha": 0.85, "source": "web.txt"}
     values, other = matrix[0], matrix[-1]
     order = ranking_order(values)

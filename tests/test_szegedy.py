@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from szegedy_oracles import (amps, apply_reflection, apply_swap, initial_state,
                              instantaneous_qpr, two_step)
 
 BENCHMARKS = ("fig1a", "fig1c", "fig1d", "fig2b")
-BACKENDS = ("direct", "spectral")
+# The direct kernel, which the pipelines run, and its spectral reference.
+KERNELS = ("direct", "spectral")
 
 
 def dense_swap(n):
@@ -72,9 +75,9 @@ class TestOperator:
         # both kernels start from it: the walk from node 0 alone first reads out G e_0
         start = np.eye(op.dim)[0]
         monkeypatch.setattr(szegedy, "initial_state", lambda op: start)
-        for backend in BACKENDS:
-            first = series(op, 1, backend).instantaneous[0]
-            assert np.abs(first - op.google[:, 0]).max() < 1e-12, backend
+        for kernel in KERNELS:
+            first = series(op, 1, kernel).instantaneous[0]
+            assert np.abs(first - op.google[:, 0]).max() < 1e-12, kernel
 
 
 class TestInitialState:
@@ -262,22 +265,22 @@ ORACLE_CASES = [
 ]
 
 
-def series(op, steps, backend, offset=0):
-    if backend == "spectral":
-        return evolve_spectral(build_dynamical_subspace(op), steps, offset=offset)
-    return evolve(op, steps, offset=offset)
+def series(op, steps, kernel):
+    if kernel == "spectral":
+        return evolve_spectral(build_dynamical_subspace(op), steps)
+    return evolve(op, steps)
 
 
 class TestTwoRegisterKernel:
-    # Both backends run through each test body, so the test ids name graphs only.
+    # Both kernels run through each test body, so the test ids name graphs only.
     @pytest.mark.parametrize("make,alpha", [c[1:] for c in ORACLE_CASES],
                              ids=[c[0] for c in ORACLE_CASES])
     def test_matches_edge_space_oracle(self, make, alpha):
         op = walk_operator(make(), alpha)
         oracle = edge_space_series(op, 2048)
-        for backend in BACKENDS:
-            err = np.abs(series(op, 2048, backend).instantaneous - oracle).max()
-            assert err < 1e-10, backend
+        for kernel in KERNELS:
+            err = np.abs(series(op, 2048, kernel).instantaneous - oracle).max()
+            assert err < 1e-10, kernel
 
     def test_unit_eigenvalues_present_where_deflation_matters(self):
         for name, make, alpha in ORACLE_CASES[:4]:
@@ -289,17 +292,17 @@ class TestTwoRegisterKernel:
         for name, make, alpha in ORACLE_CASES:
             op = walk_operator(make(), alpha)
             oracle = edge_space_series(op, 10, offset=7)
-            for backend in BACKENDS:
-                err = np.abs(series(op, 10, backend, offset=7).instantaneous - oracle).max()
-                assert err < 1e-12, (name, backend)
+            err = np.abs(evolve(op, 10, offset=7).instantaneous - oracle).max()
+            assert err < 1e-12, name
 
     @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.85, 0.98])
     def test_streamed_average_matches_series(self, alpha):
         for g in (generate_scale_free(48, 4), benchmark_graph("fig1a")):
-            average = evolve(walk_operator(g, alpha), 512).average
-            for backend in BACKENDS:
-                streamed = quantum_pagerank(g, alpha, 512, backend=backend)
-                assert np.abs(streamed - average).max() < 1e-12, backend
+            op = walk_operator(g, alpha)
+            average = evolve(op, 512).average
+            streamed = quantum_pagerank(g, alpha, 512)
+            assert np.abs(streamed - average).max() < 1e-12
+            assert np.abs(series(op, 512, "spectral").average - average).max() < 1e-12
 
     @pytest.mark.parametrize("make,alpha", [c[1:] for c in ORACLE_CASES],
                              ids=[c[0] for c in ORACLE_CASES])
@@ -359,12 +362,6 @@ class TestSpectralBackend:
             spectral = evolve_spectral(build_dynamical_subspace(op), 50)
             assert np.abs(direct.instantaneous - spectral.instantaneous).max() < 1e-8
 
-    def test_offset_agreement(self):
-        op = walk_operator(benchmark_graph("fig1d"), 0.85)
-        direct = evolve(op, 10, offset=7)
-        spectral = evolve_spectral(build_dynamical_subspace(op), 10, offset=7)
-        assert np.abs(direct.instantaneous - spectral.instantaneous).max() < 1e-8
-
     def test_average_stabilizes_at_default_horizon(self):
         # drift between the default horizon and twice the default horizon
         for g in (generate_binary_tree(3), benchmark_graph("fig2b")):
@@ -372,16 +369,22 @@ class TestSpectralBackend:
             assert average_drift(series) < 1e-3
 
     def test_backend_selection(self):
+        # the pipelines run the direct kernel only; ``backend="direct"`` is
+        # still accepted, and any other kernel is refused with the reference call
         g = generate_scale_free(16, 8)
         default = quantum_rank_series(g, 0.85, 128)
         direct = quantum_rank_series(g, 0.85, 128, backend="direct")
-        spectral = quantum_rank_series(g, 0.85, 128, backend="spectral")
         assert np.array_equal(default.instantaneous, direct.instantaneous)
-        assert np.abs(spectral.instantaneous - direct.instantaneous).max() < 1e-8
-        for name in ("mystery", "auto"):
+        assert np.array_equal(quantum_pagerank(g, 0.85, 128),
+                              quantum_pagerank(g, 0.85, 128, backend="direct"))
+        reference = re.escape("evolve_spectral(build_dynamical_subspace(walk_operator(g, alpha)), "
+                              "steps)")
+        for name in ("spectral", "auto", "mystery"):
             for run in (quantum_rank_series, quantum_pagerank):
-                with pytest.raises(ValueError, match="unknown backend"):
+                with pytest.raises(ValueError, match=f"backend '{name}' .*{reference}"):
                     run(g, 0.85, 16, backend=name)
+            with pytest.raises(TypeError, match="backend"):
+                quantum_pageranks([(g, 0.85)], 16, backend=name)
 
 
 def bidirected_ring(n):
@@ -418,9 +421,8 @@ class TestStackedWalks:
 
     def test_rejects_unequal_sizes_and_empty_input(self):
         walks = [(generate_scale_free(16, 1), 0.85), (generate_scale_free(17, 1), 0.85)]
-        for backend in BACKENDS:
-            with pytest.raises(ValueError, match="node count"):
-                quantum_pageranks(walks, 8, backend=backend)
+        with pytest.raises(ValueError, match="node count"):
+            quantum_pageranks(walks, 8)
         with pytest.raises(ValueError, match="non-empty"):
             quantum_pageranks([], 8)
         with pytest.raises(ValueError, match="steps"):
