@@ -35,6 +35,11 @@ whose discriminant has eigenvalues +-1, so they hold the deflated walk: the
 mode each, and the ``fig2b`` series at alpha = 1 has one +1 and one -1 mode.
 They were captured from the implementation whose pipelines still accepted
 the spectral kernel as a ``backend``.
+The ``rank`` and ``compare`` outputs on ``labels.txt``, an edge list whose
+labels hold ``,``, ``"`` and a non-ASCII letter, are the only pins whose
+labels the csv module must quote, and whose JSON escapes them. They were
+captured from the implementation that built each output as one string
+before writing it.
 Any change to the graph model, the parsers, the link matrix, the walk kernel
 or the writers that moves a byte fails here.
 """
@@ -89,7 +94,12 @@ GOLDEN.update({
     "qrank_fig2b.csv": ["qrank", "--benchmark", "fig2b", "--alpha", "1", "--steps", "128"],
     "sweep_quantum_fig1a.csv": ["sweep", "--benchmark", "fig1a", "--ranker", "quantum",
                                 "--grid", "0.5:0.9:3"],
+    "rank_labels.csv": ["rank", "--input", "labels.txt"],
+    "rank_labels.json": ["rank", "--input", "labels.txt", "--format", "json"],
+    "compare_labels.csv": ["compare", "--input", "labels.txt"],
+    "compare_labels.json": ["compare", "--input", "labels.txt", "--format", "json"],
 })
+LABELLED = 'a,b q"r\nq"r \u00fc\n\u00fc a,b\n\u00fc q"r\n'
 
 SHA256 = {
     "gen.txt": "ef6e21feb915efbab3e7781b81697ad2ecb037f4d9e8a0e40d3e3de6fe9e74cb",
@@ -123,6 +133,10 @@ SHA256 = {
     "qrank_fig1a.csv": "5fccee4465d1c2c0c5364e982a046f4057007d3b7a5e69562920e001ce46dbfc",
     "qrank_fig2b.csv": "877cc1559dbbb01d4702bc57031a3d68ea0dc38184de23a91d8390ce2149659d",
     "sweep_quantum_fig1a.csv": "47781e836a2a5400c1ceec670e4cf1e8ec050d10e8a9a3d36d0aec5a982f6ab0",
+    "rank_labels.csv": "6392acd80a140e6fef42479ead33223439086fb3e0b9e70364ba0711b3a88d5f",
+    "rank_labels.json": "52af0601910ed25e58f6ce7c5990ac41a2b32bffb34f9c47fbfcaf0aa6625486",
+    "compare_labels.csv": "7e797199f143e0b2c040d7b19c383b1a68cb45b3dd16623873ec815ec5f8c249",
+    "compare_labels.json": "4e943c163991b630552c8cc85d33e555d51fe1fcb27ef9b83218fd1503f9fb80",
 }
 DIGEST = "ef6e21feb915efba"
 
@@ -135,6 +149,7 @@ def workdir(tmp_path_factory):
     text = (path / "gen.txt").read_text(encoding="utf-8")
     (path / "web.txt").write_text(text, encoding="utf-8")
     (path / "web.net").write_text(to_pajek(parse_edge_list(text)), encoding="utf-8")
+    (path / "labels.txt").write_text(LABELLED, encoding="utf-8")
     return path
 
 
