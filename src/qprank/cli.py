@@ -5,6 +5,11 @@ Subcommands compose the library into pipelines that write plot-ready CSV
 the explicit --seed flag, so rerunning a command with identical flags
 produces byte-identical output.
 
+Each subcommand's handler computes its whole result first and returns the
+output as an iterator of text chunks, one row each; ``main`` only then
+opens ``--output`` (or takes stdout) and writes the chunks as they come, so
+no output is ever held whole and a run that fails leaves no output file.
+
 Exit codes: 0 success, 2 input or output file error, 3 graph parse error
 (including input that is not UTF-8), 4 invalid parameters (including a run
 too large for the available memory).
@@ -13,15 +18,17 @@ too large for the available memory).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import re
 import sys
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from . import analysis, formats
 from .graph import (_MAX_DIGITS, DirectedGraph, GraphFormatError, _shown, benchmark_graph,
-                    generate, graph_digest, parse_graph, to_edge_list)
+                    edge_list_lines, generate, graph_digest, parse_graph)
 from .pagerank import (DEFAULT_ALPHA, classical_pagerank, hyperlink_matrix,
                        patch_dangling, power_method)
 from .szegedy import DEFAULT_STEPS, quantum_pagerank, quantum_rank_series
@@ -114,25 +121,20 @@ def _walk(*rankers: str) -> dict:
     return {"backend": "direct"} if "quantum" in rankers else {}
 
 
-def _render(args, table: formats.Table) -> str:
+def _render(args, table: formats.Table) -> Iterator[str]:
     """A record table as CSV, or as JSON records under its metadata."""
     if args.format == "json":
-        return formats.dump_json(formats.records_json(table))
-    return formats.write_csv(table)
+        return formats.table_json(table)
+    return formats.table_csv(table)
 
 
-def _cmd_gen(g, meta, args) -> str:
+def _cmd_gen(g, meta, args) -> Iterator[str]:
     if args.format == "json":
-        return formats.dump_json({
-            "provenance": meta,
-            "node_count": g.node_count,
-            "arcs": np.column_stack((g.sources(), g.targets)).tolist(),
-            "labels": None if g.labels is None else list(g.labels),
-        })
-    return to_edge_list(g)
+        return formats.graph_json(g, meta)
+    return edge_list_lines(g)
 
 
-def _cmd_rank(g, meta, args) -> str:
+def _cmd_rank(g, meta, args) -> Iterator[str]:
     if args.bare:
         if args.alpha not in (None, 1.0):
             raise UsageError("--bare iterates the undamped matrix: omit --alpha or give 1")
@@ -153,24 +155,24 @@ def _cmd_rank(g, meta, args) -> str:
     return _render(args, formats.rank_table(values, g.labels, meta))
 
 
-def _cmd_qrank(g, meta, args) -> str:
+def _cmd_qrank(g, meta, args) -> Iterator[str]:
     meta = dict(meta, alpha=args.alpha, steps=args.steps, **_walk("quantum"))
     series = quantum_rank_series(g, args.alpha, args.steps)
     if args.format == "json":
-        return formats.dump_json(formats.series_json(series, meta))
-    return formats.write_series_csv(series, meta)
+        return formats.series_json(series, meta)
+    return formats.series_csv(series, meta)
 
 
-def _cmd_sweep(g, meta, args) -> str:
+def _cmd_sweep(g, meta, args) -> Iterator[str]:
     grid = parse_grid(args.grid)
     meta = dict(meta, ranker=args.ranker, steps=args.steps, **_walk(args.ranker))
     sweep = analysis.damping_sweep(g, grid, args.ranker, args.steps)
     if args.format == "json":
-        return formats.dump_json(formats.sweep_json(sweep, meta))
-    return formats.write_sweep_csv(sweep, meta)
+        return formats.sweep_json(sweep, meta)
+    return formats.sweep_csv(sweep, meta)
 
 
-def _cmd_attack(g, meta, args) -> str:
+def _cmd_attack(g, meta, args) -> Iterator[str]:
     meta = dict(meta, ranker=args.ranker, alpha=args.alpha, steps=args.steps,
                 **_walk(args.ranker))
     report = analysis.attack_sensitivity(g, args.remove, args.ranker, args.alpha, args.steps)
@@ -181,7 +183,7 @@ _ANALYZE_HEADER = ("ranker", "ipr", "power_law_exponent", "power_law_intercept",
                    "power_law_r2", "degeneracy_classes", "spread")
 
 
-def _cmd_analyze(g, meta, args) -> str:
+def _cmd_analyze(g, meta, args) -> Iterator[str]:
     rankers = ("classical", "quantum") if args.ranker == "both" else (args.ranker,)
     meta = dict(meta, alpha=args.alpha, steps=args.steps, delta=args.delta, **_walk(*rankers))
     rows = []
@@ -194,7 +196,7 @@ def _cmd_analyze(g, meta, args) -> str:
     return _render(args, formats.Table(meta, _ANALYZE_HEADER, rows))
 
 
-def _cmd_compare(g, meta, args) -> str:
+def _cmd_compare(g, meta, args) -> Iterator[str]:
     meta = dict(meta, alpha=args.alpha, steps=args.steps, **_walk("quantum"))
     classical = classical_pagerank(g, args.alpha)
     quantum = quantum_pagerank(g, args.alpha, args.steps)
@@ -234,7 +236,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         graph, meta = load_graph(args)
-        text = _COMMANDS[args.command][0](graph, meta, args)
+        chunks = _COMMANDS[args.command][0](graph, meta, args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except OSError as exc:
@@ -250,15 +252,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"qprank: not enough memory: {exc}", file=sys.stderr)
         return 4
 
+    # The result is computed; only now is the output opened, so a run that
+    # fails before this point leaves no file. A write that fails removes the
+    # partial file (a device or pipe is left alone).
     if args.output:
+        fh = None
         try:
-            with open(args.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            fh = open(args.output, "w", encoding="utf-8", newline="")
+            with fh:
+                fh.writelines(chunks)
         except OSError:
+            if fh is not None and os.path.isfile(args.output):
+                with contextlib.suppress(OSError):
+                    os.remove(args.output)
             print(f"qprank: cannot write output: {args.output}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return 0
 
 

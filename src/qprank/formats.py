@@ -11,18 +11,25 @@ Rank, attack, analyze and compare outputs are one ``Table`` in both
 formats: JSON holds the CSV metadata as ``provenance`` and one object per
 CSV row. Series and sweeps keep matrix-shaped JSON bodies under the same
 provenance.
+
+Every output is made as an iterator of text chunks, one row at a time,
+straight from the result arrays, so no output is ever held whole: a JSON
+body has exactly the bytes of ``json.dumps(obj, indent=2)`` plus a newline,
+without ``obj`` ever being built. The ``write_*`` helpers join the same
+chunks into one string.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
-from typing import NamedTuple, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .analysis import AttackReport, FidelitySweep, rank_positions, ranking_order
+from .graph import DirectedGraph
 from .szegedy import QuantumRankSeries
 
 
@@ -33,32 +40,99 @@ def _floats(values) -> list[float]:
 
 class Table(NamedTuple):
     """One output: run metadata, a header and rows of Python scalars. CSV
-    writes ``meta`` as its ``# key=value`` lines and JSON as ``provenance``."""
+    writes ``meta`` as its ``# key=value`` lines and JSON as ``provenance``.
+    ``rows`` may be a one-pass iterator; each writer reads it once."""
 
     meta: dict
     header: Sequence[str]
-    rows: Sequence[tuple]
+    rows: Iterable[tuple]
+
+
+class _Echo:
+    """A file whose ``write`` returns its text, so ``csv.writer.writerow``
+    returns the row it would have written."""
+
+    @staticmethod
+    def write(text: str) -> str:
+        return text
+
+
+def table_csv(table: Table) -> Iterator[str]:
+    """The table as CSV chunks, one line each; a float field is written as its
+    repr. Only a ``label`` column holds free text, which the csv module quotes
+    if needed."""
+    for key, value in table.meta.items():
+        yield f"# {key}={value}\n"
+    if "label" in table.header:
+        writer = csv.writer(_Echo(), lineterminator="\n")
+        yield writer.writerow(table.header)
+        yield from map(writer.writerow, table.rows)
+    else:  # one format string per row: faster than the csv module
+        yield ",".join(table.header) + "\n"
+        line = ",".join(["%s"] * len(table.header)) + "\n"
+        yield from (line % row for row in table.rows)
 
 
 def write_csv(table: Table) -> str:
-    """The table as CSV; a float field is written as its repr. Only a
-    ``label`` column holds free text, which the csv module quotes if needed."""
-    head = "".join(f"# {key}={value}\n" for key, value in table.meta.items())
-    if "label" not in table.header:  # one format string per row: faster than the csv module
-        line = ",".join(["%s"] * len(table.header)) + "\n"
-        return head + ",".join(table.header) + "\n" + "".join([line % row for row in table.rows])
-    out = io.StringIO()
-    out.write(head)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(table.header)
-    writer.writerows(table.rows)
-    return out.getvalue()
+    return "".join(table_csv(table))
 
 
-def records_json(table: Table) -> dict:
-    """The table as JSON: ``provenance``, then one object per row keyed by the header."""
-    return {"provenance": table.meta,
-            "rows": [dict(zip(table.header, row)) for row in table.rows]}
+_JSON = json.JSONEncoder(indent=2)
+# Without ``indent`` the json module runs its C encoder. With these separators
+# it lays out a flat list or object as ``indent=2`` does two levels deep, all
+# but the brackets.
+_ROW = json.JSONEncoder(separators=(",\n      ", ": "))
+
+
+def _json_row(value) -> str:
+    """A scalar, or a list or object of scalars, as ``json.dumps(indent=2)``
+    writes it as an element of a second-level array."""
+    text = _ROW.encode(value)
+    if text[0] in "[{" and len(text) > 2:
+        return f"{text[0]}\n      {text[1:-1]}\n    {text[-1]}"
+    return text
+
+
+def _json_array(rows: Iterator) -> Iterator[str]:
+    """A second-level JSON array, one row per chunk."""
+    sep = "["
+    for row in rows:
+        yield f"{sep}\n    {_json_row(row)}"
+        sep = ","
+    yield "[]" if sep == "[" else "\n  ]"
+
+
+def _json_chunks(fields: dict) -> Iterator[str]:
+    """The JSON object ``fields`` plus a newline, in chunks. A field whose value
+    is an iterator of rows (scalars, or lists or objects of scalars) is written
+    as an array, one row per chunk, so the list it stands for is never built."""
+    sep = "{"
+    for key, value in fields.items():
+        yield f"{sep}\n  {_JSON.encode(key)}: "
+        sep = ","
+        if isinstance(value, Iterator):
+            yield from _json_array(value)
+        else:  # its own dump, one level deeper: a JSON string holds no raw line break
+            yield _JSON.encode(value).replace("\n", "\n  ")
+    yield "\n}\n"
+
+
+def table_json(table: Table) -> Iterator[str]:
+    """The table as JSON chunks: ``provenance``, then one object per row keyed
+    by the header."""
+    return _json_chunks({"provenance": table.meta,
+                         "rows": (dict(zip(table.header, row)) for row in table.rows)})
+
+
+def graph_json(g: DirectedGraph, meta: dict) -> Iterator[str]:
+    """A graph as JSON chunks: ``provenance``, the node count, one ``[src, dst]``
+    pair per arc, and the labels or null."""
+    return _json_chunks({
+        "provenance": meta,
+        "node_count": g.node_count,
+        "arcs": map(list, zip(g.sources().tolist(), g.targets.tolist())),
+        "labels": None if g.labels is None else iter(g.labels),
+    })
 
 
 def _split_csv(text: str) -> tuple[dict, list[list[str]]]:
@@ -108,11 +182,16 @@ def read_rank_csv(text: str) -> tuple[np.ndarray, list[str], dict]:
 
 # --- quantum rank series ---
 
-def write_series_csv(series: QuantumRankSeries, meta: Optional[dict] = None) -> str:
-    rows = [(m, *row) for m, row in enumerate(_floats(series.instantaneous))]
-    rows.append(("avg", *_floats(series.average)))
+def series_csv(series: QuantumRankSeries, meta: Optional[dict] = None) -> Iterator[str]:
+    """The series as CSV chunks: one row per two-step m, then the ``avg`` row."""
+    rows = chain(((m, *_floats(row)) for m, row in enumerate(series.instantaneous)),
+                 [("avg", *_floats(series.average))])
     header = ["m", *(f"node_{i}" for i in range(series.node_count))]
-    return write_csv(Table(meta or {}, header, rows))
+    return table_csv(Table(meta or {}, header, rows))
+
+
+def write_series_csv(series: QuantumRankSeries, meta: Optional[dict] = None) -> str:
+    return "".join(series_csv(series, meta))
 
 
 def read_series_csv(text: str) -> tuple[QuantumRankSeries, dict]:
@@ -124,13 +203,14 @@ def read_series_csv(text: str) -> tuple[QuantumRankSeries, dict]:
     return QuantumRankSeries(inst, avg), meta
 
 
-def series_json(series: QuantumRankSeries, meta: Optional[dict] = None) -> dict:
-    return {
+def series_json(series: QuantumRankSeries, meta: Optional[dict] = None) -> Iterator[str]:
+    """The series as JSON chunks, one per two-step."""
+    return _json_chunks({
         "provenance": meta or {},
         "steps": series.steps,
-        "instantaneous": _floats(series.instantaneous),
+        "instantaneous": map(_floats, series.instantaneous),
         "average": _floats(series.average),
-    }
+    })
 
 
 # --- fidelity sweeps ---
@@ -139,10 +219,15 @@ def _sweep_meta(sweep: FidelitySweep, meta: Optional[dict]) -> dict:
     return {**(meta or {}), "min_fidelity": float(sweep.min_fidelity)}
 
 
-def write_sweep_csv(sweep: FidelitySweep, meta: Optional[dict] = None) -> str:
+def sweep_csv(sweep: FidelitySweep, meta: Optional[dict] = None) -> Iterator[str]:
+    """The pairwise fidelities as CSV chunks, one row per alpha."""
     grid = _floats(sweep.alpha_grid)
-    rows = [(a, *row) for a, row in zip(grid, _floats(sweep.pairwise))]
-    return write_csv(Table(_sweep_meta(sweep, meta), ["alpha", *map(str, grid)], rows))
+    rows = ((a, *_floats(row)) for a, row in zip(grid, sweep.pairwise))
+    return table_csv(Table(_sweep_meta(sweep, meta), ["alpha", *map(str, grid)], rows))
+
+
+def write_sweep_csv(sweep: FidelitySweep, meta: Optional[dict] = None) -> str:
+    return "".join(sweep_csv(sweep, meta))
 
 
 def read_sweep_csv(text: str) -> tuple[tuple[float, ...], np.ndarray, dict]:
@@ -152,13 +237,14 @@ def read_sweep_csv(text: str) -> tuple[tuple[float, ...], np.ndarray, dict]:
     return grid, matrix, meta
 
 
-def sweep_json(sweep: FidelitySweep, meta: Optional[dict] = None) -> dict:
-    return {
+def sweep_json(sweep: FidelitySweep, meta: Optional[dict] = None) -> Iterator[str]:
+    """The sweep as JSON chunks, one per row of each matrix."""
+    return _json_chunks({
         "provenance": _sweep_meta(sweep, meta),
         "alpha_grid": _floats(sweep.alpha_grid),
-        "pairwise_fidelity": _floats(sweep.pairwise),
-        "rank_vectors": _floats(sweep.rank_vectors),
-    }
+        "pairwise_fidelity": map(_floats, sweep.pairwise),
+        "rank_vectors": map(_floats, sweep.rank_vectors),
+    })
 
 
 # --- attack reports ---
@@ -210,7 +296,3 @@ def read_compare_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:
         classical[int(row[0])] = float(row[2])
         quantum[int(row[0])] = float(row[3])
     return classical, quantum, meta
-
-
-def dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2) + "\n"

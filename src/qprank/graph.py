@@ -14,7 +14,8 @@ import hashlib
 import math
 import os
 import re
-from typing import Iterable, Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -296,14 +297,19 @@ def parse_edge_list(text: str) -> DirectedGraph:
     return DirectedGraph(len(index), ends[0::2], ends[1::2], labels)
 
 
-def to_edge_list(g: DirectedGraph) -> str:
-    """Canonical edge list: vertex-count comment plus arcs sorted by (src, dst).
+def edge_list_lines(g: DirectedGraph) -> Iterator[str]:
+    """Canonical edge list, one line at a time: vertex-count comment plus arcs
+    sorted by (src, dst).
 
     Labels are not representable here; use the Pajek format to keep them.
     """
-    lines = [f"# vertices: {g.node_count}"]
-    lines.extend(map("{} {}".format, g.sources().tolist(), g.targets.tolist()))
-    return "\n".join(lines) + "\n"
+    return chain([f"# vertices: {g.node_count}\n"],
+                 map("{} {}\n".format, g.sources().tolist(), g.targets.tolist()))
+
+
+def to_edge_list(g: DirectedGraph) -> str:
+    """The lines of :func:`edge_list_lines` as one string."""
+    return "".join(edge_list_lines(g))
 
 
 _PAJEK_VERTEX = re.compile(r'^(\d+)(?:\s+"([^"]*)")?\s*$', re.ASCII)
@@ -535,6 +541,16 @@ def _physical_memory() -> Optional[int]:
         return None
 
 
+def _admit(need: int, what: str, verb: str) -> None:
+    """MemoryError, before anything is allocated, when ``what`` takes about
+    ``need`` bytes to ``verb``, more than physical memory; nothing is refused
+    where the platform reports no memory figure."""
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise MemoryError(f"{what} takes about {need} bytes to {verb}, "
+                          f"more than the {memory} bytes of physical memory")
+
+
 def generate_scale_free(n: int, seed: int) -> DirectedGraph:
     """Directed preferential-attachment graph with ``n`` nodes.
 
@@ -553,10 +569,7 @@ def generate_scale_free(n: int, seed: int) -> DirectedGraph:
     """
     if not 3 <= n <= MAX_NODES:
         raise ValueError(f"scale-free generator needs between 3 and {MAX_NODES} nodes")
-    need, memory = n * _SCALE_FREE_NODE_BYTES, _physical_memory()
-    if memory is not None and need > memory:
-        raise MemoryError(f"a scale-free graph of {n} nodes takes about {need} bytes to "
-                          f"generate, more than the {memory} bytes of physical memory")
+    _admit(n * _SCALE_FREE_NODE_BYTES, f"a scale-free graph of {n} nodes", "generate")
     draw = _uniforms(np.random.default_rng(seed)).__next__
     p_new_out, p_internal, _ = _MIX
 

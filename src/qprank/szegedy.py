@@ -51,7 +51,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _admit
 from .pagerank import DEFAULT_ALPHA, google_matrix, hyperlink_matrix, patch_dangling
 
 DEFAULT_STEPS = 2048
@@ -63,6 +63,12 @@ UNIT_EIGEN_TOL = 1e-9
 # of L2 per core, two N = 256 walks (1 MiB) took 1.03x their sequential
 # time, three N = 192 walks (864 KiB) 0.76x.
 STACK_BYTES = 1 << 19
+# Peak bytes of one walk per node pair (its dense G and D, the deflated 2D and
+# the factors of D; tracemalloc: 33.2 at N = 300, 32.6 at N = 600), and of a
+# recorded series per two-step and node (the registers' history, the series
+# and the readout product; tracemalloc: at most 23.4).
+_WALK_PAIR_BYTES = 34
+_SERIES_BYTES = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +85,17 @@ class WalkOperator:
         return self.google.shape[0]
 
 
+def _admit_walk(n: int, steps: int = 0, walks: int = 1) -> None:
+    """MemoryError, before anything is allocated, when ``walks`` walks on
+    ``n`` nodes, recording ``steps`` two-steps, need more than physical memory."""
+    _admit(walks * (_WALK_PAIR_BYTES * n * n + _SERIES_BYTES * steps * n),
+           f"a quantum walk on {n} nodes" + (f" over {steps} two-steps" if steps else ""),
+           "run")
+
+
 def walk_operator(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> WalkOperator:
     """Google matrix at damping ``alpha`` and its discriminant."""
+    _admit_walk(g.node_count)
     google = google_matrix(patch_dangling(hyperlink_matrix(g)), alpha).dense()
     amps = np.sqrt(google).T
     return WalkOperator(google, amps * amps.T)
@@ -196,6 +211,7 @@ def evolve(op: WalkOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> Qua
     experiments that want the average to start later than m = 0.
     """
     _check_horizon(steps, offset)
+    _admit_walk(op.dim, steps)
     xs = np.empty((steps, op.dim))
     inst = np.empty((steps, op.dim))
     for m, (x, q) in enumerate(_register_walk([op], steps, offset)):
@@ -298,6 +314,7 @@ def quantum_pageranks(walks: Sequence[tuple[DirectedGraph, float]],
     _check_horizon(steps, 0)
     n = sizes.pop()
     chunk = max(1, STACK_BYTES // (8 * n * n))
+    _admit_walk(n, walks=min(chunk, len(walks)))
     return np.concatenate([_stack_average([walk_operator(g, a) for g, a in walks[i:i + chunk]],
                                           steps)
                            for i in range(0, len(walks), chunk)])

@@ -14,7 +14,8 @@ import qprank
 from graph_oracles import arc_set
 from qprank import formats
 from qprank.cli import build_parser, main, parse_grid
-from qprank.graph import benchmark_graph, parse_edge_list
+from qprank.graph import benchmark_graph, generate_scale_free, parse_edge_list, to_edge_list
+from test_analysis import _peak_bytes
 
 
 def child_env():
@@ -240,6 +241,94 @@ class TestExitCodes:
         code, data = run_cli(["rank", "--benchmark", "fig1a"], tmp_path)
         assert code == 0
         assert data.startswith(b"#")
+
+
+class TestStreamedOutput:
+    """Each handler computes its result, then ``main`` opens the output and
+    writes the chunks the handler returns, row by row."""
+
+    def test_failed_runs_leave_no_output_file(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(["qrank", "--benchmark", "fig2b", "--steps", "0", "--output", str(out)]) == 4
+        assert main(["rank", "--input", str(tmp_path / "missing.txt"),
+                     "--output", str(out)]) == 2
+        (tmp_path / "bad.txt").write_text("0 1 2\n")
+        assert main(["rank", "--input", str(tmp_path / "bad.txt"), "--output", str(out)]) == 3
+        capsys.readouterr()
+        assert not out.exists()
+
+    def test_output_is_opened_only_after_the_walk(self, monkeypatch, tmp_path, capsys):
+        import qprank.cli as cli
+        out = tmp_path / "out.csv"
+        walk = cli.quantum_rank_series
+
+        def exhausted(*args, **kwargs):
+            assert not out.exists()
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        def checked(*args, **kwargs):
+            assert not out.exists()
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "quantum_rank_series", exhausted)
+        assert main(["qrank", "--benchmark", "fig2b", "--output", str(out)]) == 4
+        assert "not enough memory" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(cli, "quantum_rank_series", checked)
+        assert main(["qrank", "--benchmark", "fig2b", "--steps", "8",
+                     "--output", str(out)]) == 0
+        assert formats.read_series_csv(out.read_text())[0].steps == 8
+
+    def test_failed_write_removes_the_partial_file(self, monkeypatch, tmp_path, capsys):
+        def disk_full(*args, **kwargs):
+            yield "# source=benchmark:fig2b\n"
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(formats, "series_csv", disk_full)
+        out = tmp_path / "out.csv"
+        assert main(["qrank", "--benchmark", "fig2b", "--steps", "8",
+                     "--output", str(out)]) == 2
+        assert f"cannot write output: {out}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_stdout_gets_the_same_bytes(self, tmp_path, capsysbinary):
+        for argv in (["qrank", "--benchmark", "fig2b", "--steps", "8"],
+                     ["rank", "--benchmark", "fig1a", "--format", "json"]):
+            code, data = run_cli(argv, tmp_path)
+            assert code == main(argv) == 0
+            assert capsysbinary.readouterr().out == data
+
+    def test_walk_beyond_physical_memory_is_4(self, monkeypatch, tmp_path, capsys):
+        from qprank import graph
+        # 1 MiB, less than the 2.2 MB of a walk on 256 nodes
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 1 << 20)
+        out = tmp_path / "out.csv"
+        assert main(["qrank", "--gen", "scalefree:256", "--steps", "16",
+                     "--output", str(out)]) == 4
+        assert ("qprank: not enough memory: a quantum walk on 256 nodes takes about "
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    # tracemalloc peaks of whole runs. The series is 8 * steps * N = 2 MiB;
+    # writers that held it as Python strings peaked at 22 MB (CSV) and 41 MB
+    # (JSON). The rank JSON built as one object peaked at 2.8x its CSV run.
+    QRANK = ["qrank", "--gen", "scalefree:64", "--seed", "2", "--steps", "4096"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_series_is_never_held_as_text(self, fmt, tmp_path):
+        argv = [*self.QRANK, "--format", fmt, "--output", str(tmp_path / "out")]
+        assert main([*argv, "--steps", "16"]) == 0  # warm up lazy imports and caches
+        assert _peak_bytes(lambda: main(argv)) <= 3.5 * 4096 * 64 * 8
+
+    def test_json_table_costs_little_more_than_csv(self, tmp_path):
+        # the graph is read from a file: generating it under tracemalloc is slow
+        edges = tmp_path / "web.txt"
+        edges.write_text(to_edge_list(generate_scale_free(8192, 0)), encoding="utf-8")
+        rank = ["rank", "--input", str(edges), "--output", str(tmp_path / "out")]
+        assert main(rank) == main([*rank, "--format", "json"]) == 0
+        peaks = [_peak_bytes(lambda argv=argv: main(argv))
+                 for argv in (rank, [*rank, "--format", "json"])]
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestPipelines:

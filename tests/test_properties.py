@@ -6,6 +6,7 @@ loop, and the direct quantum walk against the edge-space oracle."""
 
 import csv
 import io
+import json
 import re
 
 import numpy as np
@@ -287,6 +288,42 @@ def test_writers_match_csv_module(case):
         {**meta, "removed": "0;1", "correlation": "0.25", "mean_displacement": "1.5"},
         ["survivor", "original_index", "pre_value", "post_value"],
         ([new, old, fmt(values[new]), fmt(other[new])] for new, old in enumerate(survivors)))
+
+
+def _json_module(obj):
+    """An output's JSON as ``json.dumps`` writes the whole object at once."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@given(tables(), graphs(labels=LINE_TEXT | CSV_LABELS | st.sampled_from(["a\rb", "x\ny"])),
+       st.integers(0, 3))
+def test_json_writers_match_json_module(case, g, row_count):
+    matrix, labels = case
+    meta = {"alpha": 0.85, "source": 'w "1".txt', "converged": False, "gap": float("nan")}
+    values, other = matrix[0], matrix[-1]
+    for table in (formats.rank_table(values, labels, meta),
+                  formats.compare_table(None, values, other, meta),
+                  formats.Table(meta, ("ranker", "ipr"), [("classical", 1.5)] * row_count)):
+        rows = [dict(zip(table.header, row)) for row in table.rows]
+        assert "".join(formats.table_json(table)) == _json_module(
+            {"provenance": table.meta, "rows": rows})
+
+    series = QuantumRankSeries(matrix, other)
+    assert "".join(formats.series_json(series, meta)) == _json_module(
+        {"provenance": meta, "steps": len(matrix), "instantaneous": matrix.tolist(),
+         "average": other.tolist()})
+
+    grid = tuple(float(a) for a in values)
+    sweep = FidelitySweep(alpha_grid=grid, rank_vectors=matrix,
+                          pairwise=np.tile(values, (len(grid), 1)), min_fidelity=0.5)
+    assert "".join(formats.sweep_json(sweep, meta)) == _json_module(
+        {"provenance": {**meta, "min_fidelity": 0.5}, "alpha_grid": list(grid),
+         "pairwise_fidelity": sweep.pairwise.tolist(), "rank_vectors": matrix.tolist()})
+
+    assert "".join(formats.graph_json(g, meta)) == _json_module(
+        {"provenance": meta, "node_count": g.node_count,
+         "arcs": [[int(s), int(t)] for s, t in zip(g.sources(), g.targets)],
+         "labels": None if g.labels is None else list(g.labels)})
 
 
 def _scipy_rank_correlation(a, b):

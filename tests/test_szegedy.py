@@ -14,6 +14,7 @@ from qprank.szegedy import (average_drift, build_dynamical_subspace, evolve,
                             quantum_rank_series, walk_operator)
 from szegedy_oracles import (amps, apply_reflection, apply_swap, initial_state,
                              instantaneous_qpr, two_step)
+from test_analysis import _peak_bytes
 
 BENCHMARKS = ("fig1a", "fig1c", "fig1d", "fig2b")
 # The direct kernel, which the pipelines run, and its spectral reference.
@@ -427,3 +428,45 @@ class TestStackedWalks:
             quantum_pageranks([], 8)
         with pytest.raises(ValueError, match="steps"):
             quantum_pageranks(walks[:1], 0)
+
+
+class TestMemoryAdmission:
+    """Each walk estimates its bytes (34 per node pair, 24 per recorded
+    two-step and node) and refuses, before allocating, a run beyond the
+    physical memory figure, here monkeypatched. Every refused run is small,
+    so a missing check costs no memory."""
+
+    LIMIT = 1 << 20  # 1 MiB: N = 64 needs 139 264 bytes, N = 256 needs 2 228 224
+
+    @staticmethod
+    def _refused(run, match):
+        """Peak traced bytes of ``run``, which must raise MemoryError."""
+        def refused():
+            with pytest.raises(MemoryError, match=match):
+                run()
+        return _peak_bytes(refused)
+
+    def test_walks_beyond_physical_memory_refused_up_front(self, monkeypatch):
+        from qprank import graph
+        small, big = generate_scale_free(64, 1), generate_scale_free(256, 1)
+        op = walk_operator(small, 0.85)
+        monkeypatch.setattr(graph, "_physical_memory", lambda: self.LIMIT)
+        walk = ("a quantum walk on 256 nodes takes about 2228224 bytes to run, "
+                "more than the 1048576 bytes of physical memory")
+        for run in (lambda: walk_operator(big, 0.85),
+                    lambda: quantum_pageranks([(big, 0.5), (big, 0.85)], 16),
+                    lambda: quantum_pagerank(big, 0.85, 16),
+                    lambda: quantum_rank_series(big, 0.85, 16)):
+            assert self._refused(run, walk) < 1 << 16
+        # the series is counted too: 139 264 + 24 * 64 * 4096 bytes
+        assert self._refused(lambda: evolve(op, 4096),
+                             "on 64 nodes over 4096 two-steps takes about 6430720 "
+                             "bytes") < 1 << 16
+        assert evolve(op, 256).steps == 256
+        assert quantum_pagerank(small, 0.85, 256).shape == (64,)
+
+    def test_nothing_refused_without_a_memory_figure(self, monkeypatch):
+        from qprank import graph
+        monkeypatch.setattr(graph, "_physical_memory", lambda: None)
+        monkeypatch.setattr(szegedy, "_WALK_PAIR_BYTES", 1 << 62)
+        assert quantum_rank_series(benchmark_graph("fig2b"), 0.85, 8).steps == 8
