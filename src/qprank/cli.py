@@ -5,10 +5,15 @@ Subcommands compose the library into pipelines that write plot-ready CSV
 the explicit --seed flag, so rerunning a command with identical flags
 produces byte-identical output.
 
-Each subcommand's handler computes its whole result first and returns the
-output as an iterator of text chunks, one row each; ``main`` only then
-opens ``--output`` (or takes stdout) and writes the chunks as they come, so
-no output is ever held whole and a run that fails leaves no output file.
+Each subcommand's handler first validates its run and admits its memory,
+then returns the output as an iterator of text chunks, one row each;
+``main`` only then opens ``--output`` (or takes stdout) and writes the
+chunks as they come, so no output is ever held whole. Every handler but
+``qrank`` has computed its whole result by then. ``qrank`` has built its walk
+operator, and its walk runs as the rows are written, one block of two-steps
+at a time, so its series is never held either. A run that fails leaves no
+output file: a write that fails, or a walk that runs out of memory part way,
+removes the partial file.
 
 Exit codes: 0 success, 2 input or output file error, 3 graph parse error
 (including input that is not UTF-8), 4 invalid parameters (including a run
@@ -31,7 +36,8 @@ from .graph import (_MAX_DIGITS, DirectedGraph, GraphFormatError, _shown, benchm
                     edge_list_lines, generate, graph_digest, parse_graph)
 from .pagerank import (DEFAULT_ALPHA, classical_pagerank, hyperlink_matrix,
                        patch_dangling, power_method)
-from .szegedy import DEFAULT_STEPS, quantum_pagerank, quantum_rank_series
+from .szegedy import (DEFAULT_STEPS, _check_horizon, _series_blocks, quantum_pagerank,
+                      walk_operator)
 
 
 class UsageError(ValueError):
@@ -157,7 +163,10 @@ def _cmd_rank(g, meta, args) -> Iterator[str]:
 
 def _cmd_qrank(g, meta, args) -> Iterator[str]:
     meta = dict(meta, alpha=args.alpha, steps=args.steps, **_walk("quantum"))
-    series = quantum_rank_series(g, args.alpha, args.steps)
+    _check_horizon(args.steps, 0)
+    op = walk_operator(g, args.alpha)
+    # the walk runs as the rows are written, one block of two-steps at a time
+    series = formats.SeriesStream(_series_blocks(op, args.steps), args.steps, op.dim)
     if args.format == "json":
         return formats.series_json(series, meta)
     return formats.series_csv(series, meta)
@@ -252,23 +261,29 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"qprank: not enough memory: {exc}", file=sys.stderr)
         return 4
 
-    # The result is computed; only now is the output opened, so a run that
-    # fails before this point leaves no file. A write that fails removes the
-    # partial file (a device or pipe is left alone).
-    if args.output:
-        fh = None
-        try:
+    # The run is validated and admitted; only now is the output opened, so a
+    # run that fails before this point leaves no file. A write that fails, or
+    # a qrank walk that runs out of memory while its rows are written, removes
+    # the partial file (a device or pipe is left alone).
+    fh = None
+    try:
+        if args.output:
             fh = open(args.output, "w", encoding="utf-8", newline="")
             with fh:
                 fh.writelines(chunks)
-        except OSError:
-            if fh is not None and os.path.isfile(args.output):
-                with contextlib.suppress(OSError):
-                    os.remove(args.output)
-            print(f"qprank: cannot write output: {args.output}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+    except (OSError, MemoryError) as exc:
+        if fh is not None and os.path.isfile(args.output):
+            with contextlib.suppress(OSError):
+                os.remove(args.output)
+        if isinstance(exc, MemoryError):
+            print(f"qprank: not enough memory: {exc}", file=sys.stderr)
+            return 4
+        if not args.output:
+            raise
+        print(f"qprank: cannot write output: {args.output}", file=sys.stderr)
+        return 2
     return 0
 
 

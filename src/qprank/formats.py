@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import json
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -182,12 +181,44 @@ def read_rank_csv(text: str) -> tuple[np.ndarray, list[str], dict]:
 
 # --- quantum rank series ---
 
-def series_csv(series: QuantumRankSeries, meta: Optional[dict] = None) -> Iterator[str]:
-    """The series as CSV chunks: one row per two-step m, then the ``avg`` row."""
-    rows = chain(((m, *_floats(row)) for m, row in enumerate(series.instantaneous)),
-                 [("avg", *_floats(series.average))])
+class SeriesStream:
+    """A quantum rank series read once, as the walk makes it: ``blocks``
+    yields its ``steps`` rows of ``node_count`` values in (k, N) blocks. The
+    series writers take it where they take a ``QuantumRankSeries``.
+    ``instantaneous`` yields the rows one at a time and adds each into a
+    running sum; ``average``, read once the rows are spent, is that sum over
+    ``steps``, which equals ``mean(axis=0)`` of the same rows bit for bit."""
+
+    def __init__(self, blocks: Iterable[np.ndarray], steps: int, node_count: int):
+        self.steps, self.node_count = steps, node_count
+        self._sum = None
+        self.instantaneous = self._rows(blocks)
+
+    def _rows(self, blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+        for block in blocks:
+            for row in block:
+                if self._sum is None:
+                    self._sum = row.copy()
+                else:
+                    self._sum += row
+                yield row
+
+    @property
+    def average(self) -> np.ndarray:
+        return self._sum / self.steps
+
+
+def series_csv(series: QuantumRankSeries | SeriesStream,
+               meta: Optional[dict] = None) -> Iterator[str]:
+    """The series as CSV chunks: one row per two-step m, then the ``avg`` row,
+    whose values are read only once the rows are written."""
+    def rows():
+        for m, row in enumerate(series.instantaneous):
+            yield (m, *_floats(row))
+        yield ("avg", *_floats(series.average))
+
     header = ["m", *(f"node_{i}" for i in range(series.node_count))]
-    return table_csv(Table(meta or {}, header, rows))
+    return table_csv(Table(meta or {}, header, rows()))
 
 
 def write_series_csv(series: QuantumRankSeries, meta: Optional[dict] = None) -> str:
@@ -203,13 +234,18 @@ def read_series_csv(text: str) -> tuple[QuantumRankSeries, dict]:
     return QuantumRankSeries(inst, avg), meta
 
 
-def series_json(series: QuantumRankSeries, meta: Optional[dict] = None) -> Iterator[str]:
-    """The series as JSON chunks, one per two-step."""
+def series_json(series: QuantumRankSeries | SeriesStream,
+                meta: Optional[dict] = None) -> Iterator[str]:
+    """The series as JSON chunks, one per two-step, then one per value of the
+    average, which is read only once the rows are written."""
+    def average():
+        yield from _floats(series.average)
+
     return _json_chunks({
         "provenance": meta or {},
         "steps": series.steps,
         "instantaneous": map(_floats, series.instantaneous),
-        "average": _floats(series.average),
+        "average": average(),
     })
 
 

@@ -65,10 +65,14 @@ UNIT_EIGEN_TOL = 1e-9
 STACK_BYTES = 1 << 19
 # Peak bytes of one walk per node pair (its dense G and D, the deflated 2D and
 # the factors of D; tracemalloc: 33.2 at N = 300, 32.6 at N = 600), and of a
-# recorded series per two-step and node (the registers' history, the series
-# and the readout product; tracemalloc: at most 23.4).
+# recorded series per two-step and node (the series alone; tracemalloc over
+# 4096 two-steps, beyond the 34 per node pair: 8.37 at N = 64, 8.19 at
+# N = 300, 8.04 at N = 600, the rest being the few blocks of the readout).
 _WALK_PAIR_BYTES = 34
-_SERIES_BYTES = 24
+_SERIES_BYTES = 8
+# Two-steps per block of a series: the walk holds one block of registers at a
+# time and reads each block out with one (k, N) x (N, N) product.
+_BLOCK_STEPS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,6 +208,27 @@ def _register_walk(ops: Sequence[WalkOperator], steps: int, offset: int):
             yield alpha + sign * fixed, beta * (prev + sign * d_fixed)
 
 
+def _series_blocks(op: WalkOperator, steps: int, offset: int = 0):
+    """Yield the distributions after two-steps m = offset .. offset+steps-1
+    as (k, N) blocks of k = _BLOCK_STEPS rows (the last may be shorter).
+
+    Each block copies its registers into two buffers and is read out with
+    one product, q + (x o x) G^T, so no register history is held.
+    """
+    xs = np.empty((min(steps, _BLOCK_STEPS), op.dim))
+    qs = np.empty_like(xs)
+    walk = _register_walk([op], steps, offset)
+    for start in range(0, steps, _BLOCK_STEPS):
+        x, q = xs[:steps - start], qs[:steps - start]
+        for i, (xm, qm) in zip(range(len(x)), walk):
+            x[i] = xm
+            q[i] = qm
+        np.square(x, out=x)
+        block = x @ op.google.T
+        block += q
+        yield block
+
+
 def evolve(op: WalkOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> QuantumRankSeries:
     """Direct kernel: record the distribution at each two-step.
 
@@ -212,13 +237,9 @@ def evolve(op: WalkOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> Qua
     """
     _check_horizon(steps, offset)
     _admit_walk(op.dim, steps)
-    xs = np.empty((steps, op.dim))
     inst = np.empty((steps, op.dim))
-    for m, (x, q) in enumerate(_register_walk([op], steps, offset)):
-        xs[m] = x
-        inst[m] = q
-    np.square(xs, out=xs)
-    inst += xs @ op.google.T
+    for start, block in zip(range(0, steps, _BLOCK_STEPS), _series_blocks(op, steps, offset)):
+        inst[start:start + len(block)] = block
     return QuantumRankSeries(inst, inst.mean(axis=0))
 
 

@@ -13,8 +13,9 @@ import pytest
 import qprank
 from graph_oracles import arc_set
 from qprank import formats
-from qprank.cli import build_parser, main, parse_grid
+from qprank.cli import build_parser, load_graph, main, parse_grid
 from qprank.graph import benchmark_graph, generate_scale_free, parse_edge_list, to_edge_list
+from qprank.szegedy import quantum_rank_series
 from test_analysis import _peak_bytes
 
 
@@ -221,7 +222,13 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "generate", exhausted)
         assert main(["gen", "--gen", "tree:40"]) == 4
         assert "qprank: not enough memory: Unable to allocate" in capsys.readouterr().err
-        monkeypatch.setattr(cli, "quantum_rank_series", exhausted)
+        # qrank's walk runs as its rows are written, so no check refuses a long
+        # one up front; this walk runs out of memory at its first block
+        def blocks_exhausted(op, steps):
+            exhausted()
+            yield
+
+        monkeypatch.setattr(cli, "_series_blocks", blocks_exhausted)
         assert main(["qrank", "--benchmark", "fig2b", "--steps", "100000000"]) == 4
         assert "not enough memory" in capsys.readouterr().err
 
@@ -244,8 +251,10 @@ class TestExitCodes:
 
 
 class TestStreamedOutput:
-    """Each handler computes its result, then ``main`` opens the output and
-    writes the chunks the handler returns, row by row."""
+    """Each handler validates its run and admits its memory, then ``main``
+    opens the output and writes the chunks the handler returns, row by row.
+    Every handler but ``qrank`` has computed its result by then; ``qrank``'s
+    walk runs as its rows are written."""
 
     def test_failed_runs_leave_no_output_file(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
@@ -258,9 +267,10 @@ class TestStreamedOutput:
         assert not out.exists()
 
     def test_output_is_opened_only_after_the_walk(self, monkeypatch, tmp_path, capsys):
+        # the walk operator is built and admitted before the output is opened
         import qprank.cli as cli
         out = tmp_path / "out.csv"
-        walk = cli.quantum_rank_series
+        walk = cli.walk_operator
 
         def exhausted(*args, **kwargs):
             assert not out.exists()
@@ -270,14 +280,49 @@ class TestStreamedOutput:
             assert not out.exists()
             return walk(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "quantum_rank_series", exhausted)
+        monkeypatch.setattr(cli, "walk_operator", exhausted)
         assert main(["qrank", "--benchmark", "fig2b", "--output", str(out)]) == 4
         assert "not enough memory" in capsys.readouterr().err
         assert not out.exists()
-        monkeypatch.setattr(cli, "quantum_rank_series", checked)
+        monkeypatch.setattr(cli, "walk_operator", checked)
         assert main(["qrank", "--benchmark", "fig2b", "--steps", "8",
                      "--output", str(out)]) == 0
         assert formats.read_series_csv(out.read_text())[0].steps == 8
+
+    def test_walk_out_of_memory_while_writing_removes_the_partial_file(
+            self, monkeypatch, tmp_path, capsys):
+        import qprank.cli as cli
+        out = tmp_path / "out.csv"
+        blocks = cli._series_blocks
+
+        def exhausted(op, steps):
+            it = blocks(op, steps)
+            yield next(it)
+            assert out.exists()  # the walk runs while its rows are written
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "_series_blocks", exhausted)
+        assert main(["qrank", "--benchmark", "fig2b", "--steps", "300",
+                     "--output", str(out)]) == 4
+        assert "qprank: not enough memory: Unable to allocate" in capsys.readouterr().err
+        assert not out.exists()
+
+    # A 64-row block readout gives other last bits than one whole-history
+    # product at N = 100 and 255; fig1a and fig2b at alpha = 1 deflate unit
+    # modes. 300 two-steps end on a short block.
+    @pytest.mark.parametrize("flags", [["--gen", "scalefree:100"], ["--gen", "scalefree:255"],
+                                       ["--benchmark", "fig1a", "--alpha", "1"],
+                                       ["--benchmark", "fig2b", "--alpha", "1"]],
+                             ids=["sf100", "sf255", "fig1a", "fig2b"])
+    def test_qrank_writes_the_library_series(self, flags, tmp_path):
+        args = build_parser().parse_args(["qrank", *flags, "--steps", "300"])
+        g, meta = load_graph(args)
+        series = quantum_rank_series(g, args.alpha, args.steps)
+        meta = dict(meta, alpha=args.alpha, steps=args.steps, backend="direct")
+        for fmt, text in (("csv", formats.write_series_csv(series, meta)),
+                          ("json", "".join(formats.series_json(series, meta)))):
+            argv = ["qrank", *flags, "--steps", "300", "--format", fmt]
+            assert run_cli(argv, tmp_path) == (0, text.encode())
 
     def test_failed_write_removes_the_partial_file(self, monkeypatch, tmp_path, capsys):
         def disk_full(*args, **kwargs):
@@ -311,14 +356,27 @@ class TestStreamedOutput:
 
     # tracemalloc peaks of whole runs. The series is 8 * steps * N = 2 MiB;
     # writers that held it as Python strings peaked at 22 MB (CSV) and 41 MB
-    # (JSON). The rank JSON built as one object peaked at 2.8x its CSV run.
+    # (JSON), and a run that held it as floats, with the registers' history
+    # and the whole-history readout product, at 6.4 MB. Streamed, it peaks
+    # at 0.40 MB. The rank JSON built as one object peaked at 2.8x its CSV run.
     QRANK = ["qrank", "--gen", "scalefree:64", "--seed", "2", "--steps", "4096"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_series_is_never_held_as_text(self, fmt, tmp_path):
         argv = [*self.QRANK, "--format", fmt, "--output", str(tmp_path / "out")]
         assert main([*argv, "--steps", "16"]) == 0  # warm up lazy imports and caches
-        assert _peak_bytes(lambda: main(argv)) <= 3.5 * 4096 * 64 * 8
+        assert _peak_bytes(lambda: main(argv)) <= 0.5 * 4096 * 64 * 8
+
+    # qrank holding its series peaked at 16x compare (6.42 against 0.40 MB)
+    # and at 6.1x (13.7 against 2.27 MB); streamed, at 1.02x and 1.13x
+    @pytest.mark.parametrize("size, steps", [(64, 4096), (256, 2048)])
+    def test_qrank_costs_little_more_than_compare(self, size, steps, tmp_path):
+        flags = ["--gen", f"scalefree:{size}", "--seed", "2", "--output", str(tmp_path / "out")]
+        peaks = []
+        for command in ("qrank", "compare"):
+            assert main([command, *flags, "--steps", "16"]) == 0  # warm up
+            peaks.append(_peak_bytes(lambda: main([command, *flags, "--steps", str(steps)])))
+        assert peaks[0] <= 1.5 * peaks[1], peaks
 
     def test_json_table_costs_little_more_than_csv(self, tmp_path):
         # the graph is read from a file: generating it under tracemalloc is slow

@@ -227,6 +227,14 @@ class TestEvolve:
                 shifted = evolve(op, steps=12 - offset, offset=offset)
                 assert np.abs(shifted.instantaneous - base.instantaneous[offset:]).max() < 1e-12
 
+    def test_holds_no_register_history(self):
+        # the registers are read out one block of two-steps at a time, so the
+        # run peaks near its 2 MiB series; holding the registers' history and
+        # the whole-history readout product, it peaked at 3.0x
+        op = walk_operator(generate_scale_free(64, 2), 0.85)
+        evolve(op, 16)  # warm up lazy imports and caches
+        assert _peak_bytes(lambda: evolve(op, 4096)) <= 1.25 * 8 * 4096 * 64
+
     def test_tree_root_ranked_first(self):
         tree = generate_binary_tree(3)
         series = quantum_rank_series(tree, 0.85, 2048)
@@ -431,7 +439,7 @@ class TestStackedWalks:
 
 
 class TestMemoryAdmission:
-    """Each walk estimates its bytes (34 per node pair, 24 per recorded
+    """Each walk estimates its bytes (34 per node pair, 8 per recorded
     two-step and node) and refuses, before allocating, a run beyond the
     physical memory figure, here monkeypatched. Every refused run is small,
     so a missing check costs no memory."""
@@ -458,9 +466,9 @@ class TestMemoryAdmission:
                     lambda: quantum_pagerank(big, 0.85, 16),
                     lambda: quantum_rank_series(big, 0.85, 16)):
             assert self._refused(run, walk) < 1 << 16
-        # the series is counted too: 139 264 + 24 * 64 * 4096 bytes
+        # the series is counted too: 139 264 + 8 * 64 * 4096 bytes
         assert self._refused(lambda: evolve(op, 4096),
-                             "on 64 nodes over 4096 two-steps takes about 6430720 "
+                             "on 64 nodes over 4096 two-steps takes about 2236416 "
                              "bytes") < 1 << 16
         assert evolve(op, 256).steps == 256
         assert quantum_pagerank(small, 0.85, 256).shape == (64,)
