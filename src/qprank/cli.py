@@ -9,11 +9,11 @@ Each subcommand's handler first validates its run and admits its memory,
 then returns the output as an iterator of text chunks, one row each;
 ``main`` only then opens ``--output`` (or takes stdout) and writes the
 chunks as they come, so no output is ever held whole. Every handler but
-``qrank`` has computed its whole result by then. ``qrank`` has built its walk
-operator, and its walk runs as the rows are written, one block of two-steps
-at a time, so its series is never held either. A run that fails leaves no
-output file: a write that fails, or a walk that runs out of memory part way,
-removes the partial file.
+``qrank`` has computed its whole result by then. ``qrank`` hands the writers
+a ``szegedy.SeriesStream`` on its built walk operator, whose walk runs as the
+rows are written, one block of two-steps at a time, so its series is never
+held either. A run that fails leaves no output file: a write that fails, or a
+walk that runs out of memory part way, removes the partial file.
 
 Exit codes: 0 success, 2 input or output file error, 3 graph parse error
 (including input that is not UTF-8), 4 invalid parameters (including a run
@@ -36,8 +36,7 @@ from .graph import (_MAX_DIGITS, DirectedGraph, GraphFormatError, _shown, benchm
                     edge_list_lines, generate, graph_digest, parse_graph)
 from .pagerank import (DEFAULT_ALPHA, classical_pagerank, hyperlink_matrix,
                        patch_dangling, power_method)
-from .szegedy import (DEFAULT_STEPS, _check_horizon, _series_blocks, quantum_pagerank,
-                      walk_operator)
+from .szegedy import DEFAULT_STEPS, SeriesStream, quantum_pagerank, walk_operator
 
 
 class UsageError(ValueError):
@@ -163,10 +162,7 @@ def _cmd_rank(g, meta, args) -> Iterator[str]:
 
 def _cmd_qrank(g, meta, args) -> Iterator[str]:
     meta = dict(meta, alpha=args.alpha, steps=args.steps, **_walk("quantum"))
-    _check_horizon(args.steps, 0)
-    op = walk_operator(g, args.alpha)
-    # the walk runs as the rows are written, one block of two-steps at a time
-    series = formats.SeriesStream(_series_blocks(op, args.steps), args.steps, op.dim)
+    series = SeriesStream(walk_operator(g, args.alpha), args.steps)
     if args.format == "json":
         return formats.series_json(series, meta)
     return formats.series_csv(series, meta)

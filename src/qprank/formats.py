@@ -2,10 +2,10 @@
 
 Every CSV starts with optional ``# key=value`` comment lines carrying run
 metadata, then a header row, then data rows. Fields are quoted only where
-they must be (a label holding ``,`` or ``"``). Floats are written with their
-shortest round-trip representation so identical computations always produce
-identical bytes. Each writer has a matching reader used by the tests to
-guarantee the files can be loaded back.
+they must be (a label holding ``,``, ``"``, ``\n`` or ``\r``). Floats are
+written with their shortest round-trip representation so identical
+computations always produce identical bytes. Each writer has a matching
+reader used by the tests to guarantee the files can be loaded back.
 
 Rank, attack, analyze and compare outputs are one ``Table`` in both
 formats: JSON holds the CSV metadata as ``provenance`` and one object per
@@ -13,7 +13,8 @@ CSV row. Series and sweeps keep matrix-shaped JSON bodies under the same
 provenance.
 
 Every output is made as an iterator of text chunks, one row at a time,
-straight from the result arrays, so no output is ever held whole: a JSON
+straight from the result arrays (or from a ``szegedy.SeriesStream``, whose
+walk runs as its rows are read), so no output is ever held whole: a JSON
 body has exactly the bytes of ``json.dumps(obj, indent=2)`` plus a newline,
 without ``obj`` ever being built. The ``write_*`` helpers join the same
 chunks into one string.
@@ -22,6 +23,8 @@ chunks into one string.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import json
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -29,7 +32,7 @@ import numpy as np
 
 from .analysis import AttackReport, FidelitySweep, rank_positions, ranking_order
 from .graph import DirectedGraph
-from .szegedy import QuantumRankSeries
+from .szegedy import QuantumRankSeries, SeriesStream
 
 
 def _floats(values) -> list[float]:
@@ -49,11 +52,12 @@ class Table(NamedTuple):
 
 class _Echo:
     """A file whose ``write`` returns its text, so ``csv.writer.writerow``
-    returns the row it would have written."""
+    returns the row it would have written: ended by ``\r\n``, so that the
+    writer quotes a field holding either line break, and returned ending ``\n``."""
 
     @staticmethod
     def write(text: str) -> str:
-        return text
+        return text[:-2] + "\n"
 
 
 def table_csv(table: Table) -> Iterator[str]:
@@ -63,7 +67,7 @@ def table_csv(table: Table) -> Iterator[str]:
     for key, value in table.meta.items():
         yield f"# {key}={value}\n"
     if "label" in table.header:
-        writer = csv.writer(_Echo(), lineterminator="\n")
+        writer = csv.writer(_Echo(), lineterminator="\r\n")
         yield writer.writerow(table.header)
         yield from map(writer.writerow, table.rows)
     else:  # one format string per row: faster than the csv module
@@ -135,10 +139,16 @@ def graph_json(g: DirectedGraph, meta: dict) -> Iterator[str]:
 
 
 def _split_csv(text: str) -> tuple[dict, list[list[str]]]:
-    lines = [line.strip() for line in text.splitlines()]
-    meta = dict(map(str.strip, line[1:].split("=", 1)) for line in lines
-                if line.startswith("#") and "=" in line)
-    return meta, list(csv.reader(line for line in lines if line and line[0] != "#"))
+    """The ``# key=value`` lines that open a CSV, and its rows, read in one
+    csv pass, so that a quoted field may hold ``\n`` and ``\r``."""
+    lines, meta = io.StringIO(text, newline=""), {}
+    for line in lines:
+        if line.strip()[:1] not in ("", "#"):
+            return meta, [row for row in csv.reader(itertools.chain([line], lines)) if row]
+        key, eq, value = line.strip()[1:].partition("=")
+        if eq:
+            meta[key.strip()] = value.strip()
+    return meta, []
 
 
 def _read(text: str, header: Sequence[str], kind: str) -> tuple[dict, list, list]:
@@ -180,33 +190,6 @@ def read_rank_csv(text: str) -> tuple[np.ndarray, list[str], dict]:
 
 
 # --- quantum rank series ---
-
-class SeriesStream:
-    """A quantum rank series read once, as the walk makes it: ``blocks``
-    yields its ``steps`` rows of ``node_count`` values in (k, N) blocks. The
-    series writers take it where they take a ``QuantumRankSeries``.
-    ``instantaneous`` yields the rows one at a time and adds each into a
-    running sum; ``average``, read once the rows are spent, is that sum over
-    ``steps``, which equals ``mean(axis=0)`` of the same rows bit for bit."""
-
-    def __init__(self, blocks: Iterable[np.ndarray], steps: int, node_count: int):
-        self.steps, self.node_count = steps, node_count
-        self._sum = None
-        self.instantaneous = self._rows(blocks)
-
-    def _rows(self, blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-        for block in blocks:
-            for row in block:
-                if self._sum is None:
-                    self._sum = row.copy()
-                else:
-                    self._sum += row
-                yield row
-
-    @property
-    def average(self) -> np.ndarray:
-        return self._sum / self.steps
-
 
 def series_csv(series: QuantumRankSeries | SeriesStream,
                meta: Optional[dict] = None) -> Iterator[str]:

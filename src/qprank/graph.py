@@ -412,7 +412,9 @@ _PAJEK_PREAMBLE = re.compile(r"(?:\s+|%[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)*")
 
 def parse_graph(text: str) -> DirectedGraph:
     """Parse Pajek when the first line :func:`parse_pajek` does not skip
-    opens ``*Vertices``, and an edge list otherwise."""
+    opens ``*Vertices``, and an edge list otherwise, after a leading
+    byte-order mark (U+FEFF), which is no part of the graph, is dropped."""
+    text = text.removeprefix("\ufeff")
     head = _PAJEK_PREAMBLE.match(text).end()
     if text[head:head + 9].lower() == "*vertices":
         return parse_pajek(text)

@@ -25,13 +25,15 @@ from a = 1/sqrt(N), b = 0, and the node distribution is
 
     P = G (a o a) + b o (b + 2 D a).
 
-On the eigenspace of D with eigenvalue +-1 the state is a fixed point of
-the two-step while a and b grow linearly; that eigenspace is deflated
-exactly (split off at the start, held constant, and removed from the D
-the registers iterate with), so rounding cannot grow along it. Walks of
-one size (a damping sweep, an ensemble) step together as one stack of
-registers, so the loop's per-step cost is paid once per stack. The edge
-space itself (the N^2-entry state, reflection, swap and two-step) lives in
+On the eigenspace of D with eigenvalue +-1 the state is a fixed point of the
+two-step while a and b grow linearly; that eigenspace is deflated exactly
+(split off at the start, held constant, and removed from the D the registers
+iterate with), so rounding cannot grow along it. Walks of one size (a
+damping sweep, an ensemble) step together as one stack of registers, so the
+loop's per-step cost is paid once per stack. A series and its average come
+from one ``SeriesStream``, 64 two-steps at a time: ``evolve`` keeps its
+rows, and the CLI's ``qrank`` writes them as they come. The edge space
+itself (the N^2-entry state, reflection, swap and two-step) lives in
 ``tests/szegedy_oracles.py``, as the independent oracle for both kernels.
 
 The pipelines run this direct kernel only. Its spectral reference reads the
@@ -46,7 +48,7 @@ with the +-1 modes held at a = a_0, b = 0, as the direct kernel does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -208,25 +210,41 @@ def _register_walk(ops: Sequence[WalkOperator], steps: int, offset: int):
             yield alpha + sign * fixed, beta * (prev + sign * d_fixed)
 
 
-def _series_blocks(op: WalkOperator, steps: int, offset: int = 0):
-    """Yield the distributions after two-steps m = offset .. offset+steps-1
-    as (k, N) blocks of k = _BLOCK_STEPS rows (the last may be shorter).
+class SeriesStream:
+    """The distributions after two-steps m = offset .. offset+steps-1, made
+    as they are read: ``blocks()`` yields (k, N) blocks of k = _BLOCK_STEPS
+    rows, read out with one product each, q + (x o x) G^T, ``instantaneous``
+    the same rows one by one, and ``average``, once a pass is spent, their
+    running sum over ``steps``, which is their ``mean(axis=0)`` bit for bit."""
 
-    Each block copies its registers into two buffers and is read out with
-    one product, q + (x o x) G^T, so no register history is held.
-    """
-    xs = np.empty((min(steps, _BLOCK_STEPS), op.dim))
-    qs = np.empty_like(xs)
-    walk = _register_walk([op], steps, offset)
-    for start in range(0, steps, _BLOCK_STEPS):
-        x, q = xs[:steps - start], qs[:steps - start]
-        for i, (xm, qm) in zip(range(len(x)), walk):
-            x[i] = xm
-            q[i] = qm
-        np.square(x, out=x)
-        block = x @ op.google.T
-        block += q
-        yield block
+    def __init__(self, op: WalkOperator, steps: int, offset: int = 0):
+        _check_horizon(steps, offset)
+        self.op, self.steps, self.offset, self.node_count = op, steps, offset, op.dim
+
+    def blocks(self) -> Iterator[np.ndarray]:
+        xs = np.empty((min(self.steps, _BLOCK_STEPS), self.node_count))
+        qs = np.empty_like(xs)
+        walk = _register_walk([self.op], self.steps, self.offset)
+        self._total = np.zeros(self.node_count)
+        for start in range(0, self.steps, _BLOCK_STEPS):
+            x, q = xs[:self.steps - start], qs[:self.steps - start]
+            for i, (xm, qm) in zip(range(len(x)), walk):
+                x[i] = xm
+                q[i] = qm
+            np.square(x, out=x)
+            block = x @ self.op.google.T
+            block += q
+            # row after row, as mean(axis=0) adds them; a block's own sum rounds otherwise
+            self._total = np.concatenate((self._total[None], block)).sum(axis=0)
+            yield block
+
+    @property
+    def instantaneous(self) -> Iterator[np.ndarray]:
+        return (row for block in self.blocks() for row in block)
+
+    @property
+    def average(self) -> np.ndarray:
+        return self._total / self.steps
 
 
 def evolve(op: WalkOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> QuantumRankSeries:
@@ -235,12 +253,12 @@ def evolve(op: WalkOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> Qua
     ``offset`` discards that many leading two-steps before recording, for
     experiments that want the average to start later than m = 0.
     """
-    _check_horizon(steps, offset)
+    stream = SeriesStream(op, steps, offset)
     _admit_walk(op.dim, steps)
     inst = np.empty((steps, op.dim))
-    for start, block in zip(range(0, steps, _BLOCK_STEPS), _series_blocks(op, steps, offset)):
+    for start, block in zip(range(0, steps, _BLOCK_STEPS), stream.blocks()):
         inst[start:start + len(block)] = block
-    return QuantumRankSeries(inst, inst.mean(axis=0))
+    return QuantumRankSeries(inst, stream.average)
 
 
 def _stack_average(ops: Sequence[WalkOperator], steps: int) -> np.ndarray:

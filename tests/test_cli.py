@@ -224,11 +224,11 @@ class TestExitCodes:
         assert "qprank: not enough memory: Unable to allocate" in capsys.readouterr().err
         # qrank's walk runs as its rows are written, so no check refuses a long
         # one up front; this walk runs out of memory at its first block
-        def blocks_exhausted(op, steps):
+        def blocks_exhausted(stream):
             exhausted()
             yield
 
-        monkeypatch.setattr(cli, "_series_blocks", blocks_exhausted)
+        monkeypatch.setattr(cli.SeriesStream, "blocks", blocks_exhausted)
         assert main(["qrank", "--benchmark", "fig2b", "--steps", "100000000"]) == 4
         assert "not enough memory" in capsys.readouterr().err
 
@@ -293,15 +293,15 @@ class TestStreamedOutput:
             self, monkeypatch, tmp_path, capsys):
         import qprank.cli as cli
         out = tmp_path / "out.csv"
-        blocks = cli._series_blocks
+        blocks = cli.SeriesStream.blocks
 
-        def exhausted(op, steps):
-            it = blocks(op, steps)
+        def exhausted(stream):
+            it = blocks(stream)
             yield next(it)
             assert out.exists()  # the walk runs while its rows are written
             raise MemoryError("Unable to allocate 8.00 TiB for an array")
 
-        monkeypatch.setattr(cli, "_series_blocks", exhausted)
+        monkeypatch.setattr(cli.SeriesStream, "blocks", exhausted)
         assert main(["qrank", "--benchmark", "fig2b", "--steps", "300",
                      "--output", str(out)]) == 4
         assert "qprank: not enough memory: Unable to allocate" in capsys.readouterr().err
@@ -500,6 +500,23 @@ class TestPipelines:
         classical, quantum, _ = formats.read_compare_csv(data.decode())
         assert np.array_equal(classical, values)
         assert abs(quantum.sum() - 1.0) < 1e-10
+
+    # A UTF-8 byte-order mark opening a file marks its encoding. It was read
+    # as part of the first label, so "0" and "\ufeff0" made two nodes, and a
+    # marked Pajek file was read as an edge list and refused.
+    @pytest.mark.parametrize("name, text", [
+        ("web.txt", "0 1\n1 2\n2 0\n"),
+        ("labels.txt", "a b\nb c\nc a\n"),
+        ("web.net", '*Vertices 3\n1 "x"\n*Arcs\n1 2\n2 3\n3 1\n'),
+    ], ids=["edges", "labels", "pajek"])
+    def test_byte_order_mark_leaves_the_graph_unchanged(self, name, text, tmp_path):
+        path = tmp_path / name
+        outputs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(mark + text.encode())
+            outputs.append(run_cli(["rank", "--input", str(path)], tmp_path))
+        assert outputs[0][0] == 0 and b"\n# graph=" in outputs[0][1]
+        assert outputs[1] == outputs[0]
 
     def test_analyze_both_rankers(self, tmp_path):
         code, data = run_cli(["analyze", "--gen", "scalefree:32", "--seed", "4",

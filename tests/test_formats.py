@@ -33,6 +33,20 @@ class TestRankCsv:
         with pytest.raises(ValueError):
             formats.read_rank_csv("hello,world\n1,2\n")
 
+    def test_labels_with_line_breaks_round_trip(self):
+        # The reader split the text into lines before the csv module saw it,
+        # which broke "x\ny" apart, and the writer left a bare "\r" unquoted.
+        labels = ["x\ny", "a\rb", "c\r\nd", "e\x85f", "g\u2028h", ""]
+        values = np.arange(len(labels), 0.0, -1.0)
+        text = formats.write_rank_csv(values, labels, {"alpha": 0.85})
+        assert '\n1,"a\rb",' in text
+        loaded, loaded_labels, meta = formats.read_rank_csv(text)
+        assert np.array_equal(loaded, values) and loaded_labels == labels
+        assert meta == {"alpha": "0.85"}
+        compared = formats.read_compare_csv(formats.write_csv(
+            formats.compare_table(labels, values, values[::-1])))
+        assert np.array_equal(compared[0], values)
+
 
 class TestSeriesCsv:
     def test_round_trip(self):

@@ -34,6 +34,10 @@ from test_graph import _reference_scale_free
 LINE_TEXT = st.text(st.characters(exclude_categories=("Cs", "Cc", "Zl", "Zp")),
                     max_size=8)
 CSV_LABELS = st.text(st.sampled_from(['a', 'b', ' ', ',', '"', "'", '#', '\\']), max_size=6)
+# Rank and compare CSV labels may hold any line break str.splitlines knows
+# (all of them below U+3000), and "\r\n".
+LINE_BREAKS = ["\r\n", *(c for c in map(chr, range(0x3000)) if len(f"a{c}b".splitlines()) == 2)]
+BREAK_LABELS = st.lists(st.sampled_from(["a", ",", '"', *LINE_BREAKS]), max_size=6).map("".join)
 PAJEK_LABELS = LINE_TEXT.filter(lambda s: '"' not in s)
 
 
@@ -139,7 +143,7 @@ def rank_vectors(draw):
     n = draw(st.integers(1, 10))
     values = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                            min_size=n, max_size=n))
-    labels = draw(st.lists(LINE_TEXT | CSV_LABELS, min_size=n, max_size=n))
+    labels = draw(st.lists(LINE_TEXT | CSV_LABELS | BREAK_LABELS, min_size=n, max_size=n))
     return np.array(values), labels
 
 
@@ -207,7 +211,7 @@ def test_attack_csv_round_trip(case, correlation, displacement):
 @given(float_tables(), st.data())
 def test_compare_csv_round_trip(case, data):
     _, classical, quantum = case
-    labels = data.draw(st.lists(LINE_TEXT | CSV_LABELS, min_size=len(classical),
+    labels = data.draw(st.lists(LINE_TEXT | CSV_LABELS | BREAK_LABELS, min_size=len(classical),
                                 max_size=len(classical)))
     text = formats.write_csv(formats.compare_table(labels, classical, quantum, {"alpha": 0.85}))
     loaded_classical, loaded_quantum, meta = formats.read_compare_csv(text)
@@ -247,7 +251,9 @@ def tables(draw):
     n = draw(st.integers(1, 6))
     rows = draw(st.integers(1, 4))
     values = np.array(draw(st.lists(FLOATS, min_size=n * rows, max_size=n * rows)))
-    labels = draw(st.lists(LINE_TEXT | CSV_LABELS | st.sampled_from(["a\rb", "x\ny"]),
+    # the csv module quotes a label with "\n", but leaves a bare "\r" unquoted,
+    # which the writers quote (test_formats.py)
+    labels = draw(st.lists(LINE_TEXT | CSV_LABELS | st.sampled_from(["a\r\nb", "x\ny"]),
                            min_size=n, max_size=n))
     return values.reshape(rows, n), labels
 

@@ -9,7 +9,7 @@ from qprank.graph import (DirectedGraph, benchmark_graph, generate_binary_tree,
                           generate_scale_free)
 from qprank.pagerank import (classical_pagerank, google_matrix,
                              hyperlink_matrix, patch_dangling)
-from qprank.szegedy import (average_drift, build_dynamical_subspace, evolve,
+from qprank.szegedy import (SeriesStream, average_drift, build_dynamical_subspace, evolve,
                             evolve_spectral, quantum_pagerank, quantum_pageranks,
                             quantum_rank_series, walk_operator)
 from szegedy_oracles import (amps, apply_reflection, apply_swap, initial_state,
@@ -226,6 +226,24 @@ class TestEvolve:
             for offset in (1, 4, 7):
                 shifted = evolve(op, steps=12 - offset, offset=offset)
                 assert np.abs(shifted.instantaneous - base.instantaneous[offset:]).max() < 1e-12
+
+    # fig1a and fig2b at alpha = 1 deflate unit modes; 63, 64 and 65 two-steps
+    # end just short of, on and just past a block of rows, and 300 on a short one
+    @pytest.mark.parametrize("make, alpha", [
+        (lambda: benchmark_graph("fig1a"), 0.85), (lambda: benchmark_graph("fig2b"), 1.0),
+        (lambda: generate_scale_free(100, 0), 0.85), (lambda: generate_scale_free(255, 0), 0.85),
+    ], ids=["fig1a", "fig2b-undamped", "scalefree100", "scalefree255"])
+    def test_stream_average_is_the_mean_of_its_rows(self, make, alpha):
+        # the stream adds its rows one after another, as mean(axis=0) does;
+        # adding each block's own sum rounds differently
+        op = walk_operator(make(), alpha)
+        for steps in (1, 63, 64, 65, 300):
+            series = evolve(op, steps)
+            mean = series.instantaneous.mean(axis=0)
+            stream = SeriesStream(op, steps)
+            rows = np.array(list(stream.instantaneous))
+            assert rows.tobytes() == series.instantaneous.tobytes(), steps
+            assert stream.average.tobytes() == series.average.tobytes() == mean.tobytes(), steps
 
     def test_holds_no_register_history(self):
         # the registers are read out one block of two-steps at a time, so the
