@@ -6,7 +6,7 @@ the explicit --seed flag, so rerunning a command with identical flags
 produces byte-identical output.
 
 Each subcommand's handler first validates its run and admits its memory,
-then returns the output as an iterator of text chunks, one row each;
+then returns the output as an iterator of text chunks, a run of rows each;
 ``main`` only then opens ``--output`` (or takes stdout) and writes the
 chunks as they come, so no output is ever held whole. Every handler but
 ``qrank`` has computed its whole result by then. ``qrank`` hands the writers
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import re
 import sys
@@ -161,6 +162,8 @@ def _cmd_rank(g, meta, args) -> Iterator[str]:
 
 
 def _cmd_qrank(g, meta, args) -> Iterator[str]:
+    if args.steps < 1:  # before the N x N walk operator is built
+        raise UsageError("steps must be at least 1")
     meta = dict(meta, alpha=args.alpha, steps=args.steps, **_walk("quantum"))
     series = SeriesStream(walk_operator(g, args.alpha), args.steps)
     if args.format == "json":
@@ -198,7 +201,9 @@ def _cmd_analyze(g, meta, args) -> Iterator[str]:
         rows.append((ranker, analysis.ipr(values), fit.exponent, fit.intercept, fit.r_squared,
                      analysis.degeneracy_profile(values, args.delta).class_count,
                      float(values.max() - values.min())))
-    return _render(args, formats.Table(meta, _ANALYZE_HEADER, rows))
+    names, *figures = zip(*rows)
+    return _render(args, formats.Table(meta, _ANALYZE_HEADER,
+                                       [names, *(np.array(column) for column in figures)]))
 
 
 def _cmd_compare(g, meta, args) -> Iterator[str]:
@@ -237,9 +242,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """One parser per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         graph, meta = load_graph(args)
         chunks = _COMMANDS[args.command][0](graph, meta, args)
     except SystemExit as exc:  # --help

@@ -1,10 +1,13 @@
 """CSV and JSON table formats for rankings, series, sweeps, and reports.
 
 Every CSV starts with optional ``# key=value`` comment lines carrying run
-metadata, then a header row, then data rows. Fields are quoted only where
-they must be (a label holding ``,``, ``"``, ``\n`` or ``\r``). Floats are
-written with their shortest round-trip representation so identical
-computations always produce identical bytes. Each writer has a matching
+metadata, then a header row, then data rows. A metadata value may not hold a
+line break, which would split its line: the CSV writers refuse it with a
+ValueError as soon as they are called, before any text is made. Fields are
+quoted only where they must be (a label holding ``,``, ``"``, ``\n`` or
+``\r``). Floats are written as their ``repr``, the shortest round-trip
+text, so identical computations always produce identical bytes; JSON spells
+NaN and the infinities as the json module does. Each writer has a matching
 reader used by the tests to guarantee the files can be loaded back.
 
 Rank, attack, analyze and compare outputs are one ``Table`` in both
@@ -12,12 +15,15 @@ formats: JSON holds the CSV metadata as ``provenance`` and one object per
 CSV row. Series and sweeps keep matrix-shaped JSON bodies under the same
 provenance.
 
-Every output is made as an iterator of text chunks, one row at a time,
-straight from the result arrays (or from a ``szegedy.SeriesStream``, whose
-walk runs as its rows are read), so no output is ever held whole: a JSON
-body has exactly the bytes of ``json.dumps(obj, indent=2)`` plus a newline,
-without ``obj`` ever being built. The ``write_*`` helpers join the same
-chunks into one string.
+Every output is made as an iterator of text chunks straight from the result
+arrays (or from a ``szegedy.SeriesStream``, whose walk runs as its blocks
+are read), so no output is ever held whole: a JSON body has exactly the
+bytes of ``json.dumps(obj, indent=2)`` plus a newline, without ``obj`` ever
+being built. A chunk is a run of rows of about ``_CHUNK_VALUES`` values (at
+least one row), and each distinct float bit pattern in it is formatted
+once: rankings are degenerate and structural twins tie exactly, so the
+numbers repeat. Writing holds one chunk's texts at most. The ``write_*``
+helpers join the same chunks into one string.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import csv
 import io
 import itertools
 import json
+import re
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -34,81 +41,126 @@ from .analysis import AttackReport, FidelitySweep, rank_positions, ranking_order
 from .graph import DirectedGraph
 from .szegedy import QuantumRankSeries, SeriesStream
 
+# Values per chunk of rows: one np.unique and one text each. A whole 64-row
+# block of a 64-node series (4096 values) made qrank peak at 1.9x the memory
+# of compare on the same flags.
+_CHUNK_VALUES = 1024
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-def _floats(values) -> list[float]:
-    """Python floats, whose ``str`` is their shortest round-trip ``repr``."""
-    return np.asarray(values, dtype=np.float64).tolist()
+
+def _float_texts(values, json_spelling: bool = False) -> list:
+    """The ``repr`` of each float of ``values``, or the json module's spelling,
+    which differs only for NaN and the infinities, as (nested) lists of the
+    array's shape. Each distinct bit pattern is formatted once, so -0.0 and
+    0.0 keep their own texts."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = map(repr, keys.view(np.float64).tolist())
+    if json_spelling:
+        texts = (_JSON_SPELLING.get(text, text) for text in texts)
+    return np.array(list(texts), dtype=object)[inverse].reshape(values.shape).tolist()
+
+
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """A label as the csv module writes it with a ``\r\n`` line end: quoted,
+    its quotes doubled, when it holds ``,``, ``"``, ``\r`` or ``\n``."""
+    return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
+
+
+_JSON = json.JSONEncoder(indent=2)
+
+
+def _texts(column, json_spelling: bool) -> list:
+    """A column's texts: floats by ``_float_texts`` (a 2-D block as one list
+    per row), other arrays (ints) as ``str``, and a sequence of labels
+    quoted the CSV way or as JSON strings, each distinct label once."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return _float_texts(column, json_spelling)
+        return list(map(str, column.tolist()))
+    encode = _JSON.encode if json_spelling else _csv_field
+    texts = {label: encode(label) for label in set(column)}
+    return list(map(texts.__getitem__, column))
+
+
+def _width(columns: Sequence) -> int:
+    """Fields per row: one per column, or a 2-D block's row length."""
+    return sum(c.shape[1] if isinstance(c, np.ndarray) and c.ndim == 2 else 1
+               for c in columns)
+
+
+def _chunks(columns: Sequence, rows: int) -> Iterator[list]:
+    """Each column's slice of one chunk of rows, chunk after chunk."""
+    step = max(1, _CHUNK_VALUES // _width(columns))
+    for start in range(0, rows, step):
+        yield [c[start:start + step] for c in columns]
 
 
 class Table(NamedTuple):
-    """One output: run metadata, a header and rows of Python scalars. CSV
-    writes ``meta`` as its ``# key=value`` lines and JSON as ``provenance``.
-    ``rows`` may be a one-pass iterator; each writer reads it once."""
+    """One output: run metadata, a header and one column per header field,
+    each a float array, an int array or a sequence of labels. CSV writes
+    ``meta`` as its ``# key=value`` lines and JSON as ``provenance``."""
 
     meta: dict
     header: Sequence[str]
-    rows: Iterable[tuple]
+    columns: Sequence
 
 
-class _Echo:
-    """A file whose ``write`` returns its text, so ``csv.writer.writerow``
-    returns the row it would have written: ended by ``\r\n``, so that the
-    writer quotes a field holding either line break, and returned ending ``\n``."""
+def _csv(meta: dict, header: Sequence[str], body: Iterable[str]) -> Iterator[str]:
+    """The ``# key=value`` lines of ``meta``, the header line and ``body``.
+    The metadata lines are made now, so a value holding a line break, which
+    would split its line, is a ValueError before any text is written."""
+    lines = []
+    for key, value in meta.items():
+        line = f"# {key}={value}"
+        if "".join(line.splitlines()) != line:
+            raise ValueError(f"metadata {key}={value!r} holds a line break, which a CSV "
+                             "comment line cannot hold (JSON provenance can)")
+        lines.append(line + "\n")
+    return itertools.chain(lines, [",".join(header) + "\n"], body)
 
-    @staticmethod
-    def write(text: str) -> str:
-        return text[:-2] + "\n"
+
+def _csv_texts(column) -> list[str]:
+    """A column's CSV fields, or a 2-D block's rows as runs of fields."""
+    if isinstance(column, np.ndarray) and column.ndim == 2:
+        return list(map(",".join, _float_texts(column)))
+    return _texts(column, False)
+
+
+def _csv_rows(columns: Sequence, rows: int) -> Iterator[str]:
+    """CSV lines of ``columns``, one chunk of rows per text. A column has one
+    entry per row, or is a 2-D float block that gives each row a run of fields."""
+    for chunk in _chunks(columns, rows):
+        yield "\n".join(map(",".join, zip(*map(_csv_texts, chunk)))) + "\n"
 
 
 def table_csv(table: Table) -> Iterator[str]:
-    """The table as CSV chunks, one line each; a float field is written as its
-    repr. Only a ``label`` column holds free text, which the csv module quotes
-    if needed."""
-    for key, value in table.meta.items():
-        yield f"# {key}={value}\n"
-    if "label" in table.header:
-        writer = csv.writer(_Echo(), lineterminator="\r\n")
-        yield writer.writerow(table.header)
-        yield from map(writer.writerow, table.rows)
-    else:  # one format string per row: faster than the csv module
-        yield ",".join(table.header) + "\n"
-        line = ",".join(["%s"] * len(table.header)) + "\n"
-        yield from (line % row for row in table.rows)
+    """The table as CSV chunks of lines."""
+    return _csv(table.meta, table.header, _csv_rows(table.columns, len(table.columns[0])))
 
 
 def write_csv(table: Table) -> str:
     return "".join(table_csv(table))
 
 
-_JSON = json.JSONEncoder(indent=2)
-# Without ``indent`` the json module runs its C encoder. With these separators
-# it lays out a flat list or object as ``indent=2`` does two levels deep, all
-# but the brackets.
-_ROW = json.JSONEncoder(separators=(",\n      ", ": "))
-
-
-def _json_row(value) -> str:
-    """A scalar, or a list or object of scalars, as ``json.dumps(indent=2)``
-    writes it as an element of a second-level array."""
-    text = _ROW.encode(value)
-    if text[0] in "[{" and len(text) > 2:
-        return f"{text[0]}\n      {text[1:-1]}\n    {text[-1]}"
-    return text
-
-
-def _json_array(rows: Iterator) -> Iterator[str]:
-    """A second-level JSON array, one row per chunk."""
-    sep = "["
-    for row in rows:
-        yield f"{sep}\n    {_json_row(row)}"
-        sep = ","
-    yield "[]" if sep == "[" else "\n  ]"
+def _json_array(chunks: Iterable[list[str]]) -> Iterator[str]:
+    """A second-level JSON array of the element texts ``chunks`` yields, one
+    text per chunk of elements."""
+    sep = "[\n    "
+    for elements in chunks:
+        if elements:
+            yield sep + ",\n    ".join(elements)
+            sep = ",\n    "
+    yield "[]" if sep == "[\n    " else "\n  ]"
 
 
 def _json_chunks(fields: dict) -> Iterator[str]:
     """The JSON object ``fields`` plus a newline, in chunks. A field whose value
-    is an iterator of rows (scalars, or lists or objects of scalars) is written
-    as an array, one row per chunk, so the list it stands for is never built."""
+    is an iterator of chunks of element texts is written as an array, a chunk
+    at a time, so the list it stands for is never built."""
     sep = "{"
     for key, value in fields.items():
         yield f"{sep}\n  {_JSON.encode(key)}: "
@@ -120,22 +172,40 @@ def _json_chunks(fields: dict) -> Iterator[str]:
     yield "\n}\n"
 
 
+def _json_float_rows(blocks: Iterable[np.ndarray]) -> Iterator[list[str]]:
+    """The rows of 2-D float blocks as JSON arrays, in chunks of rows."""
+    for block in blocks:
+        for chunk, in _chunks([block], len(block)):
+            yield ["[\n      " + ",\n      ".join(row) + "\n    ]"
+                   for row in _float_texts(chunk, True)]
+
+
+def _json_floats(values) -> Iterator[list[str]]:
+    """The floats of a 1-D array as JSON array elements, in chunks."""
+    values = np.asarray(values, dtype=np.float64)
+    for chunk, in _chunks([values], len(values)):
+        yield _float_texts(chunk, True)
+
+
 def table_json(table: Table) -> Iterator[str]:
     """The table as JSON chunks: ``provenance``, then one object per row keyed
     by the header."""
-    return _json_chunks({"provenance": table.meta,
-                         "rows": (dict(zip(table.header, row)) for row in table.rows)})
+    record = ("{\n      " + ",\n      ".join(f"{_JSON.encode(key)}: %s" for key in table.header)
+              + "\n    }")
+    records = ([record % row for row in zip(*(_texts(c, True) for c in chunk))]
+               for chunk in _chunks(table.columns, len(table.columns[0])))
+    return _json_chunks({"provenance": table.meta, "rows": records})
 
 
 def graph_json(g: DirectedGraph, meta: dict) -> Iterator[str]:
     """A graph as JSON chunks: ``provenance``, the node count, one ``[src, dst]``
     pair per arc, and the labels or null."""
-    return _json_chunks({
-        "provenance": meta,
-        "node_count": g.node_count,
-        "arcs": map(list, zip(g.sources().tolist(), g.targets.tolist())),
-        "labels": None if g.labels is None else iter(g.labels),
-    })
+    arcs = (list(map("[\n      %d,\n      %d\n    ]".__mod__, zip(src.tolist(), dst.tolist())))
+            for src, dst in _chunks([g.sources(), g.targets], len(g.targets)))
+    labels = None if g.labels is None else (
+        _texts(chunk, True) for chunk, in _chunks([g.labels], g.node_count))
+    return _json_chunks({"provenance": meta, "node_count": g.node_count, "arcs": arcs,
+                         "labels": labels})
 
 
 def _split_csv(text: str) -> tuple[dict, list[list[str]]]:
@@ -165,14 +235,17 @@ def _read(text: str, header: Sequence[str], kind: str) -> tuple[dict, list, list
 _RANK_HEADER = ("node_index", "label", "score")
 
 
+def _ordered(labels: Optional[Sequence[str]], order: np.ndarray) -> list[str]:
+    """The labels in ``order``, or empty labels."""
+    return [""] * len(order) if labels is None else [labels[i] for i in order.tolist()]
+
+
 def rank_table(values: np.ndarray, labels: Optional[Sequence[str]] = None,
                meta: Optional[dict] = None) -> Table:
     """One row per node, by descending score with ties by index."""
     order = ranking_order(values)
-    nodes = order.tolist()
-    names = [""] * len(nodes) if labels is None else [labels[i] for i in nodes]
     return Table(meta or {}, _RANK_HEADER,
-                 list(zip(nodes, names, _floats(np.asarray(values)[order]))))
+                 (order, _ordered(labels, order), np.asarray(values, dtype=np.float64)[order]))
 
 
 def write_rank_csv(values: np.ndarray, labels: Optional[Sequence[str]] = None,
@@ -191,17 +264,27 @@ def read_rank_csv(text: str) -> tuple[np.ndarray, list[str], dict]:
 
 # --- quantum rank series ---
 
+def _blocks(series: QuantumRankSeries | SeriesStream) -> Iterator[np.ndarray]:
+    """The rows of a series as 2-D blocks: a stream's as its walk makes them,
+    a recorded series' as one block."""
+    if isinstance(series, SeriesStream):
+        return series.blocks()
+    return iter([series.instantaneous])
+
+
 def series_csv(series: QuantumRankSeries | SeriesStream,
                meta: Optional[dict] = None) -> Iterator[str]:
-    """The series as CSV chunks: one row per two-step m, then the ``avg`` row,
-    whose values are read only once the rows are written."""
+    """The series as CSV chunks: rows for two-steps m = 0, 1, ..., then the
+    ``avg`` row, whose values are read only once the rows are written."""
     def rows():
-        for m, row in enumerate(series.instantaneous):
-            yield (m, *_floats(row))
-        yield ("avg", *_floats(series.average))
+        m = 0
+        for block in _blocks(series):
+            yield from _csv_rows([np.arange(m, m + len(block)), block], len(block))
+            m += len(block)
+        yield from _csv_rows([["avg"], np.asarray(series.average)[None]], 1)
 
     header = ["m", *(f"node_{i}" for i in range(series.node_count))]
-    return table_csv(Table(meta or {}, header, rows()))
+    return _csv(meta or {}, header, rows())
 
 
 def write_series_csv(series: QuantumRankSeries, meta: Optional[dict] = None) -> str:
@@ -219,15 +302,15 @@ def read_series_csv(text: str) -> tuple[QuantumRankSeries, dict]:
 
 def series_json(series: QuantumRankSeries | SeriesStream,
                 meta: Optional[dict] = None) -> Iterator[str]:
-    """The series as JSON chunks, one per two-step, then one per value of the
-    average, which is read only once the rows are written."""
+    """The series as JSON chunks of two-steps, then of the average, which is
+    read only once the rows are written."""
     def average():
-        yield from _floats(series.average)
+        yield from _json_floats(series.average)
 
     return _json_chunks({
         "provenance": meta or {},
         "steps": series.steps,
-        "instantaneous": map(_floats, series.instantaneous),
+        "instantaneous": _json_float_rows(_blocks(series)),
         "average": average(),
     })
 
@@ -240,9 +323,9 @@ def _sweep_meta(sweep: FidelitySweep, meta: Optional[dict]) -> dict:
 
 def sweep_csv(sweep: FidelitySweep, meta: Optional[dict] = None) -> Iterator[str]:
     """The pairwise fidelities as CSV chunks, one row per alpha."""
-    grid = _floats(sweep.alpha_grid)
-    rows = ((a, *_floats(row)) for a, row in zip(grid, sweep.pairwise))
-    return table_csv(Table(_sweep_meta(sweep, meta), ["alpha", *map(str, grid)], rows))
+    grid = np.asarray(sweep.alpha_grid, dtype=np.float64)
+    return _csv(_sweep_meta(sweep, meta), ["alpha", *_float_texts(grid)],
+                _csv_rows([grid, np.asarray(sweep.pairwise)], len(grid)))
 
 
 def write_sweep_csv(sweep: FidelitySweep, meta: Optional[dict] = None) -> str:
@@ -257,12 +340,12 @@ def read_sweep_csv(text: str) -> tuple[tuple[float, ...], np.ndarray, dict]:
 
 
 def sweep_json(sweep: FidelitySweep, meta: Optional[dict] = None) -> Iterator[str]:
-    """The sweep as JSON chunks, one per row of each matrix."""
+    """The sweep as JSON chunks of the grid and of the rows of each matrix."""
     return _json_chunks({
         "provenance": _sweep_meta(sweep, meta),
-        "alpha_grid": _floats(sweep.alpha_grid),
-        "pairwise_fidelity": map(_floats, sweep.pairwise),
-        "rank_vectors": map(_floats, sweep.rank_vectors),
+        "alpha_grid": _json_floats(sweep.alpha_grid),
+        "pairwise_fidelity": _json_float_rows([np.asarray(sweep.pairwise)]),
+        "rank_vectors": _json_float_rows([np.asarray(sweep.rank_vectors)]),
     })
 
 
@@ -277,9 +360,10 @@ def attack_table(report: AttackReport, meta: Optional[dict] = None) -> Table:
     meta = {**(meta or {}), "removed": ";".join(str(i) for i in report.removed),
             "correlation": float(report.correlation),
             "mean_displacement": float(report.mean_displacement)}
-    rows = list(zip(range(len(report.survivors)), report.survivors,
-                    _floats(report.pre_ranking), _floats(report.post_ranking)))
-    return Table(meta, _ATTACK_HEADER, rows)
+    return Table(meta, _ATTACK_HEADER,
+                 (np.arange(len(report.survivors)), np.asarray(report.survivors, dtype=np.int64),
+                  np.asarray(report.pre_ranking, dtype=np.float64),
+                  np.asarray(report.post_ranking, dtype=np.float64)))
 
 
 def read_attack_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -298,14 +382,11 @@ def compare_table(labels: Optional[Sequence[str]], classical: np.ndarray,
                   quantum: np.ndarray, meta: Optional[dict] = None) -> Table:
     """One row per node, in classical rank order; ranks start at 1."""
     order = ranking_order(classical)
-    nodes = order.tolist()
-    names = [""] * len(nodes) if labels is None else [labels[i] for i in nodes]
     return Table(meta or {}, _COMPARE_HEADER,
-                 list(zip(nodes, names,
-                          _floats(np.asarray(classical)[order]),
-                          _floats(np.asarray(quantum)[order]),
-                          (rank_positions(classical)[order] + 1).tolist(),
-                          (rank_positions(quantum)[order] + 1).tolist())))
+                 (order, _ordered(labels, order),
+                  np.asarray(classical, dtype=np.float64)[order],
+                  np.asarray(quantum, dtype=np.float64)[order],
+                  rank_positions(classical)[order] + 1, rank_positions(quantum)[order] + 1))
 
 
 def read_compare_csv(text: str) -> tuple[np.ndarray, np.ndarray, dict]:

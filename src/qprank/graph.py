@@ -163,8 +163,13 @@ def remove_nodes(g: DirectedGraph, victims: Iterable[int]) -> tuple[DirectedGrap
 
 
 def graph_digest(g: DirectedGraph) -> str:
-    """Short content hash of the arc structure, for provenance records."""
-    return hashlib.sha256(to_edge_list(g).encode()).hexdigest()[:16]
+    """Short content hash of the arc structure, for provenance records: the
+    sha256 of :func:`to_edge_list`, fed its chunks of lines as they are made,
+    so the edge list is never joined."""
+    digest = hashlib.sha256()
+    for chunk in edge_list_lines(g):
+        digest.update(chunk.encode())
+    return digest.hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +302,26 @@ def parse_edge_list(text: str) -> DirectedGraph:
     return DirectedGraph(len(index), ends[0::2], ends[1::2], labels)
 
 
+# Arc lines the graph writers render with one % call.
+_ARC_CHUNK = 4096
+
+
+def _arc_lines(g: DirectedGraph, base: int) -> Iterator[str]:
+    """The arcs sorted by (src, dst) as ``"src dst\n"`` lines, ends counted
+    from ``base``, in chunks of ``_ARC_CHUNK`` lines made by one % call each."""
+    src, dst = g.sources(), g.targets
+    for start in range(0, len(dst), _ARC_CHUNK):
+        ends = np.column_stack((src[start:start + _ARC_CHUNK], dst[start:start + _ARC_CHUNK]))
+        yield ("%d %d\n" * len(ends)) % tuple((ends + base).ravel().tolist())
+
+
 def edge_list_lines(g: DirectedGraph) -> Iterator[str]:
-    """Canonical edge list, one line at a time: vertex-count comment plus arcs
-    sorted by (src, dst).
+    """Canonical edge list in chunks of lines: the vertex-count comment, then
+    the arcs sorted by (src, dst), ``_ARC_CHUNK`` lines per chunk.
 
     Labels are not representable here; use the Pajek format to keep them.
     """
-    return chain([f"# vertices: {g.node_count}\n"],
-                 map("{} {}\n".format, g.sources().tolist(), g.targets.tolist()))
+    return chain([f"# vertices: {g.node_count}\n"], _arc_lines(g, 0))
 
 
 def to_edge_list(g: DirectedGraph) -> str:
@@ -427,16 +444,16 @@ def to_pajek(g: DirectedGraph) -> str:
     Raises ValueError for a label that a quoted vertex line cannot hold: one
     containing a double quote or a line break.
     """
-    lines = [f"*Vertices {g.node_count}"]
+    lines = [f"*Vertices {g.node_count}\n"]
     if g.labels is not None:
         for i, label in enumerate(g.labels):
             if '"' in label or "".join(label.splitlines()) != label:
                 raise ValueError(f"vertex {i + 1} label {label!r} cannot be written to Pajek: "
                                  "labels may not contain '\"' or line breaks")
-        lines.extend(f'{i + 1} "{label}"' for i, label in enumerate(g.labels))
-    lines.append("*Arcs")
-    lines.extend(map("{} {}".format, (g.sources() + 1).tolist(), (g.targets + 1).tolist()))
-    return "\n".join(lines) + "\n"
+        lines.extend(f'{i + 1} "{label}"\n' for i, label in enumerate(g.labels))
+    lines.append("*Arcs\n")
+    lines.extend(_arc_lines(g, 1))
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

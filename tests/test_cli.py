@@ -188,6 +188,15 @@ class TestExitCodes:
         assert offered == {name: SHARED_FLAGS | flags for name, flags in expected.items()}
         assert sum(map(len, offered.values())) == 59
 
+    def test_main_parses_with_one_parser_per_process(self):
+        import qprank.cli as cli
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+        args = cli._parser().parse_args(["rank", "--benchmark", "fig1d", "--alpha", "0.5"])
+        assert args.alpha == 0.5
+        args = cli._parser().parse_args(["rank", "--benchmark", "fig1d"])
+        assert args.alpha is None and args.bare is None
+
     def test_readme_flag_table_matches_the_parser(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         table = readme.split("| subcommand | flags besides source and output |\n|---|---|\n")[1]
@@ -265,6 +274,31 @@ class TestStreamedOutput:
         assert main(["rank", "--input", str(tmp_path / "bad.txt"), "--output", str(out)]) == 3
         capsys.readouterr()
         assert not out.exists()
+
+    def test_qrank_checks_its_steps_before_the_walk_operator(self, monkeypatch, tmp_path,
+                                                             capsys):
+        # the N x N operator is the run's largest cost; a run of no steps never pays it
+        import qprank.cli as cli
+
+        def built(*args, **kwargs):
+            pytest.fail("the walk operator was built for a run of no steps")
+
+        monkeypatch.setattr(cli, "walk_operator", built)
+        out = tmp_path / "out.csv"
+        assert main(["qrank", "--benchmark", "fig2b", "--steps", "0", "--output", str(out)]) == 4
+        assert "steps must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_metadata_with_a_line_break_is_refused(self, tmp_path, capsys):
+        # the path would split its "# source=" line, leaving read_rank_csv no header
+        web = tmp_path / "we\nb.txt"
+        web.write_text("0 1\n1 2\n2 0\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["rank", "--input", str(web), "--output", str(out)]) == 4
+        assert "line break" in capsys.readouterr().err
+        assert not out.exists()
+        code, data = run_cli(["rank", "--input", str(web), "--format", "json"], tmp_path)
+        assert code == 0 and json.loads(data)["provenance"]["source"] == str(web)
 
     def test_output_is_opened_only_after_the_walk(self, monkeypatch, tmp_path, capsys):
         # the walk operator is built and admitted before the output is opened

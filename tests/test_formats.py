@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qprank import formats
 from qprank.analysis import attack_sensitivity, damping_sweep
@@ -129,3 +132,56 @@ class TestCompareCsv:
                                                         quantum)).splitlines()][1:]
         assert [r[0] for r in rows] == ["1", "2", "0"]
         assert [int(r[4]) for r in rows] == [1, 2, 3]
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+# Bit patterns that must keep their own texts or share one: -0.0 next to 0.0,
+# NaNs with other payloads and signs, the infinities, subnormals and the
+# smallest normal.
+SPECIAL_BITS = st.sampled_from([_bits(x) for x in (
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310,
+    2.2250738585072014e-308, 0.1, 1 / 3)] + [0x7FF8000000000001, 0x7FF0000000000001,
+                                             -0x0008000000000000])
+FLOAT_BITS = st.floats().map(_bits) | SPECIAL_BITS | st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@st.composite
+def float_arrays(draw):
+    """A 1-D or 2-D float array drawn from a few bit patterns, so values repeat."""
+    pool = draw(st.lists(SPECIAL_BITS, max_size=4)) + draw(st.lists(FLOAT_BITS, min_size=1,
+                                                                    max_size=4))
+    bits = draw(st.lists(st.sampled_from(pool), max_size=40))
+    values = np.array(bits, dtype=np.int64).view(np.float64)
+    cols = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        values = values[:len(values) // cols * cols].reshape(-1, cols)
+    return values
+
+
+@example(np.array([0.0, -0.0, math.nan, -0.0, math.inf, -math.inf, 5e-324, 0.0, 0.1]))
+@example(np.array([[-0.0, 0.0], [0.0, -0.0], [-math.inf, 1e-310]]))
+@given(float_arrays())
+def test_float_texts_are_repr_and_json_spellings(values):
+    want = [list(map(repr, row)) if values.ndim == 2 else repr(row)
+            for row in values.tolist()]
+    assert formats._float_texts(values) == want
+    want = [list(map(json.dumps, row)) if values.ndim == 2 else json.dumps(row)
+            for row in values.tolist()]
+    assert formats._float_texts(values, json_spelling=True) == want
+
+
+class TestMetadataLines:
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\x85", "\u2028"])
+    def test_value_with_a_line_break_is_refused_when_the_writer_is_called(self, brk):
+        # a line break would split the "# key=value" line, and the reader would
+        # take the rest of the value for the header row
+        meta = {"source": f"we{brk}b.txt"}
+        with pytest.raises(ValueError, match="line break"):
+            formats.table_csv(formats.rank_table(np.ones(2), meta=meta))
+        with pytest.raises(ValueError, match="line break"):
+            formats.series_csv(quantum_rank_series(benchmark_graph("fig1a"), 0.85, 2), meta)
+        obj = json.loads("".join(formats.table_json(formats.rank_table(np.ones(2), meta=meta))))
+        assert obj["provenance"] == meta

@@ -5,9 +5,11 @@ tuple-based reference, the in-package Kendall tau-b against
 loop, and the direct quantum walk against the edge-space oracle."""
 
 import csv
+import hashlib
 import io
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,11 +20,12 @@ from scipy import stats
 from graph_oracles import (arc_set, reference_arc_set, reference_degrees,
                            reference_hyperlink, reference_remove_nodes)
 from qprank import formats
+from qprank import graph as graph_module
 from qprank.analysis import (AttackReport, FidelitySweep, _kendall_tau_b,
                              degeneracy_profile, rank_correlation, rank_positions,
                              ranking_order)
-from qprank.graph import (DirectedGraph, generate_scale_free, parse_edge_list,
-                          parse_pajek, remove_nodes, to_edge_list, to_pajek)
+from qprank.graph import (DirectedGraph, edge_list_lines, generate_scale_free, graph_digest,
+                          parse_edge_list, parse_pajek, remove_nodes, to_edge_list, to_pajek)
 from qprank.pagerank import hyperlink_matrix, patch_dangling
 from qprank.szegedy import (QuantumRankSeries, quantum_pagerank, quantum_pageranks,
                             walk_operator)
@@ -59,6 +62,23 @@ def test_edge_list_round_trip(g):
 @given(graphs(labels=PAJEK_LABELS))
 def test_pajek_round_trip(g):
     assert parse_pajek(to_pajek(g)) == g
+
+
+@given(graphs(labels=PAJEK_LABELS), st.integers(1, 5))
+def test_arc_chunks_match_per_arc_rendering(g, chunk):
+    """Arc lines made many per % call, in chunks of ``chunk`` arcs, and the
+    digest fed those chunks, against one ``format`` call per arc; graphs
+    with isolated nodes, one node or no arcs included."""
+    arcs = list(zip(g.sources().tolist(), g.targets.tolist()))
+    edges = f"# vertices: {g.node_count}\n" + "".join("{} {}\n".format(s, d) for s, d in arcs)
+    labels = [] if g.labels is None else g.labels
+    pajek = (f"*Vertices {g.node_count}\n"
+             + "".join('{} "{}"\n'.format(i + 1, label) for i, label in enumerate(labels))
+             + "*Arcs\n" + "".join("{} {}\n".format(s + 1, d + 1) for s, d in arcs))
+    with mock.patch.object(graph_module, "_ARC_CHUNK", chunk):
+        assert "".join(edge_list_lines(g)) == to_edge_list(g) == edges
+        assert to_pajek(g) == pajek
+        assert graph_digest(g) == hashlib.sha256(edges.encode()).hexdigest()[:16]
 
 
 @st.composite
@@ -309,8 +329,10 @@ def test_json_writers_match_json_module(case, g, row_count):
     values, other = matrix[0], matrix[-1]
     for table in (formats.rank_table(values, labels, meta),
                   formats.compare_table(None, values, other, meta),
-                  formats.Table(meta, ("ranker", "ipr"), [("classical", 1.5)] * row_count)):
-        rows = [dict(zip(table.header, row)) for row in table.rows]
+                  formats.Table(meta, ("ranker", "ipr"),
+                                (["classical"] * row_count, np.full(row_count, 1.5)))):
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in table.columns]
+        rows = [dict(zip(table.header, row)) for row in zip(*columns)]
         assert "".join(formats.table_json(table)) == _json_module(
             {"provenance": table.meta, "rows": rows})
 
@@ -330,6 +352,36 @@ def test_json_writers_match_json_module(case, g, row_count):
         {"provenance": meta, "node_count": g.node_count,
          "arcs": [[int(s), int(t)] for s, t in zip(g.sources(), g.targets)],
          "labels": None if g.labels is None else list(g.labels)})
+
+
+@given(tables(), graphs(labels=LINE_TEXT | CSV_LABELS), st.integers(1, 7))
+def test_writers_do_not_depend_on_the_chunk_size(case, g, chunk):
+    """Every writer gives the same bytes in chunks of ``chunk`` values as in
+    one chunk, so chunks split rows, tables and series at any point."""
+    matrix, labels = case
+    meta = {"alpha": 0.85}
+    values, other = matrix[0], matrix[-1]
+    series = QuantumRankSeries(matrix, other)
+    grid = tuple(float(a) for a in values)
+    sweep = FidelitySweep(alpha_grid=grid, rank_vectors=matrix,
+                          pairwise=np.tile(values, (len(grid), 1)), min_fidelity=0.5)
+    report = AttackReport((0, 1), tuple(range(2, 2 + len(values))), values, other, 0.25, 1.5)
+    tables = (formats.rank_table(values, labels, meta),
+              formats.compare_table(labels, values, other, meta),
+              formats.attack_table(report, meta))
+
+    def outputs():
+        return ([formats.write_csv(t) for t in tables]
+                + ["".join(formats.table_json(t)) for t in tables]
+                + ["".join(formats.series_csv(series, meta)),
+                   "".join(formats.series_json(series, meta)),
+                   "".join(formats.sweep_csv(sweep, meta)),
+                   "".join(formats.sweep_json(sweep, meta)),
+                   "".join(formats.graph_json(g, meta))])
+
+    whole = outputs()
+    with mock.patch.object(formats, "_CHUNK_VALUES", chunk):
+        assert outputs() == whole
 
 
 def _scipy_rank_correlation(a, b):
