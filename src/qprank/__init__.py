@@ -10,8 +10,7 @@ from .graph import (DirectedGraph, GraphFormatError, benchmark_graph, generate,
                     graph_digest, parse_edge_list, parse_graph, parse_pajek,
                     remove_nodes, to_edge_list, to_pajek)
 from .pagerank import (GoogleMatrix, PowerResult, classical_pagerank, google_matrix,
-                       hyperlink_matrix, patch_dangling, power_method,
-                       second_eigenvalue_modulus)
+                       hyperlink_matrix, patch_dangling, power_method)
 from .szegedy import (DynamicalSubspace, QuantumRankSeries, WalkOperator, average_drift,
                       build_dynamical_subspace, evolve, evolve_spectral, quantum_pagerank,
                       quantum_pageranks, quantum_rank_series, walk_operator)

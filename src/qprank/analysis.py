@@ -230,11 +230,10 @@ def _tau_b_counts(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
     return total - x_ties - y_ties + joint_ties - 2 * discordant, total - x_ties, total - y_ties
 
 
-def _kendall_tau_b(a: np.ndarray, b: np.ndarray) -> float:
-    """Kendall tau-b of two non-constant vectors without NaN, unclipped, in
-    the float expression ``scipy.stats.kendalltau`` evaluates on the exact
-    counts, so the result matches it bit for bit."""
-    concordance, untied_a, untied_b = _tau_b_counts(a, b)
+def _kendall_tau_b(concordance: int, untied_a: int, untied_b: int) -> float:
+    """Kendall tau-b from the counts of ``_tau_b_counts``, unclipped, in the
+    float expression ``scipy.stats.kendalltau`` evaluates on them, so the
+    result matches it bit for bit."""
     return float(concordance / np.sqrt(untied_a) / np.sqrt(untied_b))
 
 
@@ -261,7 +260,7 @@ def rank_correlation(a: np.ndarray, b: np.ndarray) -> float:
     # dense ranks): tau-b is exactly +-1, which the float expression can miss
     if abs(concordance) == untied_a == untied_b:
         return float(np.sign(concordance))
-    return float(np.clip(concordance / np.sqrt(untied_a) / np.sqrt(untied_b), -1.0, 1.0))
+    return float(np.clip(_kendall_tau_b(concordance, untied_a, untied_b), -1.0, 1.0))
 
 
 def ranking_order(values: np.ndarray) -> np.ndarray:

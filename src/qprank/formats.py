@@ -19,11 +19,12 @@ Every output is made as an iterator of text chunks straight from the result
 arrays (or from a ``szegedy.SeriesStream``, whose walk runs as its blocks
 are read), so no output is ever held whole: a JSON body has exactly the
 bytes of ``json.dumps(obj, indent=2)`` plus a newline, without ``obj`` ever
-being built. A chunk is a run of rows of about ``_CHUNK_VALUES`` values (at
-least one row), and each distinct float bit pattern in it is formatted
-once: rankings are degenerate and structural twins tie exactly, so the
-numbers repeat. Writing holds one chunk's texts at most. The ``write_*``
-helpers join the same chunks into one string.
+being built. Every writer makes its rows through ``_rows``: a chunk is a
+run of rows of about ``_CHUNK_VALUES`` values (at least one row), and each
+distinct float bit pattern in it is formatted once: rankings are degenerate
+and structural twins tie exactly, so the numbers repeat. Writing holds one
+chunk's texts at most. ``write_rank_csv`` joins the rank table's chunks
+into one string.
 """
 
 from __future__ import annotations
@@ -74,29 +75,43 @@ _JSON = json.JSONEncoder(indent=2)
 
 
 def _texts(column, json_spelling: bool) -> list:
-    """A column's texts: floats by ``_float_texts`` (a 2-D block as one list
-    per row), other arrays (ints) as ``str``, and a sequence of labels
-    quoted the CSV way or as JSON strings, each distinct label once."""
-    if isinstance(column, np.ndarray):
-        if column.dtype.kind == "f":
-            return _float_texts(column, json_spelling)
-        return list(map(str, column.tolist()))
-    encode = _JSON.encode if json_spelling else _csv_field
-    texts = {label: encode(label) for label in set(column)}
-    return list(map(texts.__getitem__, column))
+    """A column's fields: floats by ``_float_texts``, ints as ints (the row
+    template formats them, one ``%`` call per chunk), a sequence of labels
+    quoted the CSV way or as JSON strings, each distinct label once, and a
+    2-D float block's rows as one field each: comma-joined for CSV, a JSON
+    array for JSON."""
+    if not isinstance(column, np.ndarray):
+        encode = _JSON.encode if json_spelling else _csv_field
+        texts = {label: encode(label) for label in set(column)}
+        return list(map(texts.__getitem__, column))
+    if column.ndim == 1:
+        return _float_texts(column, json_spelling) if column.dtype.kind == "f" else column.tolist()
+    texts = _float_texts(column, json_spelling)
+    if json_spelling:
+        return ["[\n      " + ",\n      ".join(row) + "\n    ]" for row in texts]
+    return list(map(",".join, texts))
 
 
-def _width(columns: Sequence) -> int:
-    """Fields per row: one per column, or a 2-D block's row length."""
-    return sum(c.shape[1] if isinstance(c, np.ndarray) and c.ndim == 2 else 1
-               for c in columns)
-
-
-def _chunks(columns: Sequence, rows: int) -> Iterator[list]:
-    """Each column's slice of one chunk of rows, chunk after chunk."""
-    step = max(1, _CHUNK_VALUES // _width(columns))
-    for start in range(0, rows, step):
-        yield [c[start:start + step] for c in columns]
+def _rows(columns: Sequence, template: Optional[str] = None,
+          json_spelling: bool = False) -> Iterator[str]:
+    """The rows of ``columns``, one text per chunk of rows. A row is
+    ``template % fields``, or with no template the one column's field; JSON
+    rows are array elements, joined by their separator, and CSV rows follow
+    each other, the template ending the line. A column has one entry per row,
+    or is a 2-D float block whose row is one field. Each chunk's fields are
+    made at once by ``_texts``, and its rows by one ``%`` call."""
+    sep = ",\n    " if json_spelling else ""
+    width = sum(c.shape[1] if isinstance(c, np.ndarray) and c.ndim == 2 else 1 for c in columns)
+    step = max(1, _CHUNK_VALUES // width)
+    for start in range(0, len(columns[0]), step):
+        texts = [_texts(c[start:start + step], json_spelling) for c in columns]
+        if template is None:
+            yield sep.join(texts[0])
+            continue
+        fields = [None] * (len(texts) * len(texts[0]))
+        for i, column in enumerate(texts):
+            fields[i::len(texts)] = column
+        yield sep.join([template] * len(texts[0])) % tuple(fields)
 
 
 class Table(NamedTuple):
@@ -123,68 +138,30 @@ def _csv(meta: dict, header: Sequence[str], body: Iterable[str]) -> Iterator[str
     return itertools.chain(lines, [",".join(header) + "\n"], body)
 
 
-def _csv_texts(column) -> list[str]:
-    """A column's CSV fields, or a 2-D block's rows as runs of fields."""
-    if isinstance(column, np.ndarray) and column.ndim == 2:
-        return list(map(",".join, _float_texts(column)))
-    return _texts(column, False)
-
-
-def _csv_rows(columns: Sequence, rows: int) -> Iterator[str]:
-    """CSV lines of ``columns``, one chunk of rows per text. A column has one
-    entry per row, or is a 2-D float block that gives each row a run of fields."""
-    for chunk in _chunks(columns, rows):
-        yield "\n".join(map(",".join, zip(*map(_csv_texts, chunk)))) + "\n"
-
-
 def table_csv(table: Table) -> Iterator[str]:
     """The table as CSV chunks of lines."""
-    return _csv(table.meta, table.header, _csv_rows(table.columns, len(table.columns[0])))
-
-
-def write_csv(table: Table) -> str:
-    return "".join(table_csv(table))
-
-
-def _json_array(chunks: Iterable[list[str]]) -> Iterator[str]:
-    """A second-level JSON array of the element texts ``chunks`` yields, one
-    text per chunk of elements."""
-    sep = "[\n    "
-    for elements in chunks:
-        if elements:
-            yield sep + ",\n    ".join(elements)
-            sep = ",\n    "
-    yield "[]" if sep == "[\n    " else "\n  ]"
+    template = ",".join(["%s"] * len(table.header)) + "\n"
+    return _csv(table.meta, table.header, _rows(table.columns, template))
 
 
 def _json_chunks(fields: dict) -> Iterator[str]:
     """The JSON object ``fields`` plus a newline, in chunks. A field whose value
-    is an iterator of chunks of element texts is written as an array, a chunk
-    at a time, so the list it stands for is never built."""
+    is an iterator of texts of runs of elements, as ``_rows`` gives them, is
+    written as an array, a run at a time, so the list it stands for is never
+    built."""
     sep = "{"
     for key, value in fields.items():
         yield f"{sep}\n  {_JSON.encode(key)}: "
         sep = ","
         if isinstance(value, Iterator):
-            yield from _json_array(value)
+            opening = "[\n    "
+            for elements in value:
+                yield opening + elements
+                opening = ",\n    "
+            yield "[]" if opening == "[\n    " else "\n  ]"
         else:  # its own dump, one level deeper: a JSON string holds no raw line break
             yield _JSON.encode(value).replace("\n", "\n  ")
     yield "\n}\n"
-
-
-def _json_float_rows(blocks: Iterable[np.ndarray]) -> Iterator[list[str]]:
-    """The rows of 2-D float blocks as JSON arrays, in chunks of rows."""
-    for block in blocks:
-        for chunk, in _chunks([block], len(block)):
-            yield ["[\n      " + ",\n      ".join(row) + "\n    ]"
-                   for row in _float_texts(chunk, True)]
-
-
-def _json_floats(values) -> Iterator[list[str]]:
-    """The floats of a 1-D array as JSON array elements, in chunks."""
-    values = np.asarray(values, dtype=np.float64)
-    for chunk, in _chunks([values], len(values)):
-        yield _float_texts(chunk, True)
 
 
 def table_json(table: Table) -> Iterator[str]:
@@ -192,20 +169,16 @@ def table_json(table: Table) -> Iterator[str]:
     by the header."""
     record = ("{\n      " + ",\n      ".join(f"{_JSON.encode(key)}: %s" for key in table.header)
               + "\n    }")
-    records = ([record % row for row in zip(*(_texts(c, True) for c in chunk))]
-               for chunk in _chunks(table.columns, len(table.columns[0])))
-    return _json_chunks({"provenance": table.meta, "rows": records})
+    return _json_chunks({"provenance": table.meta, "rows": _rows(table.columns, record, True)})
 
 
 def graph_json(g: DirectedGraph, meta: dict) -> Iterator[str]:
     """A graph as JSON chunks: ``provenance``, the node count, one ``[src, dst]``
     pair per arc, and the labels or null."""
-    arcs = (list(map("[\n      %d,\n      %d\n    ]".__mod__, zip(src.tolist(), dst.tolist())))
-            for src, dst in _chunks([g.sources(), g.targets], len(g.targets)))
-    labels = None if g.labels is None else (
-        _texts(chunk, True) for chunk, in _chunks([g.labels], g.node_count))
-    return _json_chunks({"provenance": meta, "node_count": g.node_count, "arcs": arcs,
-                         "labels": labels})
+    return _json_chunks({
+        "provenance": meta, "node_count": g.node_count,
+        "arcs": _rows([g.sources(), g.targets], "[\n      %d,\n      %d\n    ]", True),
+        "labels": None if g.labels is None else _rows([g.labels], json_spelling=True)})
 
 
 def _split_csv(text: str) -> tuple[dict, list[list[str]]]:
@@ -250,7 +223,7 @@ def rank_table(values: np.ndarray, labels: Optional[Sequence[str]] = None,
 
 def write_rank_csv(values: np.ndarray, labels: Optional[Sequence[str]] = None,
                    meta: Optional[dict] = None) -> str:
-    return write_csv(rank_table(values, labels, meta))
+    return "".join(table_csv(rank_table(values, labels, meta)))
 
 
 def read_rank_csv(text: str) -> tuple[np.ndarray, list[str], dict]:
@@ -264,31 +237,19 @@ def read_rank_csv(text: str) -> tuple[np.ndarray, list[str], dict]:
 
 # --- quantum rank series ---
 
-def _blocks(series: QuantumRankSeries | SeriesStream) -> Iterator[np.ndarray]:
-    """The rows of a series as 2-D blocks: a stream's as its walk makes them,
-    a recorded series' as one block."""
-    if isinstance(series, SeriesStream):
-        return series.blocks()
-    return iter([series.instantaneous])
-
-
 def series_csv(series: QuantumRankSeries | SeriesStream,
                meta: Optional[dict] = None) -> Iterator[str]:
     """The series as CSV chunks: rows for two-steps m = 0, 1, ..., then the
     ``avg`` row, whose values are read only once the rows are written."""
     def rows():
         m = 0
-        for block in _blocks(series):
-            yield from _csv_rows([np.arange(m, m + len(block)), block], len(block))
+        for block in series.blocks():
+            yield from _rows([np.arange(m, m + len(block)), block], "%s,%s\n")
             m += len(block)
-        yield from _csv_rows([["avg"], np.asarray(series.average)[None]], 1)
+        yield from _rows([["avg"], np.asarray(series.average, dtype=np.float64)[None]], "%s,%s\n")
 
     header = ["m", *(f"node_{i}" for i in range(series.node_count))]
     return _csv(meta or {}, header, rows())
-
-
-def write_series_csv(series: QuantumRankSeries, meta: Optional[dict] = None) -> str:
-    return "".join(series_csv(series, meta))
 
 
 def read_series_csv(text: str) -> tuple[QuantumRankSeries, dict]:
@@ -305,12 +266,13 @@ def series_json(series: QuantumRankSeries | SeriesStream,
     """The series as JSON chunks of two-steps, then of the average, which is
     read only once the rows are written."""
     def average():
-        yield from _json_floats(series.average)
+        yield from _rows([np.asarray(series.average, dtype=np.float64)], json_spelling=True)
 
     return _json_chunks({
         "provenance": meta or {},
         "steps": series.steps,
-        "instantaneous": _json_float_rows(_blocks(series)),
+        "instantaneous": (rows for block in series.blocks()
+                          for rows in _rows([block], json_spelling=True)),
         "average": average(),
     })
 
@@ -325,11 +287,7 @@ def sweep_csv(sweep: FidelitySweep, meta: Optional[dict] = None) -> Iterator[str
     """The pairwise fidelities as CSV chunks, one row per alpha."""
     grid = np.asarray(sweep.alpha_grid, dtype=np.float64)
     return _csv(_sweep_meta(sweep, meta), ["alpha", *_float_texts(grid)],
-                _csv_rows([grid, np.asarray(sweep.pairwise)], len(grid)))
-
-
-def write_sweep_csv(sweep: FidelitySweep, meta: Optional[dict] = None) -> str:
-    return "".join(sweep_csv(sweep, meta))
+                _rows([grid, np.asarray(sweep.pairwise)], "%s,%s\n"))
 
 
 def read_sweep_csv(text: str) -> tuple[tuple[float, ...], np.ndarray, dict]:
@@ -343,9 +301,9 @@ def sweep_json(sweep: FidelitySweep, meta: Optional[dict] = None) -> Iterator[st
     """The sweep as JSON chunks of the grid and of the rows of each matrix."""
     return _json_chunks({
         "provenance": _sweep_meta(sweep, meta),
-        "alpha_grid": _json_floats(sweep.alpha_grid),
-        "pairwise_fidelity": _json_float_rows([np.asarray(sweep.pairwise)]),
-        "rank_vectors": _json_float_rows([np.asarray(sweep.rank_vectors)]),
+        "alpha_grid": _rows([np.asarray(sweep.alpha_grid, dtype=np.float64)], json_spelling=True),
+        "pairwise_fidelity": _rows([np.asarray(sweep.pairwise)], json_spelling=True),
+        "rank_vectors": _rows([np.asarray(sweep.rank_vectors)], json_spelling=True),
     })
 
 

@@ -159,12 +159,3 @@ def classical_pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> np.nda
         raise ValueError(f"power method did not converge to tol={DEFAULT_TOL:g} "
                          f"in {result.iterations} iterations")
     return result.values
-
-
-def second_eigenvalue_modulus(gm: GoogleMatrix) -> float:
-    """|lambda_2| of the (densified) operator, via the full small spectrum."""
-    if gm.dim < 2:
-        raise ValueError("need at least 2 nodes for a second eigenvalue")
-    eigvals = np.linalg.eigvals(gm.dense())
-    moduli = np.sort(np.abs(eigvals))[::-1]
-    return float(moduli[1])

@@ -132,6 +132,10 @@ class QuantumRankSeries:
     def node_count(self) -> int:
         return self.instantaneous.shape[1]
 
+    def blocks(self) -> Iterator[np.ndarray]:
+        """The rows as ``SeriesStream.blocks`` gives them: here one block."""
+        return iter([self.instantaneous])
+
 
 def _check_horizon(steps: int, offset: int) -> None:
     if steps < 1:

@@ -2,7 +2,8 @@
 
 These are the set-of-pairs constructions the package used before
 ``DirectedGraph`` held sorted int arrays: one Python step per arc, read
-through ``arc_set``. The array code must reproduce them exactly.
+through ``arc_set``. The array code must reproduce them exactly. Also the
+dense second eigenvalue of the Google matrix, which the package does not use.
 """
 
 import numpy as np
@@ -45,6 +46,15 @@ def reference_hyperlink(g):
     cols = np.array([s for s, _ in arcs], dtype=np.int64)
     data = 1.0 / out_deg[cols] if len(arcs) else np.zeros(0)
     return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def second_eigenvalue_modulus(gm):
+    """|lambda_2| of a ``GoogleMatrix``, densified, via the full small spectrum."""
+    if gm.dim < 2:
+        raise ValueError("need at least 2 nodes for a second eigenvalue")
+    eigvals = np.linalg.eigvals(gm.dense())
+    moduli = np.sort(np.abs(eigvals))[::-1]
+    return float(moduli[1])
 
 
 def reference_remove_nodes(g, victims):

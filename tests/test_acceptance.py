@@ -16,9 +16,10 @@ from qprank.cli import main as cli_main
 from qprank.graph import (DirectedGraph, benchmark_graph, generate_binary_tree,
                           generate_hierarchical, generate_scale_free)
 from qprank.pagerank import (classical_pagerank, google_matrix, hyperlink_matrix,
-                             patch_dangling, power_method, second_eigenvalue_modulus)
+                             patch_dangling, power_method)
 from qprank.szegedy import (build_dynamical_subspace, evolve, evolve_spectral,
                             quantum_pagerank, quantum_rank_series)
+from graph_oracles import second_eigenvalue_modulus
 from szegedy_oracles import initial_state, instantaneous_qpr, two_step, walk_operator
 
 MASTER_SEED = 12345

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import functools
 import json
 import os
@@ -17,6 +18,7 @@ from qprank.cli import build_parser, load_graph, main, parse_grid
 from qprank.graph import benchmark_graph, generate_scale_free, parse_edge_list, to_edge_list
 from qprank.szegedy import quantum_rank_series
 from test_analysis import _peak_bytes
+from test_formats import written
 
 
 def child_env():
@@ -353,7 +355,7 @@ class TestStreamedOutput:
         g, meta = load_graph(args)
         series = quantum_rank_series(g, args.alpha, args.steps)
         meta = dict(meta, alpha=args.alpha, steps=args.steps, backend="direct")
-        for fmt, text in (("csv", formats.write_series_csv(series, meta)),
+        for fmt, text in (("csv", written(formats.series_csv(series, meta))),
                           ("json", "".join(formats.series_json(series, meta)))):
             argv = ["qrank", *flags, "--steps", "300", "--format", fmt]
             assert run_cli(argv, tmp_path) == (0, text.encode())
@@ -669,6 +671,38 @@ class TestColdStart:
             capture_output=True, text=True, env=child_env())
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+
+def _private_names(tree: ast.Module) -> list[str]:
+    """The ``_``-prefixed functions, classes and constants a module defines at
+    its top level, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_name_is_used_in_the_package():
+    """A private name that nothing in the package reads serves only the tests
+    or the benchmark: it belongs in ``tests/`` or should go."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(qprank.__file__).parent.glob("*.py")}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unused = [f"{module}:{name}" for module, tree in sorted(trees.items())
+              for name in _private_names(tree) if name not in read]
+    assert unused == []
 
 
 class TestDeterminism:

@@ -12,6 +12,11 @@ from qprank.graph import benchmark_graph, generate_scale_free
 from qprank.szegedy import quantum_rank_series
 
 
+def written(chunks) -> str:
+    """The text of a file a writer writes: its chunks, joined."""
+    return "".join(chunks)
+
+
 class TestRankCsv:
     def test_round_trip(self):
         values = np.array([0.1, 0.4, 0.25, 0.25])
@@ -46,15 +51,15 @@ class TestRankCsv:
         loaded, loaded_labels, meta = formats.read_rank_csv(text)
         assert np.array_equal(loaded, values) and loaded_labels == labels
         assert meta == {"alpha": "0.85"}
-        compared = formats.read_compare_csv(formats.write_csv(
-            formats.compare_table(labels, values, values[::-1])))
+        compared = formats.read_compare_csv(written(formats.table_csv(
+            formats.compare_table(labels, values, values[::-1]))))
         assert np.array_equal(compared[0], values)
 
 
 class TestSeriesCsv:
     def test_round_trip(self):
         series = quantum_rank_series(benchmark_graph("fig1d"), 0.85, 16)
-        text = formats.write_series_csv(series, {"steps": 16})
+        text = written(formats.series_csv(series, {"steps": 16}))
         loaded, meta = formats.read_series_csv(text)
         assert np.array_equal(loaded.instantaneous, series.instantaneous)
         assert np.array_equal(loaded.average, series.average)
@@ -62,7 +67,7 @@ class TestSeriesCsv:
 
     def test_header_names_nodes(self):
         series = quantum_rank_series(benchmark_graph("fig1a"), 0.85, 2)
-        text = formats.write_series_csv(series)
+        text = written(formats.series_csv(series))
         header = text.splitlines()[0]
         assert header == "m,node_0,node_1"
         assert text.splitlines()[-1].startswith("avg,")
@@ -78,7 +83,7 @@ class TestSeriesCsv:
 class TestSweepCsv:
     def test_round_trip(self):
         sweep = damping_sweep(benchmark_graph("fig2b"), [0.3, 0.6, 0.9])
-        text = formats.write_sweep_csv(sweep, {"ranker": "classical"})
+        text = written(formats.sweep_csv(sweep, {"ranker": "classical"}))
         grid, matrix, meta = formats.read_sweep_csv(text)
         assert grid == sweep.alpha_grid
         assert np.array_equal(matrix, sweep.pairwise)
@@ -86,7 +91,7 @@ class TestSweepCsv:
 
     def test_grid_is_header_and_column(self):
         sweep = damping_sweep(benchmark_graph("fig1d"), [0.25, 0.75])
-        lines = [l for l in formats.write_sweep_csv(sweep).splitlines()
+        lines = [l for l in written(formats.sweep_csv(sweep)).splitlines()
                  if not l.startswith("#")]
         assert lines[0].split(",")[1:] == ["0.25", "0.75"]
         assert lines[1].split(",")[0] == "0.25"
@@ -97,7 +102,7 @@ class TestAttackCsv:
     def test_round_trip(self):
         g = generate_scale_free(12, 3)
         report = attack_sensitivity(g, 2, "classical")
-        text = formats.write_csv(formats.attack_table(report, {"seed": 3}))
+        text = written(formats.table_csv(formats.attack_table(report, {"seed": 3})))
         pre, post, meta = formats.read_attack_csv(text)
         assert np.array_equal(pre, report.pre_ranking)
         assert np.array_equal(post, report.post_ranking)
@@ -119,7 +124,7 @@ class TestCompareCsv:
     def test_round_trip(self):
         classical = np.array([0.5, 0.3, 0.2])
         quantum = np.array([0.4, 0.35, 0.25])
-        text = formats.write_csv(formats.compare_table(["", "", ""], classical, quantum))
+        text = written(formats.table_csv(formats.compare_table(["", "", ""], classical, quantum)))
         c, q, _ = formats.read_compare_csv(text)
         assert np.array_equal(c, classical)
         assert np.array_equal(q, quantum)
@@ -128,8 +133,8 @@ class TestCompareCsv:
         classical = np.array([0.2, 0.5, 0.3])
         quantum = np.array([0.3, 0.3, 0.4])
         rows = [line.split(",") for line in
-                formats.write_csv(formats.compare_table(["x", "y", "z"], classical,
-                                                        quantum)).splitlines()][1:]
+                written(formats.table_csv(formats.compare_table(
+                    ["x", "y", "z"], classical, quantum))).splitlines()][1:]
         assert [r[0] for r in rows] == ["1", "2", "0"]
         assert [int(r[4]) for r in rows] == [1, 2, 3]
 

@@ -48,10 +48,11 @@ import hashlib
 
 import pytest
 
+from qprank import formats
 from qprank.cli import main
-from qprank.formats import write_series_csv
 from qprank.graph import generate_scale_free, graph_digest, parse_edge_list, to_pajek
 from qprank.szegedy import build_dynamical_subspace, evolve_spectral, walk_operator
+from test_formats import written
 
 GEN = ["--gen", "scalefree:2048", "--seed", "7"]
 
@@ -169,7 +170,7 @@ def test_spectral_series_bytes():
     meta = {"source": "scalefree:64", "seed": 2, "graph": graph_digest(g),
             "alpha": 0.85, "steps": 256, "backend": "spectral"}
     series = evolve_spectral(build_dynamical_subspace(walk_operator(g, 0.85)), 256)
-    text = write_series_csv(series, meta)
+    text = written(formats.series_csv(series, meta))
     assert hashlib.sha256(text.encode()).hexdigest() == SHA256["qrank_spectral.csv"]
 
 

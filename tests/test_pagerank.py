@@ -3,11 +3,11 @@ import functools
 import numpy as np
 import pytest
 
+from graph_oracles import second_eigenvalue_modulus
 from qprank import pagerank
 from qprank.graph import DirectedGraph, benchmark_graph, generate_scale_free
 from qprank.pagerank import (classical_pagerank, google_matrix,
-                             hyperlink_matrix, patch_dangling, power_method,
-                             second_eigenvalue_modulus)
+                             hyperlink_matrix, patch_dangling, power_method)
 
 FIG1D_E = np.array([
     [0, 1/2, 0, 0],

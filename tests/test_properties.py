@@ -21,15 +21,16 @@ from graph_oracles import (arc_set, reference_arc_set, reference_degrees,
                            reference_hyperlink, reference_remove_nodes)
 from qprank import formats
 from qprank import graph as graph_module
-from qprank.analysis import (AttackReport, FidelitySweep, _kendall_tau_b,
+from qprank.analysis import (AttackReport, FidelitySweep, _kendall_tau_b, _tau_b_counts,
                              degeneracy_profile, rank_correlation, rank_positions,
                              ranking_order)
 from qprank.graph import (DirectedGraph, edge_list_lines, generate_scale_free, graph_digest,
                           parse_edge_list, parse_pajek, remove_nodes, to_edge_list, to_pajek)
 from qprank.pagerank import hyperlink_matrix, patch_dangling
-from qprank.szegedy import (QuantumRankSeries, quantum_pagerank, quantum_pageranks,
-                            walk_operator)
+from qprank.szegedy import (QuantumRankSeries, SeriesStream, quantum_pagerank,
+                            quantum_pageranks, walk_operator)
 from szegedy_oracles import initial_state, instantaneous_qpr, two_step
+from test_formats import written
 from test_graph import _reference_scale_free
 
 # Labels as the parsers can produce them: any printable text on one line.
@@ -198,7 +199,7 @@ def float_tables(draw):
 def test_series_csv_round_trip(case):
     matrix, average, _ = case
     series, meta = formats.read_series_csv(
-        formats.write_series_csv(QuantumRankSeries(matrix, average), {"steps": len(matrix)}))
+        written(formats.series_csv(QuantumRankSeries(matrix, average), {"steps": len(matrix)})))
     assert _same_bits(series.instantaneous, matrix) and _same_bits(series.average, average)
     assert meta == {"steps": str(len(matrix))}
 
@@ -209,7 +210,7 @@ def test_sweep_csv_round_trip(case, min_fidelity):
     pairwise = np.resize(vectors, (len(grid), len(grid)))
     sweep = FidelitySweep(tuple(grid.tolist()), vectors, pairwise, min_fidelity)
     loaded_grid, loaded, meta = formats.read_sweep_csv(
-        formats.write_sweep_csv(sweep, {"ranker": "classical"}))
+        written(formats.sweep_csv(sweep, {"ranker": "classical"})))
     assert _same_bits(loaded_grid, grid) and _same_bits(loaded, pairwise)
     assert meta["ranker"] == "classical"
     assert _same_bits(float(meta["min_fidelity"]), min_fidelity)
@@ -221,7 +222,7 @@ def test_attack_csv_round_trip(case, correlation, displacement):
     removed = tuple(range(len(pre), len(pre) + 2))
     report = AttackReport(removed, tuple(range(len(pre))), pre, post, correlation, displacement)
     loaded_pre, loaded_post, meta = formats.read_attack_csv(
-        formats.write_csv(formats.attack_table(report, {"seed": 3})))
+        written(formats.table_csv(formats.attack_table(report, {"seed": 3}))))
     assert _same_bits(loaded_pre, pre) and _same_bits(loaded_post, post)
     assert meta["removed"] == ";".join(map(str, removed))
     assert _same_bits([float(meta["correlation"]), float(meta["mean_displacement"])],
@@ -233,7 +234,8 @@ def test_compare_csv_round_trip(case, data):
     _, classical, quantum = case
     labels = data.draw(st.lists(LINE_TEXT | CSV_LABELS | BREAK_LABELS, min_size=len(classical),
                                 max_size=len(classical)))
-    text = formats.write_csv(formats.compare_table(labels, classical, quantum, {"alpha": 0.85}))
+    text = written(formats.table_csv(
+        formats.compare_table(labels, classical, quantum, {"alpha": 0.85})))
     loaded_classical, loaded_quantum, meta = formats.read_compare_csv(text)
     assert _same_bits(loaded_classical, classical) and _same_bits(loaded_quantum, quantum)
     assert meta == {"alpha": "0.85"}
@@ -291,26 +293,27 @@ def test_writers_match_csv_module(case):
         None, ["node_index", "label", "score"], ([i, "", fmt(values[i])] for i in order))
 
     positions = rank_positions(values) + 1, rank_positions(other) + 1
-    assert formats.write_csv(formats.compare_table(labels, values, other, meta)) == _csv_module(
+    compare = formats.compare_table(labels, values, other, meta)
+    assert written(formats.table_csv(compare)) == _csv_module(
         meta, ["node", "label", "classical", "quantum_avg", "classical_rank", "quantum_rank"],
         ([i, labels[i], fmt(values[i]), fmt(other[i]), positions[0][i], positions[1][i]]
          for i in order))
 
     series = QuantumRankSeries(matrix, other)
     rows = [[m, *map(fmt, row)] for m, row in enumerate(matrix)] + [["avg", *map(fmt, other)]]
-    assert formats.write_series_csv(series, meta) == _csv_module(
+    assert written(formats.series_csv(series, meta)) == _csv_module(
         meta, ["m", *(f"node_{i}" for i in range(len(values)))], rows)
 
     grid = tuple(float(a) for a in values)
     sweep = FidelitySweep(alpha_grid=grid, rank_vectors=matrix,
                           pairwise=np.tile(values, (len(grid), 1)), min_fidelity=0.5)
-    assert formats.write_sweep_csv(sweep, meta) == _csv_module(
+    assert written(formats.sweep_csv(sweep, meta)) == _csv_module(
         {**meta, "min_fidelity": "0.5"}, ["alpha", *map(fmt, grid)],
         ([fmt(a), *map(fmt, row)] for a, row in zip(grid, sweep.pairwise)))
 
     survivors = tuple(range(2, 2 + len(values)))
     report = AttackReport((0, 1), survivors, values, other, 0.25, 1.5)
-    assert formats.write_csv(formats.attack_table(report, meta)) == _csv_module(
+    assert written(formats.table_csv(formats.attack_table(report, meta))) == _csv_module(
         {**meta, "removed": "0;1", "correlation": "0.25", "mean_displacement": "1.5"},
         ["survivor", "original_index", "pre_value", "post_value"],
         ([new, old, fmt(values[new]), fmt(other[new])] for new, old in enumerate(survivors)))
@@ -357,7 +360,8 @@ def test_json_writers_match_json_module(case, g, row_count):
 @given(tables(), graphs(labels=LINE_TEXT | CSV_LABELS), st.integers(1, 7))
 def test_writers_do_not_depend_on_the_chunk_size(case, g, chunk):
     """Every writer gives the same bytes in chunks of ``chunk`` values as in
-    one chunk, so chunks split rows, tables and series at any point."""
+    one chunk, so chunks split rows, tables and series at any point, and
+    a streamed series' rows across its 64-step blocks."""
     matrix, labels = case
     meta = {"alpha": 0.85}
     values, other = matrix[0], matrix[-1]
@@ -369,15 +373,19 @@ def test_writers_do_not_depend_on_the_chunk_size(case, g, chunk):
     tables = (formats.rank_table(values, labels, meta),
               formats.compare_table(labels, values, other, meta),
               formats.attack_table(report, meta))
+    op = walk_operator(generate_scale_free(8, 1), 0.85)
+    streams = [SeriesStream(op, steps) for steps in (65, 130)]
 
     def outputs():
-        return ([formats.write_csv(t) for t in tables]
+        return ([written(formats.table_csv(t)) for t in tables]
                 + ["".join(formats.table_json(t)) for t in tables]
                 + ["".join(formats.series_csv(series, meta)),
                    "".join(formats.series_json(series, meta)),
                    "".join(formats.sweep_csv(sweep, meta)),
                    "".join(formats.sweep_json(sweep, meta)),
-                   "".join(formats.graph_json(g, meta))])
+                   "".join(formats.graph_json(g, meta))]
+                + ["".join(writer(stream, meta)) for stream in streams
+                   for writer in (formats.series_csv, formats.series_json)])
 
     whole = outputs()
     with mock.patch.object(formats, "_CHUNK_VALUES", chunk):
@@ -454,7 +462,7 @@ def test_tau_b_matches_brute_force(case):
     a, b = case
     if np.all(a == a[0]) or np.all(b == b[0]):  # tau-b is undefined
         return
-    assert _kendall_tau_b(a, b) == _brute_force_tau_b(a, b)
+    assert _kendall_tau_b(*_tau_b_counts(a, b)) == _brute_force_tau_b(a, b)
 
 
 def test_one_swap_in_a_long_ranking_is_not_rounded_to_one():
