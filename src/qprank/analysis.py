@@ -175,15 +175,6 @@ def degeneracy_profile(p: np.ndarray, delta: float) -> DegeneracyProfile:
     return DegeneracyProfile(len(class_sizes), tuple(class_sizes.tolist()))
 
 
-def _dense_ranks(v: np.ndarray) -> np.ndarray:
-    """0-based ranks of ``v`` in which equal values share a rank, with no gaps."""
-    order = np.argsort(v)
-    ordered = v[order]
-    ranks = np.empty(len(v), dtype=np.int64)
-    ranks[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
-    return ranks
-
-
 def _inversions(y: np.ndarray) -> int:
     """Pairs i < j with y[i] > y[j], for a sequence of nonnegative ints.
 
@@ -220,12 +211,14 @@ def _tau_b_counts(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
     """Kendall tau-b of two non-constant vectors without NaN as exact integer
     counts: concordant less discordant pairs, over the geometric mean of the
     pairs untied in ``a`` and the pairs untied in ``b``."""
-    x, y = _dense_ranks(a), _dense_ranks(b)
-    y_levels = int(y.max()) + 1
+    # dense 0-based ranks, equal values sharing one, and the size of each tie group
+    _, x, x_counts = np.unique(a, return_inverse=True, return_counts=True)
+    _, y, y_counts = np.unique(b, return_inverse=True, return_counts=True)
+    y_levels = len(y_counts)
     pairs = np.sort(x * y_levels + y)  # (x, y) order; below n * n
     discordant = _inversions(pairs % y_levels)
     total = len(x) * (len(x) - 1) // 2
-    x_ties, y_ties = _tied_pairs(np.bincount(x)), _tied_pairs(np.bincount(y))
+    x_ties, y_ties = _tied_pairs(x_counts), _tied_pairs(y_counts)
     joint_ties = _tied_pairs(np.unique(pairs, return_counts=True)[1])
     return total - x_ties - y_ties + joint_ties - 2 * discordant, total - x_ties, total - y_ties
 

@@ -14,7 +14,7 @@ import hashlib
 import math
 import os
 import re
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -623,29 +623,20 @@ def generate_scale_free(n: int, seed: int) -> DirectedGraph:
     return DirectedGraph(n, src[simple], dst[simple])
 
 
-def _bottom_layer(generation: int) -> list[int]:
-    """Deepest-level nodes of the hierarchical graph of a given generation."""
-    if generation == 1:
-        return [1, 2]
-    size = 3 ** (generation - 1)
-    inner = _bottom_layer(generation - 1)
-    return [size + b for b in inner] + [2 * size + b for b in inner]
-
-
 def generate_hierarchical(generation: int) -> DirectedGraph:
     """Recursive modular digraph with 3**generation nodes.
 
     Generation 1 is the directed 3-cycle 0->1->2->0. Each later generation
     takes three copies of the previous one and links the deepest-layer
-    nodes of the two new copies to the global root (node 0).
+    nodes of the two new copies to the global root (node 0); the deepest
+    nodes of generation k are the k-digit base-3 numbers with no digit 0.
     """
     if not 1 <= generation <= 6:
         raise ValueError("generation must be between 1 and 6")
     src, dst = np.array([0, 1, 2]), np.array([1, 2, 0])
     for level in range(1, generation):
         size = 3 ** level
-        bottom = np.array(_bottom_layer(level))
-        hubs = np.concatenate([bottom + size, bottom + 2 * size])
+        hubs = np.array([int("".join(d), 3) for d in product("12", repeat=level + 1)])
         src = np.concatenate([src, src + size, src + 2 * size, hubs])
         dst = np.concatenate([dst, dst + size, dst + 2 * size, np.zeros_like(hubs)])
     return DirectedGraph(3 ** generation, src, dst)

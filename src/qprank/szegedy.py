@@ -217,19 +217,19 @@ def _register_walk(ops: Sequence[WalkOperator], steps: int, offset: int):
 class SeriesStream:
     """The distributions after two-steps m = offset .. offset+steps-1, made
     as they are read: ``blocks()`` yields (k, N) blocks of k = _BLOCK_STEPS
-    rows, read out with one product each, q + (x o x) G^T, ``instantaneous``
-    the same rows one by one, and ``average``, once a pass is spent, their
-    running sum over ``steps``, which is their ``mean(axis=0)`` bit for bit."""
+    rows, read out with one product each, q + (x o x) G^T, and ``average``,
+    once a pass has read every row, their running sum over ``steps``, which
+    is their ``mean(axis=0)`` bit for bit."""
 
     def __init__(self, op: WalkOperator, steps: int, offset: int = 0):
         _check_horizon(steps, offset)
-        self.op, self.steps, self.offset, self.node_count = op, steps, offset, op.dim
+        self.op, self.steps, self.offset, self.node_count, self._rows = op, steps, offset, op.dim, 0
 
     def blocks(self) -> Iterator[np.ndarray]:
         xs = np.empty((min(self.steps, _BLOCK_STEPS), self.node_count))
         qs = np.empty_like(xs)
         walk = _register_walk([self.op], self.steps, self.offset)
-        self._total = np.zeros(self.node_count)
+        self._total, self._rows = np.zeros(self.node_count), 0
         for start in range(0, self.steps, _BLOCK_STEPS):
             x, q = xs[:self.steps - start], qs[:self.steps - start]
             for i, (xm, qm) in zip(range(len(x)), walk):
@@ -240,14 +240,13 @@ class SeriesStream:
             block += q
             # row after row, as mean(axis=0) adds them; a block's own sum rounds otherwise
             self._total = np.concatenate((self._total[None], block)).sum(axis=0)
+            self._rows += len(block)
             yield block
 
     @property
-    def instantaneous(self) -> Iterator[np.ndarray]:
-        return (row for block in self.blocks() for row in block)
-
-    @property
     def average(self) -> np.ndarray:
+        if self._rows < self.steps:
+            raise ValueError(f"average needs a full pass: {self._rows} of {self.steps} rows read")
         return self._total / self.steps
 
 

@@ -66,3 +66,16 @@ def reference_remove_nodes(g, victims):
                      if s in new_index and d in new_index)
     labels = None if g.labels is None else tuple(g.labels[i] for i in survivors)
     return len(survivors), arcs, labels, tuple(survivors)
+
+
+def reference_hierarchical_arcs(generation):
+    """The hierarchical graph's arc set, built copy by copy: the deepest nodes
+    of each generation are those of the one before, moved into its two new
+    copies, and each new generation links them to node 0."""
+    arcs, deepest = {(0, 1), (1, 2), (2, 0)}, [1, 2]
+    for level in range(1, generation):
+        size = 3 ** level
+        deepest = [c * size + b for c in (1, 2) for b in deepest]
+        arcs = {(s + c * size, t + c * size) for c in range(3) for s, t in arcs}
+        arcs |= {(b, 0) for b in deepest}
+    return arcs

@@ -5,6 +5,8 @@ stored at i*N + j (register 1 first); the package itself runs the walk on
 two real N-vectors (``qprank.szegedy``). Every function here builds the
 amplitudes sqrt(G)^T from the operator's dense Google matrix itself, so
 the oracle stays independent of how the package builds the discriminant.
+``cesaro_limit`` gives the exact M -> infinity average of the walk, the
+oracle for long horizons.
 """
 
 import numpy as np
@@ -68,3 +70,36 @@ def instantaneous_qpr(state):
     n = int(round(np.sqrt(state.shape[0])))
     mat = state.reshape(n, n)
     return (mat.real ** 2 + mat.imag ** 2).sum(axis=0)
+
+
+def cesaro_limit(op, tol=1e-9):
+    """The limit of the walk's mean distribution over m = 0..M-1 as M -> infinity.
+
+    Built from D = sqrt(G o G^T) = V diag(lam) V^T and the register start a_0:
+    equal eigenvalues (within ``tol``) form clusters K, p_K is the share of
+    a_0 in cluster K, p_-K that in the cluster at -lam_K (zero if there is
+    none; K itself at lam = 0), s_K^2 = 1 - lam_K^2, and f the share in the
+    modes with |lam| = 1, which the walk holds fixed. Only pairs of modes at
+    equal or opposite angles keep a nonzero mean, which gives
+
+        <a o a>  = f o f + sum_K (p_K o p_K + p_K o p_-K) / (2 s_K^2)
+        <b o b>  = sum_K (p_K o p_K - p_K o p_-K) / (2 s_K^2)
+        <b o Da> = sum_K lam_K^2 (p_K o p_-K - p_K o p_K) / (2 s_K^2)
+
+    and the limit G<a o a> + <b o b> + 2<b o Da>.
+    """
+    g = op.google
+    n = g.shape[0]
+    lam, vecs = np.linalg.eigh(np.sqrt(g * g.T))
+    starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > tol)
+    lam = lam[starts]
+    p = np.add.reduceat(vecs * (vecs.sum(axis=0) / np.sqrt(n)), starts, axis=1)
+    p_neg = p @ (np.abs(lam[:, None] + lam[None, :]) <= tol)  # the cluster at -lam, if any
+    unit = np.abs(np.abs(lam) - 1.0) <= tol
+    f = p[:, unit].sum(axis=1)
+    p, p_neg, lam = p[:, ~unit], p_neg[:, ~unit], lam[~unit]
+    same, opposite = p * p / (2 * (1 - lam ** 2)), p * p_neg / (2 * (1 - lam ** 2))
+    aa = f * f + (same + opposite).sum(axis=1)
+    bb = (same - opposite).sum(axis=1)
+    b_da = (lam ** 2 * (opposite - same)).sum(axis=1)
+    return g @ aa + bb + 2 * b_da

@@ -29,6 +29,14 @@ class TestIpr:
         with pytest.raises(ValueError, match="normalized"):
             ipr(np.array([0.5, 0.2]))
 
+    def test_two_dimensional_or_negative_rejected(self):
+        with pytest.raises(ValueError, match="distribution must be one-dimensional"):
+            ipr(np.full((2, 2), 0.25))
+        with pytest.raises(ValueError, match="distribution has negative entries"):
+            ipr(np.array([1.5, -0.5]))
+        with pytest.raises(ValueError, match="q has negative entries"):
+            fidelity(np.array([0.5, 0.5]), np.array([1.5, -0.5]))
+
     def test_bounds(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
@@ -244,6 +252,12 @@ class TestRankCorrelation:
     def test_one_constant(self):
         assert rank_correlation(np.full(5, 0.2), np.arange(5.0)) == 0.0
 
+    def test_signed_zeros_tie(self):
+        # -0.0 == 0.0, so the first two values share a rank: of the three
+        # pairs one is tied in a and two are concordant
+        tau = rank_correlation(np.array([-0.0, 0.0, 1.0]), np.array([0.0, 1.0, 2.0]))
+        assert tau == 2 / np.sqrt(2) / np.sqrt(3)
+
     def test_dimension_mismatch(self):
         for a, b in (([1.0, 2.0], [1.0]), ([], [])):
             with pytest.raises(ValueError, match="one-dimensional"):
@@ -273,6 +287,10 @@ class TestAttack:
         g = generate_scale_free(8, 10)
         with pytest.raises(ValueError):
             attack_sensitivity(g, 8, "classical")
+
+    def test_fewer_than_three_nodes_rejected(self):
+        with pytest.raises(ValueError, match="needs at least 3 nodes"):
+            attack_sensitivity(benchmark_graph("fig1a"), 0, "classical")
 
     def test_survivor_bookkeeping(self):
         g = generate_scale_free(16, 11)

@@ -260,6 +260,11 @@ class TestExitCodes:
         assert code == 0
         assert data.startswith(b"#")
 
+    def test_help_is_0(self, capsys):
+        for argv in (["--help"], ["qrank", "--help"]):
+            assert main(argv) == 0
+            assert capsys.readouterr().out.startswith("usage: ")
+
 
 class TestStreamedOutput:
     """Each handler validates its run and admits its memory, then ``main``
@@ -733,3 +738,40 @@ class TestDeterminism:
         assert result.returncode == 0
         values, _, _ = formats.read_rank_csv(result.stdout)
         assert abs(values.sum() - 1.0) < 1e-9
+
+
+# compare and sweep read their walks out vector by vector; qrank reads each
+# block of 64 two-steps with one matrix product, which OpenBLAS may split
+# across threads
+THREAD_PIPELINES = {
+    "compare": ["compare"],
+    "sweep": ["sweep", "--ranker", "quantum", "--grid", "0.5:0.9:3"],
+    "qrank": ["qrank"],
+}
+
+
+@pytest.fixture(scope="module")
+def outputs_by_threads():
+    """Each pipeline's bytes on scalefree:300 at one and at two BLAS threads,
+    one child process each."""
+    def run(args, threads):
+        return subprocess.run(
+            [sys.executable, "-m", "qprank", *args, "--gen", "scalefree:300", "--seed", "0",
+             "--steps", "64"],
+            capture_output=True, check=True,
+            env={**child_env(), "OPENBLAS_NUM_THREADS": str(threads)}).stdout
+
+    return {name: [run(args, threads) for threads in (1, 2)]
+            for name, args in THREAD_PIPELINES.items()}
+
+
+@pytest.mark.parametrize("name", [
+    "compare", "sweep",
+    pytest.param("qrank", marks=[
+        pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread"),
+        pytest.mark.xfail(strict=False, reason="the 64-row readout is threaded; ROADMAP item 2"),
+    ]),
+])
+def test_bytes_do_not_depend_on_blas_threads(name, outputs_by_threads):
+    one, two = outputs_by_threads[name]
+    assert one == two

@@ -41,6 +41,10 @@ class TestRankCsv:
         with pytest.raises(ValueError):
             formats.read_rank_csv("hello,world\n1,2\n")
 
+    def test_rejects_metadata_without_rows(self):
+        with pytest.raises(ValueError, match="not a rank csv: missing header"):
+            formats.read_rank_csv("# alpha=0.85\n# source=fig1a\n")
+
     def test_labels_with_line_breaks_round_trip(self):
         # The reader split the text into lines before the csv module saw it,
         # which broke "x\ny" apart, and the writer left a bare "\r" unquoted.
@@ -71,6 +75,11 @@ class TestSeriesCsv:
         header = text.splitlines()[0]
         assert header == "m,node_0,node_1"
         assert text.splitlines()[-1].startswith("avg,")
+
+    def test_missing_avg_row_rejected(self):
+        text = written(formats.series_csv(quantum_rank_series(benchmark_graph("fig1a"), 0.85, 2)))
+        with pytest.raises(ValueError, match="series csv missing avg row"):
+            formats.read_series_csv(text[:text.rindex("avg,")])
 
     def test_json_fields(self):
         series = quantum_rank_series(benchmark_graph("fig1a"), 0.85, 3)

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graph_oracles import arc_set, reference_arc_set, reference_remove_nodes
+from graph_oracles import (arc_set, reference_arc_set, reference_hierarchical_arcs,
+                           reference_remove_nodes)
 from qprank import graph
 from qprank.graph import (DirectedGraph, GraphFormatError,
                           benchmark_graph, generate, generate_binary_tree,
@@ -17,6 +18,10 @@ class TestDirectedGraph:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
             DirectedGraph.from_arcs(2, [(0, 0)])
+
+    def test_rejects_too_few_labels(self):
+        with pytest.raises(ValueError, match="labels must cover every node"):
+            DirectedGraph.from_arcs(3, [(0, 1)], labels=["a", "b"])
 
     def test_rejects_out_of_range_arc(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -233,6 +238,11 @@ class TestPajek:
     def test_missing_vertices_header(self):
         with pytest.raises(GraphFormatError, match=r"\*Vertices"):
             parse_pajek('*Arcs\n1 2\n')
+        with pytest.raises(GraphFormatError, match=r"line 1: content before \*Vertices header"):
+            parse_pajek('1 2\n*Vertices 2\n')
+        for text in ("", "% only a comment\n"):
+            with pytest.raises(GraphFormatError, match=r"^missing \*Vertices header$"):
+                parse_pajek(text)
 
     def test_vertex_lines_optional(self):
         g = parse_pajek('*Vertices 3\n*Arcs\n1 2\n2 3\n')
@@ -473,6 +483,10 @@ class TestGenerators:
         g = generate_hierarchical(2)
         # copies of the 3-cycle at offsets 3 and 6 plus bottom nodes wired to 0
         assert {(4, 0), (5, 0), (7, 0), (8, 0)} <= arc_set(g)
+
+    def test_hierarchical_matches_copy_by_copy_reference(self):
+        for generation in range(1, 7):
+            assert arc_set(generate_hierarchical(generation)) == reference_hierarchical_arcs(generation)
 
     def test_binary_tree_sizes(self):
         for levels in (1, 2, 3, 6):

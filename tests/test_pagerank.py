@@ -144,6 +144,12 @@ class TestPowerMethod:
         with pytest.raises(ValueError, match="nonzero"):
             power_method(e, np.zeros(2))
 
+    def test_start_of_wrong_shape_rejected(self):
+        e = patch_dangling(hyperlink_matrix(benchmark_graph("fig1a")))
+        for start in (np.ones(3), np.ones((2, 1))):
+            with pytest.raises(ValueError, match=r"initial vector must have shape \(2,\)"):
+                power_method(e, start)
+
     def test_result_normalized(self):
         e = patch_dangling(hyperlink_matrix(benchmark_graph("fig2b")))
         r = power_method(google_matrix(e, 0.85), np.array([5.0, 0, 0, 0, 0, 0, 0]))

@@ -12,7 +12,7 @@ from qprank.pagerank import (classical_pagerank, google_matrix,
 from qprank.szegedy import (SeriesStream, average_drift, build_dynamical_subspace, evolve,
                             evolve_spectral, quantum_pagerank, quantum_pageranks,
                             quantum_rank_series, walk_operator)
-from szegedy_oracles import (amps, apply_reflection, apply_swap, initial_state,
+from szegedy_oracles import (amps, apply_reflection, apply_swap, cesaro_limit, initial_state,
                              instantaneous_qpr, two_step)
 from test_analysis import _peak_bytes
 
@@ -241,9 +241,25 @@ class TestEvolve:
             series = evolve(op, steps)
             mean = series.instantaneous.mean(axis=0)
             stream = SeriesStream(op, steps)
-            rows = np.array(list(stream.instantaneous))
+            rows = np.concatenate(list(stream.blocks()))
             assert rows.tobytes() == series.instantaneous.tobytes(), steps
             assert stream.average.tobytes() == series.average.tobytes() == mean.tobytes(), steps
+
+    def test_stream_average_needs_a_full_pass(self):
+        # before the last row is read, the running sum is a partial one
+        stream = SeriesStream(walk_operator(generate_scale_free(16, 0), 0.85), 200)
+        with pytest.raises(ValueError, match="full pass: 0 of 200 rows read"):
+            stream.average
+        blocks = stream.blocks()
+        next(blocks)  # the first of four
+        with pytest.raises(ValueError, match="full pass: 64 of 200 rows read"):
+            stream.average
+        assert len(list(blocks)) == 3
+        assert abs(stream.average.sum() - 1.0) < 1e-10
+
+    def test_drift_needs_two_steps(self):
+        with pytest.raises(ValueError, match="need at least 2 recorded steps"):
+            average_drift(evolve(walk_operator(benchmark_graph("fig1a"), 0.85), 1))
 
     def test_holds_no_register_history(self):
         # the registers are read out one block of two-steps at a time, so the
@@ -345,6 +361,29 @@ class TestTwoRegisterKernel:
             quantum_pagerank(g, 0.85, 0, backend="direct")
         with pytest.raises(ValueError, match="offset"):
             evolve(walk_operator(g, 0.85), 4, offset=-1)
+
+
+def bidirected_path(n):
+    return DirectedGraph.from_arcs(n, [(i, i + 1) for i in range(n - 1)]
+                                   + [(i + 1, i) for i in range(n - 1)])
+
+
+class TestCesaroLimit:
+    # fig1a holds one unit mode; undamped, a bidirected path has both, and
+    # each of its other eigenvalues pairs with its negative, so the terms in
+    # p_K o p_-K count. The nearest distinct frequencies lie far enough apart
+    # for 20000 two-steps to come close.
+    @pytest.mark.parametrize("make, alpha", [
+        (lambda: benchmark_graph("fig1a"), 0.85), (lambda: benchmark_graph("fig1d"), 0.85),
+        (lambda: benchmark_graph("fig2b"), 0.85), (lambda: generate_binary_tree(3), 0.85),
+        (lambda: generate_binary_tree(4), 0.85), (lambda: bidirected_path(4), 1.0),
+        (lambda: bidirected_path(5), 1.0),
+    ], ids=["fig1a", "fig1d", "fig2b", "tree3", "tree4", "path4-undamped", "path5-undamped"])
+    def test_long_walk_average_approaches_the_limit(self, make, alpha):
+        g = make()
+        limit = cesaro_limit(walk_operator(g, alpha))
+        assert abs(limit.sum() - 1.0) < 1e-13
+        assert np.abs(quantum_pagerank(g, alpha, 20000) - limit).max() < 1e-4
 
 
 class TestDynamicalSubspace:
