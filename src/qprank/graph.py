@@ -14,7 +14,7 @@ import hashlib
 import math
 import os
 import re
-from itertools import chain, product
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -628,15 +628,14 @@ def generate_hierarchical(generation: int) -> DirectedGraph:
 
     Generation 1 is the directed 3-cycle 0->1->2->0. Each later generation
     takes three copies of the previous one and links the deepest-layer
-    nodes of the two new copies to the global root (node 0); the deepest
-    nodes of generation k are the k-digit base-3 numbers with no digit 0.
+    nodes of the two new copies to the global root (node 0).
     """
     if not 1 <= generation <= 6:
         raise ValueError("generation must be between 1 and 6")
-    src, dst = np.array([0, 1, 2]), np.array([1, 2, 0])
+    src, dst, hubs = np.array([0, 1, 2]), np.array([1, 2, 0]), np.array([1, 2])
     for level in range(1, generation):
         size = 3 ** level
-        hubs = np.array([int("".join(d), 3) for d in product("12", repeat=level + 1)])
+        hubs = np.concatenate([hubs + size, hubs + 2 * size])
         src = np.concatenate([src, src + size, src + 2 * size, hubs])
         dst = np.concatenate([dst, dst + size, dst + 2 * size, np.zeros_like(hubs)])
     return DirectedGraph(3 ** generation, src, dst)

@@ -72,11 +72,11 @@ def instantaneous_qpr(state):
     return (mat.real ** 2 + mat.imag ** 2).sum(axis=0)
 
 
-def cesaro_limit(op, tol=1e-9):
+def cesaro_limit(op):
     """The limit of the walk's mean distribution over m = 0..M-1 as M -> infinity.
 
     Built from D = sqrt(G o G^T) = V diag(lam) V^T and the register start a_0:
-    equal eigenvalues (within ``tol``) form clusters K, p_K is the share of
+    equal eigenvalues (within 1e-9) form clusters K, p_K is the share of
     a_0 in cluster K, p_-K that in the cluster at -lam_K (zero if there is
     none; K itself at lam = 0), s_K^2 = 1 - lam_K^2, and f the share in the
     modes with |lam| = 1, which the walk holds fixed. Only pairs of modes at
@@ -90,6 +90,7 @@ def cesaro_limit(op, tol=1e-9):
     """
     g = op.google
     n = g.shape[0]
+    tol = 1e-9  # far above eigh's rounding, far below the gaps of the graphs tested
     lam, vecs = np.linalg.eigh(np.sqrt(g * g.T))
     starts = np.flatnonzero(np.diff(lam, prepend=-np.inf) > tol)
     lam = lam[starts]

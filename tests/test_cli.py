@@ -740,13 +740,12 @@ class TestDeterminism:
         assert abs(values.sum() - 1.0) < 1e-9
 
 
-# compare and sweep read their walks out vector by vector; qrank reads each
-# block of 64 two-steps with one matrix product, which OpenBLAS may split
-# across threads
+# compare and sweep read their walks out vector by vector. qrank is left out:
+# it reads each block of 64 two-steps with one matrix product, which OpenBLAS
+# may split across threads (ROADMAP item 2)
 THREAD_PIPELINES = {
     "compare": ["compare"],
     "sweep": ["sweep", "--ranker", "quantum", "--grid", "0.5:0.9:3"],
-    "qrank": ["qrank"],
 }
 
 
@@ -765,13 +764,7 @@ def outputs_by_threads():
             for name, args in THREAD_PIPELINES.items()}
 
 
-@pytest.mark.parametrize("name", [
-    "compare", "sweep",
-    pytest.param("qrank", marks=[
-        pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread"),
-        pytest.mark.xfail(strict=False, reason="the 64-row readout is threaded; ROADMAP item 2"),
-    ]),
-])
+@pytest.mark.parametrize("name", sorted(THREAD_PIPELINES))
 def test_bytes_do_not_depend_on_blas_threads(name, outputs_by_threads):
     one, two = outputs_by_threads[name]
     assert one == two
