@@ -41,7 +41,7 @@ def _checked(p: np.ndarray, name: str = "distribution") -> np.ndarray:
 def _rank_vectors(walks: Sequence[tuple[DirectedGraph, float]], ranker: str,
                   steps: int) -> np.ndarray:
     """The named ranker's vector of each ``(graph, alpha)`` pair of one node
-    count, one row each: classical, quantum (the walks run as stacks), or
+    count, one row each: classical, quantum (the walks run as batches), or
     uniform (control)."""
     if ranker == "classical":
         return np.array([classical_pagerank(g, a) for g, a in walks])
@@ -91,7 +91,7 @@ def damping_sweep(g: DirectedGraph, alpha_grid: Sequence[float], ranker: str = "
                   steps: int = DEFAULT_STEPS) -> FidelitySweep:
     """Rank at every damping value and compare all pairs of rankings.
 
-    The quantum walks of the grid run as stacks (``quantum_pageranks``).
+    The quantum walks of the grid run as batches (``quantum_pageranks``).
     """
     grid = tuple(float(a) for a in alpha_grid)
     if not grid:
@@ -337,7 +337,7 @@ def ipr_scaling(sizes: Sequence[int], instances: int, ranker: str,
     """Mean IPR per network size, with a sublinear-growth diagnosis.
 
     Generates ``instances`` scale-free graphs per size from a single seed,
-    ranks each (the quantum walks of one size as stacks), and fits the
+    ranks each (the quantum walks of one size as batches), and fits the
     log-log slope of mean IPR against size. A slope below 0.9 is read as a
     localized walker.
     """

@@ -162,7 +162,7 @@ def _cmd_rank(g, meta, args) -> Iterator[str]:
 
 
 def _cmd_qrank(g, meta, args) -> Iterator[str]:
-    if args.steps < 1:  # before the N x N walk operator is built
+    if args.steps < 1:  # before the walk operator is built
         raise UsageError("steps must be at least 1")
     meta = dict(meta, alpha=args.alpha, steps=args.steps, **_walk("quantum"))
     series = SeriesStream(walk_operator(g, args.alpha), args.steps)

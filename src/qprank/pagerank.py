@@ -41,12 +41,22 @@ class GoogleMatrix:
         return self.links.shape[0]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """M v for an (N,) vector, or M V for an (N, k) block, column by column."""
         out = self.links @ v
         if self.patched.any():
-            out = out + v[self.patched].sum() / self.dim
+            out += v[self.patched].sum(axis=0) / self.dim
         if self.alpha == 1.0:  # H or E: skip the scaling and teleport passes
             return out
-        return self.alpha * out + (1.0 - self.alpha) / self.dim * v.sum()
+        out *= self.alpha
+        out += (1.0 - self.alpha) / self.dim * v.sum(axis=0)
+        return out
+
+    @property
+    def teleport(self) -> np.ndarray:
+        """b_j, the value of column j off the arcs of j: (1 - alpha)/N, plus
+        alpha/N where the column is patched."""
+        n = self.dim
+        return self.alpha * (self.patched / n) + (1.0 - self.alpha) / n
 
     def dense(self) -> np.ndarray:
         n = self.dim

@@ -28,83 +28,161 @@ from a = 1/sqrt(N), b = 0, and the node distribution is
 On the eigenspace of D with eigenvalue +-1 the state is a fixed point of the
 two-step while a and b grow linearly; that eigenspace is deflated exactly
 (split off at the start, held constant, and removed from the D the registers
-iterate with), so rounding cannot grow along it. Walks of one size (a
-damping sweep, an ensemble) step together as one stack of registers, so the
-loop's per-step cost is paid once per stack. A series and its average come
-from one ``SeriesStream``, 64 two-steps at a time: ``evolve`` keeps its
+iterate with), so rounding cannot grow along it. A series and its average
+come from one ``SeriesStream``, 64 two-steps at a time: ``evolve`` keeps its
 rows, and the CLI's ``qrank`` writes them as they come. The edge space
 itself (the N^2-entry state, reflection, swap and two-step) lives in
-``tests/szegedy_oracles.py``, as the independent oracle for both kernels.
+``tests/szegedy_oracles.py``, as the independent oracle for the kernels.
 
-The pipelines run this direct kernel only. Its spectral reference reads the
-same series off the eigenpairs of D in closed form: with D = V diag(lambda) V^T
-and lambda = cos(theta), mode k of a and b after m two-steps is
+Walks of ``SPARSE_NODES`` = 128 nodes or more run on the sparse kernel,
+which builds no N^2 array. Off the arcs of j, column j of G takes one value
+b_j (``GoogleMatrix.teleport``), so with s = sqrt(b)
+
+    D = s s^T + C,
+
+where C is nonzero only on pairs joined by an arc either way. ``unit_modes``
+reads D's +-1 eigenspace, k vectors V with eigenvalues lambda, off the graph
+in O(N + arcs). With W = [s, V] and Sigma = diag(1, -lambda/2), each walk
+runs on the (N + 1 + k)-coordinate operator
+
+    2 [[C, W Sigma], [W^T C, W^T W Sigma]],
+
+whose extra coordinates carry W^T v: one product applies 2D with each unit
+mode moved from lambda to lambda/2 and keeps those coordinates current. The
+walk's start has no share in the unit modes, so where they sit moves only
+rounding. At 0, where the dense kernel puts them, they would meet the extra
+coordinates' own eigenvalue 0 in a Jordan block, and the rounding of the
+carried coordinates would grow along them: 1.0e-12 from the dense kernel on
+fig1a after 2048 two-steps, against 3.2e-14 at lambda/2. The walks of one call
+run as one block-diagonal operator, at most ``_BATCH_NODES`` nodes at a
+time, and each row of a CSR product reads only its own walk, so a batched
+walk's results equal its single run bit for bit. Each half-step is one
+in-place CSR product into a buffer of 64 two-steps, and the distribution
+is read out through ``GoogleMatrix`` with one sparse product per buffer,
+so no BLAS product touches the walk and its bytes do not depend on the
+thread count.
+
+Walks below 128 nodes run on the dense kernel, which holds G and D as
+N x N arrays and deflates with ``eigh``, for two measured reasons: at
+N <= 64 a dense product takes 1.0-1.5 us against 3.8 us for scipy's
+sparse product, and the benchmark's small-spectral workload keeps the
+series of every round until its final check, so a faster small walk there
+reads as a larger peak memory. Its walks (N <= 64) stay on one side of the
+threshold, and the ensemble's (N = 128, 256) on the other.
+
+The pipelines run these direct kernels only. Their spectral reference reads
+the same series off the eigenpairs of D in closed form: with
+D = V diag(lambda) V^T and lambda = cos(theta), mode k of a and b after m
+two-steps is
 
     a_m = -a_0 sin((2m-1) theta) / sin(theta),   b_m = a_0 sin(2m theta) / sin(theta),
 
-with the +-1 modes held at a = a_0, b = 0, as the direct kernel does.
+with the +-1 modes held at a = a_0, b = 0, as the direct kernels do.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .graph import DirectedGraph, _admit
-from .pagerank import DEFAULT_ALPHA, google_matrix, hyperlink_matrix, patch_dangling
+from .pagerank import DEFAULT_ALPHA, GoogleMatrix, google_matrix, hyperlink_matrix, patch_dangling
 
 DEFAULT_STEPS = 2048
-# Eigenvalues of D within this distance of modulus 1 are deflated exactly.
+# Eigenvalues of D within this distance of modulus 1 are deflated exactly by
+# the dense kernel; ``unit_modes`` keeps a mode whose residual |D v -+ v| is
+# within it.
 UNIT_EIGEN_TOL = 1e-9
-# Equal-size direct walks run as stacks whose discriminants take at most
-# this many bytes (8 N^2 per walk), or one walk alone. A stack that fills
-# the L2 cache runs slower than its walks one by one: on 2 vCPU with 1 MiB
-# of L2 per core, two N = 256 walks (1 MiB) took 1.03x their sequential
-# time, three N = 192 walks (864 KiB) 0.76x.
-STACK_BYTES = 1 << 19
-# Peak bytes of one walk per node pair (its dense G and D, the deflated 2D and
-# the factors of D; tracemalloc: 33.2 at N = 300, 32.6 at N = 600), and of a
-# recorded series per two-step and node (the series alone; tracemalloc over
-# 4096 two-steps, beyond the 34 per node pair: 8.37 at N = 64, 8.19 at
-# N = 300, 8.04 at N = 600, the rest being the few blocks of the readout).
-_WALK_PAIR_BYTES = 34
+# Walks of this many nodes or more run on the sparse kernel (module docstring).
+SPARSE_NODES = 128
+# The sparse walks of one call run as block-diagonal batches of at most this
+# many nodes, or one walk alone; each batch holds its own block buffers.
+_BATCH_NODES = 512
+# Peak bytes of one walk per node and per arc, and of a recorded series per
+# two-step and node. tracemalloc, sparse kernel: quantum_pagerank took 3050
+# per node on scale-free graphs of 1000 to 30000 nodes, 125-145 per arc on
+# random graphs of 20 to 90 arcs a node; evolve's readout adds about 1300 per
+# node, and its series 7.8 per two-step and node (N = 2000, 256 against 1024
+# two-steps). Below SPARSE_NODES the dense kernel's 34 bytes per node pair
+# stay under the node term.
+_NODE_BYTES = 4400
+_ARC_BYTES = 160
 _SERIES_BYTES = 8
 # Two-steps per block of a series: the walk holds one block of registers at a
-# time and reads each block out with one (k, N) x (N, N) product.
+# time and reads each block out with one product.
 _BLOCK_STEPS = 64
 
 
 @dataclass(frozen=True, eq=False)
 class WalkOperator:
-    """The two N x N matrices the walk reads: the Google matrix ``google``,
-    for the readout, and the discriminant D = sqrt(G o G^T), for the
-    registers and the spectral factorization."""
+    """The walk's Google matrix G and the parts of the discriminant
+    D = sqrt(G o G^T) that each kernel reads, built on first use: the dense
+    kernel and the spectral reference read G and D as N x N arrays
+    (``google``, ``discriminant``), the sparse kernel D = s s^T + C
+    (``scale`` s, ``correction`` C)."""
 
-    google: np.ndarray
-    discriminant: np.ndarray
+    matrix: GoogleMatrix
 
     @property
     def dim(self) -> int:
-        return self.google.shape[0]
+        return self.matrix.dim
+
+    @cached_property
+    def google(self) -> np.ndarray:
+        return self.matrix.dense()
+
+    @cached_property
+    def discriminant(self) -> np.ndarray:
+        amps = np.sqrt(self.google).T
+        return amps * amps.T
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        """s = sqrt(b): D_ij = s_i s_j on every pair that no arc joins."""
+        return np.sqrt(self.matrix.teleport)
+
+    @cached_property
+    def flows(self) -> sp.csr_matrix:
+        """G_ij + 1j G_ji on the pairs (i, j) joined by an arc either way, in
+        canonical CSR order: each entry holds both directions of its pair."""
+        m, b = self.matrix, self.matrix.teleport
+        flows = (m.links + 1j * m.links.T).tocsr()  # L_ij + 1j L_ji, never cancelling
+        flows.sort_indices()
+        rows = np.repeat(np.arange(self.dim), np.diff(flows.indptr))
+        g = m.alpha * flows.data.real + b[flows.indices]
+        flows.data = g + 1j * (m.alpha * flows.data.imag + b[rows])
+        return flows
+
+    @cached_property
+    def correction(self) -> sp.csr_matrix:
+        """C = D - s s^T, symmetric, with at most 2 entries per arc."""
+        f, s = self.flows, self.scale
+        rows = np.repeat(np.arange(self.dim), np.diff(f.indptr))
+        d = np.sqrt(f.data.real) * np.sqrt(f.data.imag)
+        return sp.csr_matrix((d - s[rows] * s[f.indices], f.indices, f.indptr), shape=f.shape)
 
 
-def _admit_walk(n: int, steps: int = 0, walks: int = 1) -> None:
+def _admit_walk(n: int, arcs: int, steps: int = 0, walks: int = 1) -> None:
     """MemoryError, before anything is allocated, when ``walks`` walks on
-    ``n`` nodes, recording ``steps`` two-steps, need more than physical memory."""
-    _admit(walks * (_WALK_PAIR_BYTES * n * n + _SERIES_BYTES * steps * n),
-           f"a quantum walk on {n} nodes" + (f" over {steps} two-steps" if steps else ""),
-           "run")
+    ``n`` nodes and ``arcs`` arcs, recording ``steps`` two-steps, need more
+    than physical memory."""
+    _admit(walks * (_NODE_BYTES * n + _ARC_BYTES * arcs + _SERIES_BYTES * steps * n),
+           f"a quantum walk on {n} nodes and {arcs} arcs"
+           + (f" over {steps} two-steps" if steps else ""), "run")
 
 
 def walk_operator(g: DirectedGraph, alpha: float = DEFAULT_ALPHA) -> WalkOperator:
-    """Google matrix at damping ``alpha`` and its discriminant."""
-    _admit_walk(g.node_count)
-    google = google_matrix(patch_dangling(hyperlink_matrix(g)), alpha).dense()
-    amps = np.sqrt(google).T
-    return WalkOperator(google, amps * amps.T)
+    """The walk at damping ``alpha``: its Google matrix, whose discriminant
+    each kernel builds as it needs it."""
+    _admit_walk(g.node_count, len(g.targets))
+    return WalkOperator(google_matrix(patch_dangling(hyperlink_matrix(g)), alpha))
 
 
 def initial_state(op: WalkOperator) -> np.ndarray:
@@ -144,9 +222,88 @@ def _check_horizon(steps: int, offset: int) -> None:
         raise ValueError("offset must be nonnegative")
 
 
+def unit_modes(op: WalkOperator) -> tuple[sp.csr_matrix, np.ndarray]:
+    """An orthonormal basis of D's eigenspace at +-1, as the columns of an
+    N x k CSR matrix, and their k eigenvalues, read off the graph in
+    O(N + arcs).
+
+    A unit vector with D v = +-v satisfies G_ij v_j^2 = G_ji v_i^2 on every
+    pair (the equality case of Cauchy-Schwarz), so v^2 is a stationary
+    distribution in detailed balance on a closed class, and the pairs with
+    D_ij > 0 join that class up. Each component of those pairs gives one
+    candidate: pi from the Kolmogorov ratios pi_i / pi_j = G_ij / G_ji
+    along a spanning tree of its arcs, and b_i pi_i = b_j pi_j between the
+    components of its arcs, which meet only through the nodes with b > 0
+    (D_ij >= s_i s_j > 0 between any two of them). v = sqrt(pi) is a +1
+    mode, and v with signs alternating along the tree a -1 mode, where its
+    residual |D v -+ v| is within ``UNIT_EIGEN_TOL``. At alpha < 1 all
+    nodes form one component; at alpha = 1 only the dangling nodes have
+    b > 0, and the other components are joined by reciprocal arcs alone.
+    """
+    # imported here: it loads scipy.sparse.linalg, about 20 ms and 3 MB that
+    # walks below SPARSE_NODES never need
+    from scipy.sparse import csgraph
+
+    n, f, b = op.dim, op.flows, op.matrix.teleport
+    hub, root = n, n + 1  # joins the components of the arcs through b > 0; roots the tree
+    rows = np.repeat(np.arange(n), np.diff(f.indptr))
+    linked = (f.data.real > 0) & (f.data.imag > 0)
+    src, dst = rows[linked], f.indices[linked]
+
+    def components(src, dst, size):
+        return csgraph.connected_components(
+            sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(size, size)), directed=False)
+
+    shared = np.flatnonzero(b > 0)
+    parts = components(src, dst, n)[1]
+    reps = shared[np.unique(parts[shared], return_index=True)[1]]
+    src, dst = np.concatenate((src, reps)), np.concatenate((dst, np.full(len(reps), hub)))
+    count, label = components(src, dst, n + 1)
+    entries = np.unique(label, return_index=True)[1]
+    src, dst = np.concatenate((src, entries)), np.concatenate((dst, np.full(count, root)))
+    tree = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(n + 2, n + 2))
+    up = csgraph.breadth_first_order(tree, root, directed=False, return_predecessors=True)[1]
+    up[root] = root
+
+    # log pi of each node over its parent, and arcs on the way up, then summed to the root
+    node = np.arange(n + 2)
+    step, hops = np.zeros(n + 2), np.zeros(n + 2, dtype=np.int64)
+    arc = (node < n) & (up < n)
+    at = np.searchsorted(rows * n + f.indices, node[arc] * n + up[arc])
+    step[arc] = np.log(f.data.real[at]) - np.log(f.data.imag[at])
+    hops[arc] = 1
+    below = (node < n) & (up == hub)
+    step[below] = -np.log(b[node[below]])
+    if up[hub] < n:
+        step[hub] = np.log(b[up[hub]])
+    while (up != root).any():
+        step += step[up]
+        hops += hops[up]
+        up = up[up]
+
+    label, step = label[:n], step[:n]
+    top = np.full(count, -np.inf)
+    np.maximum.at(top, label, step)
+    pi = np.exp(step - top[label])
+    v = np.sqrt(pi / np.bincount(label, pi, minlength=count)[label])
+    held = np.bincount(label, minlength=count) > 0
+    nodes, columns, values, signs = [], [], [], []
+    for sign, u in ((1.0, v), (-1.0, np.where(hops[:n] % 2, -v, v))):
+        r = op.scale * (op.scale * u).sum() + op.correction @ u - sign * u
+        kept = held & (np.sqrt(np.bincount(label, r * r, minlength=count)) <= UNIT_EIGEN_TOL)
+        at = np.flatnonzero(kept[label])
+        nodes.append(at)
+        columns.append(len(signs) + (np.cumsum(kept) - 1)[label[at]])
+        values.append(u[at])
+        signs += [sign] * int(kept.sum())
+    basis = sp.csr_matrix((np.concatenate(values), (np.concatenate(nodes), np.concatenate(columns))),
+                          shape=(n, len(signs)))
+    return basis, np.array(signs)
+
+
 def _discriminant_modes(op: WalkOperator):
-    """The eigenpairs of D and the mask of modes with |lambda| = 1; both
-    kernels factor D here, once per call."""
+    """The eigenpairs of D and the mask of modes with |lambda| = 1; the dense
+    kernel and the spectral reference factor D here, once per call."""
     lam, vecs = scipy.linalg.eigh(op.discriminant)
     return lam, vecs, np.abs(np.abs(lam) - 1.0) <= UNIT_EIGEN_TOL
 
@@ -167,21 +324,8 @@ def _deflated(op: WalkOperator):
     return 2.0 * (d - (v1 * lam1) @ v1.T), alpha - fixed, fixed, d_fixed
 
 
-def _stack(arrays):
-    """One walk's array as it is; several walks' arrays as one stack, vectors
-    as (N, 1) columns. None marks a walk without unit modes: it stays None if
-    every walk has it, and stacks as zeros otherwise."""
-    present = [a for a in arrays if a is not None]
-    if not present:
-        return None
-    if len(arrays) == 1:
-        return arrays[0]
-    stack = np.stack([np.zeros_like(present[0]) if a is None else a for a in arrays])
-    return stack[:, :, None] if stack.ndim == 2 else stack
-
-
-def _register_walk(ops: Sequence[WalkOperator], steps: int, offset: int):
-    """Yield ``(x, q)`` for two-steps m = offset .. offset+steps-1.
+def _register_walk(op: WalkOperator, steps: int, offset: int):
+    """Dense kernel: yield ``(x, q)`` for two-steps m = offset .. offset+steps-1.
 
     The distribution after m two-steps is P_m = G(x*x) + q. The registers
     are iterated in the sign-alternating frame alpha = (-1)^m a,
@@ -191,15 +335,8 @@ def _register_walk(ops: Sequence[WalkOperator], steps: int, offset: int):
     its share of the initial a is a fixed point of the walk, kept aside and
     added back at readout (with the frame's sign), while the rest iterates
     under D with that eigenspace removed.
-
-    One operator runs on an (N, N) discriminant and (N,) registers. Several
-    of one ``dim`` run as one stack of B walks in the same loop: a
-    (B, N, N) discriminant and (B, N, 1) registers, so each product is one
-    batched matmul (one matrix-vector product per walk) and the per-step
-    cost of the loop is paid once for the stack. Each walk deflates its own
-    unit modes; one without any carries zero fixed parts.
     """
-    d2, alpha, fixed, d_fixed = (_stack(a) for a in zip(*map(_deflated, ops)))
+    d2, alpha, fixed, d_fixed = _deflated(op)
     beta = prev = np.zeros_like(alpha)
     for m in range(offset + steps):
         if m:
@@ -214,30 +351,125 @@ def _register_walk(ops: Sequence[WalkOperator], steps: int, offset: int):
             yield alpha + sign * fixed, beta * (prev + sign * d_fixed)
 
 
+def _accumulate(a: sp.csr_matrix):
+    """The call f(x, y) that adds a @ x to y in place: scipy's compiled CSR
+    product, the routine ``a @ x`` itself calls, without the argument checks
+    and the output array of ``@``."""
+    return partial(csr_matvec, *a.shape, a.indptr, a.indices, a.data)
+
+
+def _augmented(op: WalkOperator):
+    """The walk ``op`` on N + 1 + k coordinates (module docstring): the four
+    blocks of its operator over 2, the start a_0' on the nodes and W^T a_0'
+    on the extra coordinates, where a_0' is the register start without its
+    unit-mode share, and that share with its image under 2D (None without
+    unit modes), which the readout adds back as ``_register_walk`` does."""
+    modes, signs = unit_modes(op)
+    w = sp.hstack([sp.csr_matrix(op.scale[:, None]), modes], format="csr")
+    hold = sp.diags(np.concatenate(([1.0], -0.5 * signs)))
+    gram = (w.T @ w).tolil()
+    # s^T s adds N terms, and its rounding shifts the walk's frequencies: summed
+    # by the CSR product, the walk on scalefree:128 at alpha = 0.01 strayed
+    # 2.9e-11 from a long-double walk after 2048 two-steps; exactly rounded, 2.2e-12
+    if op.scale.any():
+        gram[0, 0] = math.fsum(op.scale * op.scale)
+    c = op.correction
+    share = modes.T @ initial_state(op)
+    start = initial_state(op) - modes @ share
+    fixed = (modes @ share, 2.0 * (modes @ (signs * share))) if len(signs) else None
+    return [[c, w @ hold], [(c @ w).T, gram @ hold]], start, w.T @ start, fixed
+
+
+def _chunks(steps: int) -> list[int]:
+    return [min(_BLOCK_STEPS, steps - i) for i in range(0, steps, _BLOCK_STEPS)]
+
+
+def _sparse_walk(ops: Sequence[WalkOperator], steps: int, offset: int = 0):
+    """Sparse kernel: yield ``(x, q)`` blocks of the two-steps
+    m = offset .. offset+steps-1, at most ``_BLOCK_STEPS`` rows each, with
+    the walks' node columns side by side: P_m = G(x*x) + q walk by walk,
+    in the frame of ``_register_walk``.
+
+    The walks run as one block-diagonal operator A, every walk's nodes
+    first and then every walk's extra coordinates. A block buffer holds
+    alpha_{m-1}, beta_{m-1}, alpha_m, beta_m, ... row after row, so
+    alpha_m = [I, A] [alpha_{m-1}; beta_{m-1}] and
+    beta_m = [I, -A] [beta_{m-1}; alpha_m] each read two adjacent rows:
+    each half-step is one ``_accumulate`` into a zeroed row. The yielded
+    arrays are views of the buffer, valid until the next block.
+    """
+    blocks, starts, extras, fixed = zip(*map(_augmented, ops))
+    a = 2.0 * sp.bmat([[sp.block_diag([b[i][j] for b in blocks]) for j in (0, 1)]
+                       for i in (0, 1)], format="csr")
+    a.eliminate_zeros()
+    a.sort_indices()
+    width, nodes = a.shape[0], sum(op.dim for op in ops)
+    eye = sp.identity(width, format="csr")
+    even, odd = (_accumulate(sp.hstack([eye, sign * a], format="csr")) for sign in (1.0, -1.0))
+    if all(f is None for f in fixed):
+        fixed = None
+    else:
+        fixed, d_fixed = (np.concatenate([np.zeros(op.dim) if f is None else f[i]
+                                          for op, f in zip(ops, fixed)]) for i in (0, 1))
+
+    rows = min(_BLOCK_STEPS, offset + steps)
+    seq = np.zeros((2 * rows + 2, width))
+    flat = seq.reshape(-1)
+    halves = [(odd if r % 2 else even, flat[(r - 2) * width:r * width],
+               flat[r * width:(r + 1) * width]) for r in range(2, 2 * rows + 2)]
+    seq[2] = np.concatenate(starts + extras)
+    m = 0
+    for k in _chunks(offset) + _chunks(steps):  # recorded blocks start at m = offset
+        for apply, x, y in halves[(0 if m else 2):2 * k]:
+            apply(x, y)
+        if m >= offset:
+            alphas = seq[2:2 * k + 2:2, :nodes]
+            betas, prevs = seq[3:2 * k + 3:2, :nodes], seq[1:2 * k + 1:2, :nodes]
+            if fixed is None:
+                yield alphas, betas * prevs
+            else:
+                sign = np.where(np.arange(m, m + k) % 2, -1.0, 1.0)[:, None]
+                yield alphas + sign * fixed, betas * (prevs + sign * d_fixed)
+        seq[:2] = seq[2 * k:2 * k + 2]
+        seq[2:] = 0.0
+        m += k
+
+
+def _series_blocks(op: WalkOperator, steps: int, offset: int) -> Iterator[np.ndarray]:
+    """The distributions of ``op``'s walk, one block of two-steps at a time."""
+    if op.dim >= SPARSE_NODES:
+        for x, q in _sparse_walk([op], steps, offset):
+            q += op.matrix.matvec(np.square(x.T, order="C")).T
+            yield q
+        return
+    xs = np.empty((min(steps, _BLOCK_STEPS), op.dim))
+    qs = np.empty_like(xs)
+    walk = _register_walk(op, steps, offset)
+    for start in range(0, steps, _BLOCK_STEPS):
+        x, q = xs[:steps - start], qs[:steps - start]
+        for i, (xm, qm) in zip(range(len(x)), walk):
+            x[i] = xm
+            q[i] = qm
+        np.square(x, out=x)
+        block = x @ op.google.T
+        block += q
+        yield block
+
+
 class SeriesStream:
     """The distributions after two-steps m = offset .. offset+steps-1, made
     as they are read: ``blocks()`` yields (k, N) blocks of k = _BLOCK_STEPS
-    rows, read out with one product each, q + (x o x) G^T, and ``average``,
-    once a pass has read every row, their running sum over ``steps``, which
-    is their ``mean(axis=0)`` bit for bit."""
+    rows, read out with one product each, and ``average``, once a pass has
+    read every row, their running sum over ``steps``, which is their
+    ``mean(axis=0)`` bit for bit."""
 
     def __init__(self, op: WalkOperator, steps: int, offset: int = 0):
         _check_horizon(steps, offset)
         self.op, self.steps, self.offset, self.node_count, self._rows = op, steps, offset, op.dim, 0
 
     def blocks(self) -> Iterator[np.ndarray]:
-        xs = np.empty((min(self.steps, _BLOCK_STEPS), self.node_count))
-        qs = np.empty_like(xs)
-        walk = _register_walk([self.op], self.steps, self.offset)
         self._total, self._rows = np.zeros(self.node_count), 0
-        for start in range(0, self.steps, _BLOCK_STEPS):
-            x, q = xs[:self.steps - start], qs[:self.steps - start]
-            for i, (xm, qm) in zip(range(len(x)), walk):
-                x[i] = xm
-                q[i] = qm
-            np.square(x, out=x)
-            block = x @ self.op.google.T
-            block += q
+        for block in _series_blocks(self.op, self.steps, self.offset):
             # row after row, as mean(axis=0) adds them; a block's own sum rounds otherwise
             self._total = np.concatenate((self._total[None], block)).sum(axis=0)
             self._rows += len(block)
@@ -257,22 +489,34 @@ def evolve(op: WalkOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> Qua
     experiments that want the average to start later than m = 0.
     """
     stream = SeriesStream(op, steps, offset)
-    _admit_walk(op.dim, steps)
+    _admit_walk(op.dim, op.matrix.links.nnz, steps)
     inst = np.empty((steps, op.dim))
     for start, block in zip(range(0, steps, _BLOCK_STEPS), stream.blocks()):
         inst[start:start + len(block)] = block
     return QuantumRankSeries(inst, stream.average)
 
 
-def _stack_average(ops: Sequence[WalkOperator], steps: int) -> np.ndarray:
-    """Mean distribution over m = 0..steps-1 of each walk in one stack,
-    streamed without a history; one row per walk."""
-    sx = _stack([np.zeros(op.dim) for op in ops])
+def _dense_average(op: WalkOperator, steps: int) -> np.ndarray:
+    """Mean distribution over m = 0..steps-1 of one dense walk, streamed
+    without a history."""
+    sx = np.zeros(op.dim)
     sq = np.zeros_like(sx)
-    for x, q in _register_walk(ops, steps, 0):
+    for x, q in _register_walk(op, steps, 0):
         sx += x * x
         sq += q
-    return ((_stack([op.google for op in ops]) @ sx + sq) / steps).reshape(len(ops), -1)
+    return (op.google @ sx + sq) / steps
+
+
+def _sparse_averages(ops: Sequence[WalkOperator], steps: int) -> list[np.ndarray]:
+    """Mean distribution over m = 0..steps-1 of each walk of one sparse
+    batch, streamed without a history."""
+    sx = sq = np.zeros(sum(op.dim for op in ops))
+    for x, q in _sparse_walk(ops, steps):
+        sx = np.concatenate((sx[None], x * x)).sum(axis=0)
+        sq = np.concatenate((sq[None], q)).sum(axis=0)
+    ends = np.cumsum([op.dim for op in ops])[:-1]
+    return [(op.matrix.matvec(x) + q) / steps
+            for op, x, q in zip(ops, np.split(sx, ends), np.split(sq, ends))]
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +587,11 @@ def quantum_pageranks(walks: Sequence[tuple[DirectedGraph, float]],
                       steps: int = DEFAULT_STEPS) -> np.ndarray:
     """Time-averaged quantum rank vectors of ``(graph, alpha)`` pairs, one row each.
 
-    Every graph must have the same node count N. The walks step as stacks
-    of at most max(1, STACK_BYTES // (8 N^2)), and each stack's operators
-    are built only when it runs, so a long sweep never holds more than one
-    stack of dense N x N arrays.
+    Every graph must have the same node count N. Below ``SPARSE_NODES`` the
+    walks run one at a time on the dense kernel; from there on as
+    block-diagonal batches of max(1, _BATCH_NODES // N) walks, whose
+    operators are built only when the batch runs. A batched walk's row
+    equals its single run bit for bit.
     """
     walks = list(walks)
     sizes = {g.node_count for g, _ in walks}
@@ -355,11 +600,13 @@ def quantum_pageranks(walks: Sequence[tuple[DirectedGraph, float]],
                          f"got {sorted(sizes)}")
     _check_horizon(steps, 0)
     n = sizes.pop()
-    chunk = max(1, STACK_BYTES // (8 * n * n))
-    _admit_walk(n, walks=min(chunk, len(walks)))
-    return np.concatenate([_stack_average([walk_operator(g, a) for g, a in walks[i:i + chunk]],
-                                          steps)
-                           for i in range(0, len(walks), chunk)])
+    batch = 1 if n < SPARSE_NODES else max(1, _BATCH_NODES // n)
+    _admit_walk(n, max(len(g.targets) for g, _ in walks), walks=min(batch, len(walks)))
+    if n < SPARSE_NODES:
+        return np.array([_dense_average(walk_operator(g, a), steps) for g, a in walks])
+    return np.array([row for i in range(0, len(walks), batch)
+                     for row in _sparse_averages([walk_operator(g, a)
+                                                  for g, a in walks[i:i + batch]], steps)])
 
 
 def quantum_pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,

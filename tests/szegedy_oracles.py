@@ -30,7 +30,7 @@ class EdgeSpaceOperator(szegedy.WalkOperator):
 def walk_operator(g, alpha=szegedy.DEFAULT_ALPHA):
     """``szegedy.walk_operator(g, alpha)`` as an ``EdgeSpaceOperator``."""
     op = szegedy.walk_operator(g, alpha)
-    return EdgeSpaceOperator(op.google, op.discriminant)
+    return EdgeSpaceOperator(op.matrix)
 
 
 def initial_state(op):

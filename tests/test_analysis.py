@@ -8,7 +8,7 @@ from qprank.analysis import (attack_sensitivity, damping_sweep,
                              loglog_slope, power_law_fit, rank_correlation,
                              rank_vector, top_nodes)
 from qprank.graph import DirectedGraph, benchmark_graph, generate_scale_free
-from qprank.szegedy import (STACK_BYTES, build_dynamical_subspace, evolve_spectral,
+from qprank.szegedy import (_BATCH_NODES, build_dynamical_subspace, evolve_spectral,
                             quantum_pagerank, walk_operator)
 
 
@@ -125,14 +125,14 @@ class TestDampingSweep:
         assert sweep.rank_vectors.shape == (2, 7)
         assert np.abs(sweep.rank_vectors.sum(axis=1) - 1.0).max() < 1e-9
 
-    def test_quantum_sweep_across_stack_chunks_matches_single_walks(self):
-        # two walks of N = 160 fill one chunk, so five run as chunks of 2, 2 and 1
-        assert STACK_BYTES // (8 * 160 * 160) == 2
+    def test_quantum_sweep_batches_match_single_walks(self):
+        # three walks of N = 160 fill one batch, so five run as batches of 3 and 2
+        assert _BATCH_NODES // 160 == 3
         g = generate_scale_free(160, 11)
         grid = (0.55, 0.65, 0.75, 0.85, 0.95)
         sweep = damping_sweep(g, grid, "quantum", steps=512)
         for row, alpha in zip(sweep.rank_vectors, grid):
-            assert np.abs(row - quantum_pagerank(g, alpha, 512)).max() <= 1e-15
+            assert row.tobytes() == quantum_pagerank(g, alpha, 512).tobytes()
 
     def test_direct_and_spectral_quantum_sweeps_agree(self):
         # the sweep runs the direct kernel; the spectral one is its reference

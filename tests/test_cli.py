@@ -213,7 +213,7 @@ class TestExitCodes:
     def test_readme_library_names_resolve(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         names = set(re.findall(r"\bq\.(\w+(?:\.\w+)*)", readme))
-        assert {"GoogleMatrix", "DirectedGraph.from_arcs", "szegedy.STACK_BYTES"} <= names
+        assert {"GoogleMatrix", "DirectedGraph.from_arcs", "szegedy.unit_modes"} <= names
         for name in sorted(names):
             functools.reduce(getattr, name.split("."), qprank)
 
@@ -386,12 +386,12 @@ class TestStreamedOutput:
 
     def test_walk_beyond_physical_memory_is_4(self, monkeypatch, tmp_path, capsys):
         from qprank import graph
-        # 1 MiB, less than the 2.2 MB of a walk on 256 nodes
+        # 1 MiB, less than the 1.2 MB of a walk on 256 nodes
         monkeypatch.setattr(graph, "_physical_memory", lambda: 1 << 20)
         out = tmp_path / "out.csv"
         assert main(["qrank", "--gen", "scalefree:256", "--steps", "16",
                      "--output", str(out)]) == 4
-        assert ("qprank: not enough memory: a quantum walk on 256 nodes takes about "
+        assert ("qprank: not enough memory: a quantum walk on 256 nodes and "
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -409,7 +409,8 @@ class TestStreamedOutput:
         assert _peak_bytes(lambda: main(argv)) <= 0.5 * 4096 * 64 * 8
 
     # qrank holding its series peaked at 16x compare (6.42 against 0.40 MB)
-    # and at 6.1x (13.7 against 2.27 MB); streamed, at 1.02x and 1.13x
+    # and at 6.1x (13.7 against 2.27 MB); streamed, at 1.00x and, on the
+    # sparse kernel at N = 256, 1.26x (1.05 against 0.83 MB)
     @pytest.mark.parametrize("size, steps", [(64, 4096), (256, 2048)])
     def test_qrank_costs_little_more_than_compare(self, size, steps, tmp_path):
         flags = ["--gen", f"scalefree:{size}", "--seed", "2", "--output", str(tmp_path / "out")]
@@ -740,12 +741,14 @@ class TestDeterminism:
         assert abs(values.sum() - 1.0) < 1e-9
 
 
-# compare and sweep read their walks out vector by vector. qrank is left out:
-# it reads each block of 64 two-steps with one matrix product, which OpenBLAS
-# may split across threads (ROADMAP item 2)
+# At N = 300 every walk runs on the sparse kernel, which steps and reads out
+# through CSR products and numpy reductions only, so no BLAS product, which
+# OpenBLAS may split across threads, touches the walk. qrank's dense readout,
+# one matrix product per block of 64 two-steps, once wrote other bytes here.
 THREAD_PIPELINES = {
     "compare": ["compare"],
     "sweep": ["sweep", "--ranker", "quantum", "--grid", "0.5:0.9:3"],
+    "qrank": ["qrank"],
 }
 
 

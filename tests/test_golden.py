@@ -11,27 +11,26 @@ captured from the implementation that built rank's JSON by hand, with the
 class; ``rank_bare_h.csv`` now iterates H as a ``GoogleMatrix`` that
 patches no column, with the same bytes. The ``hierarchical:4`` and
 ``tree:5`` edge lists were captured from the implementation whose CLI
-accepted alias spellings of the generator families. The quantum sweep on
-``scalefree:128`` pins the bytes of four direct walks at N = 128; it was
-captured from the implementation that ran them one after another.
-The ``qrank`` series on ``scalefree:64`` and the ``compare`` table on
-``scalefree:128`` were captured from the implementation whose walk operator
-still carried the N^2-entry edge-space amplitudes. So was the same series
-from the spectral kernel, which neither the CLI nor the library's pipelines
-run any more; it is pinned through the reference pair
+accepted alias spellings of the generator families.
+The ``qrank`` series on ``scalefree:64`` was captured from the implementation
+whose walk operator still carried the N^2-entry edge-space amplitudes. So was
+the same series from the spectral kernel, which neither the CLI nor the
+library's pipelines run any more; it is pinned through the reference pair
 ``evolve_spectral(build_dynamical_subspace(walk_operator(g, 0.85)), 256)``,
-with the metadata the CLI wrote for it. The ``compare`` pin
-lists nodes in rank order, and nodes whose quantum values tie in exact
-arithmetic are ordered there by rounding, so a kernel change that moves last
-digits may move that pin without a wrong rank. The quantum ``analyze`` and
-``attack`` outputs on ``scalefree:128`` were captured from the implementation
-that accepted an ``auto`` backend and dispatched each ranker in two places.
-The ``attack`` pin picks the removed hubs and lists survivors by their
-quantum values, and nodes whose values tie in exact arithmetic are ordered
-there by rounding, as in the ``compare`` pin.
-The three walks on the ``fig1a`` and ``fig2b`` benchmarks are the only pins
+with the metadata the CLI wrote for it.
+The four quantum pipelines on ``scalefree:128`` (the sweep of four walks,
+``compare``, ``analyze`` and ``attack``) were captured from the sparse kernel,
+which runs every walk of 128 nodes or more; against the dense kernel before
+it their numbers moved by at most 7.1e-13 (``analyze``'s IPR of 20.6) and no
+row moved. The ``compare`` pin lists nodes in rank order, and the ``attack``
+pin picks the removed hubs and lists survivors by their quantum values; nodes
+whose values tie in exact arithmetic are ordered there by rounding, so a
+kernel change that moves last digits may move those pins without a wrong
+rank. ``compare`` on ``scalefree:10000`` was captured from the same kernel,
+at one and at two BLAS threads alike.
+The three pins on the ``fig1a`` and ``fig2b`` benchmarks are the only ones
 whose discriminant has eigenvalues +-1, so they hold the deflated walk: the
-``fig1a`` series and the ``fig1a`` sweep's stack of three walks have one +1
+``fig1a`` series and the three walks of the ``fig1a`` sweep have one +1
 mode each, and the ``fig2b`` series at alpha = 1 has one +1 and one -1 mode.
 They were captured from the implementation whose pipelines still accepted
 the spectral kernel as a ``backend``.
@@ -99,6 +98,7 @@ GOLDEN.update({
     "rank_labels.json": ["rank", "--input", "labels.txt", "--format", "json"],
     "compare_labels.csv": ["compare", "--input", "labels.txt"],
     "compare_labels.json": ["compare", "--input", "labels.txt", "--format", "json"],
+    "compare_10000.csv": ["compare", "--gen", "scalefree:10000", "--seed", "0"],
 })
 LABELLED = 'a,b q"r\nq"r \u00fc\n\u00fc a,b\n\u00fc q"r\n'
 
@@ -120,17 +120,17 @@ SHA256 = {
     "rank_bare_h.csv": "f66178dcb8174c67538df66e819e585616146f924c9eeb582dd87be6ca22276f",
     "gen_hierarchical.txt": "fde85e79570bb2272241e4fb90f4180be1a296fbb835d922fba5da2d36bc83fc",
     "gen_tree.txt": "7bf8311cc0be6d4ed3d3a6811407542fc99bcbd7ff544d25c60eff2c3842272d",
-    "sweep_quantum.csv": "aaa6938c75872377d730be1962e8d5b05160f401ef6b293f804df782ea693c81",
-    "sweep_quantum.json": "36075aaaf98b3febf8e1aaaacede9e6919bc303e00282212baa87060b8d940ae",
+    "sweep_quantum.csv": "98897cd50b8b543b41e6e99335e794d0d658c856cbbada21538b8dcc29ac928a",
+    "sweep_quantum.json": "82eb161740a72db093fbf1bafcc54371c4e5721ff3c94b42716ac806c433d736",
     "qrank.csv": "8f36cb381056b40964bd115b420438f77162020445209a41a735406bbe44a115",
     "qrank.json": "661dc7512079c559366e03f12bcfb8e73be8111c872ad38a861d07a40f5506ce",
     "qrank_spectral.csv": "c2e7c3a5abffc5f5cf286fc53086cdcf0c4167f440912690c58f43b340de2aa1",
-    "compare.csv": "5446cd4242d9ba4613f95e2b3f6bb94f2b5121252b32beae4917989ba73b890e",
-    "compare.json": "57c9cc7ad0f65b096b639a206c983da444fcce352750c20301b4ee23597fb992",
-    "analyze_quantum.csv": "fd237cb81741daca0aa56c0e3f0903e6aea56b1f0afaeb2f08e83d3f158d6895",
-    "analyze_quantum.json": "34deecaa310a4e39dea6f7404c233c77a5f978d61c7a079e6b7a5265675926de",
-    "attack_quantum.csv": "4e56af18cef7450b5f36ceb24282bb46af51dc6dbc17e9a2f3ef73f8c9e3ec68",
-    "attack_quantum.json": "ce7bdc278c3babd165317c2cf61f97c0802e3d3edb1c2ba61361b64c50ec2d71",
+    "compare.csv": "051953e63f4ebcdbccd0b10082f211e94041fa26996220da6f6fe5aab702672f",
+    "compare.json": "e6b5fae6ba61c2a95abe8f9d6d3494de2303246dd89e4e4b218afbbaeb29e7a4",
+    "analyze_quantum.csv": "eaa4c7c6f9a4a9e52436e7ee511233eca2a9d29b666da646277c66cf4d2b26b9",
+    "analyze_quantum.json": "50244a94a476cc32f9d741e0a5193c39738f08dd1b44c7b189402e1a1d11ae1b",
+    "attack_quantum.csv": "366ea8a7b571be83277d9f8d923bcd682ec96f71d377ef33dadb37d922813a06",
+    "attack_quantum.json": "87603f71a437687eee1b32d74bc8b0621ea747be07bfa77e95d5818d509ebb80",
     "qrank_fig1a.csv": "5fccee4465d1c2c0c5364e982a046f4057007d3b7a5e69562920e001ce46dbfc",
     "qrank_fig2b.csv": "877cc1559dbbb01d4702bc57031a3d68ea0dc38184de23a91d8390ce2149659d",
     "sweep_quantum_fig1a.csv": "47781e836a2a5400c1ceec670e4cf1e8ec050d10e8a9a3d36d0aec5a982f6ab0",
@@ -138,6 +138,7 @@ SHA256 = {
     "rank_labels.json": "52af0601910ed25e58f6ce7c5990ac41a2b32bffb34f9c47fbfcaf0aa6625486",
     "compare_labels.csv": "7e797199f143e0b2c040d7b19c383b1a68cb45b3dd16623873ec815ec5f8c249",
     "compare_labels.json": "4e943c163991b630552c8cc85d33e555d51fe1fcb27ef9b83218fd1503f9fb80",
+    "compare_10000.csv": "0f80ce14ffd488ce37a4e88dd3d4f374eff7701495e1a1d00a5e34f7899263fe",
 }
 DIGEST = "ef6e21feb915efba"
 

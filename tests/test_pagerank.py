@@ -117,6 +117,20 @@ class TestGoogleMatrix:
         v = rng.random(g.node_count)
         assert np.abs(gm.matvec(v) - gm.dense() @ v).max() < 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.85, 1.0])
+    def test_matvec_takes_a_block_of_columns(self, alpha):
+        # the quantum readout applies G to 64 two-steps at once
+        rng = np.random.default_rng(16)
+        g = generate_scale_free(48, 16)
+        gm = google_matrix(patch_dangling(hyperlink_matrix(g)), alpha)
+        assert gm.patched.any()  # so the patched term is summed per column too
+        block = rng.random((g.node_count, 64))
+        out = gm.matvec(block)
+        assert out.shape == block.shape
+        assert np.abs(out - gm.dense() @ block).max() < 1e-12
+        for column in (0, 63):
+            assert np.abs(out[:, column] - gm.matvec(block[:, column])).max() < 1e-15
+
 
 class TestPowerMethod:
     def test_bare_h_drains_to_zero(self):

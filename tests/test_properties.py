@@ -2,7 +2,8 @@
 attack and compare CSVs, the array-backed graph model against its
 tuple-based reference, the in-package Kendall tau-b against
 ``scipy.stats.kendalltau``, the degeneracy classes against a per-node
-loop, and the direct quantum walk against the edge-space oracle."""
+loop, the dense and sparse quantum walks against the edge-space oracle,
+and the unit modes read off the graph against ``eigh``."""
 
 import csv
 import hashlib
@@ -19,7 +20,7 @@ from scipy import stats
 
 from graph_oracles import (arc_set, reference_arc_set, reference_degrees,
                            reference_hyperlink, reference_remove_nodes)
-from qprank import formats
+from qprank import formats, szegedy
 from qprank import graph as graph_module
 from qprank.analysis import (AttackReport, FidelitySweep, _kendall_tau_b, _tau_b_counts,
                              degeneracy_profile, rank_correlation, rank_positions,
@@ -28,7 +29,7 @@ from qprank.graph import (DirectedGraph, edge_list_lines, generate_scale_free, g
                           parse_edge_list, parse_pajek, remove_nodes, to_edge_list, to_pajek)
 from qprank.pagerank import hyperlink_matrix, patch_dangling
 from qprank.szegedy import (QuantumRankSeries, SeriesStream, quantum_pagerank,
-                            quantum_pageranks, walk_operator)
+                            quantum_pageranks, unit_modes, walk_operator)
 from szegedy_oracles import initial_state, instantaneous_qpr, two_step
 from test_formats import written
 from test_graph import _reference_scale_free
@@ -110,27 +111,49 @@ def test_arrays_match_tuple_reference(case):
 
 
 # Each case runs 256 edge-space two-steps in Python; 60 cases keep the test
-# near 1.5 s on 2 vCPU.
+# near 2 s on 2 vCPU.
 @settings(deadline=None, max_examples=60)
 @given(arc_lists(max_nodes=12), st.booleans(), st.sampled_from([0.5, 0.85, 1.0]))
 def test_direct_walk_matches_edge_space_oracle(case, symmetrise, alpha):
-    """The streamed direct kernel, alone and stacked, against the N^2-entry
-    edge-space walk. Symmetric graphs and alpha = 1 give D eigenvalues +-1,
-    so many cases run the deflated walk."""
+    """The streamed dense and sparse kernels, alone and batched, against the
+    N^2-entry edge-space walk. Symmetric graphs and alpha = 1 give D
+    eigenvalues +-1, so many cases run the deflated walk."""
     n, arcs = case
     if symmetrise:
         arcs = arcs + [(d, s) for s, d in arcs]
     g = DirectedGraph.from_arcs(n, arcs)
     steps = 256
-    average = quantum_pagerank(g, alpha, steps)
-    stacked = quantum_pageranks([(g, alpha), (g, alpha)], steps)
-    assert np.array_equal(stacked, [average, average])
     op = walk_operator(g, alpha)
     psi, total = initial_state(op), np.zeros(n)
     for _ in range(steps):
         total += instantaneous_qpr(psi)
         psi = two_step(psi, op)
-    assert np.abs(average - total / steps).max() <= 1e-11
+    for threshold in (szegedy.SPARSE_NODES, 0):  # the dense kernel, then the sparse one
+        with mock.patch.object(szegedy, "SPARSE_NODES", threshold):
+            average = quantum_pagerank(g, alpha, steps)
+            stacked = quantum_pageranks([(g, alpha), (g, alpha)], steps)
+        assert np.array_equal(stacked, [average, average])
+        assert np.abs(average - total / steps).max() <= 1e-11
+
+
+@settings(deadline=None, max_examples=200)
+@given(arc_lists(max_nodes=12), st.lists(st.booleans(), max_size=35),
+       st.sampled_from([0.5, 0.85, 1.0]))
+def test_unit_modes_span_the_unit_eigenvectors(case, mirrored, alpha):
+    """``unit_modes``, read off the graph, against ``eigh`` of the dense D on
+    graphs where some or all arcs are reciprocal: the same projector onto
+    the eigenspace at +1 and at -1."""
+    n, arcs = case
+    arcs = arcs + [(d, s) for (s, d), back in zip(arcs, mirrored) if back]
+    op = walk_operator(DirectedGraph.from_arcs(n, arcs), alpha)
+    basis, signs = unit_modes(op)
+    assert basis.shape == (n, len(signs)) and set(signs) <= {-1.0, 1.0}
+    lam, vecs = np.linalg.eigh(op.discriminant)
+    for sign in (1.0, -1.0):
+        ours = basis.toarray()[:, signs == sign]
+        theirs = vecs[:, np.abs(lam - sign) <= szegedy.UNIT_EIGEN_TOL]
+        assert ours.shape == theirs.shape
+        assert np.abs(ours @ ours.T - theirs @ theirs.T).max() <= 1e-12
 
 
 @given(arc_lists(), st.data())

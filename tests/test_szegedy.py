@@ -1,24 +1,28 @@
 import re
+from unittest import mock
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 import pytest
 
 import qprank
 from qprank import szegedy
 from qprank.graph import (DirectedGraph, benchmark_graph, generate_binary_tree,
                           generate_scale_free)
-from qprank.pagerank import (classical_pagerank, google_matrix,
-                             hyperlink_matrix, patch_dangling)
+from qprank.pagerank import GoogleMatrix, classical_pagerank
+from qprank.analysis import damping_sweep
 from qprank.szegedy import (SeriesStream, average_drift, build_dynamical_subspace, evolve,
                             evolve_spectral, quantum_pagerank, quantum_pageranks,
-                            quantum_rank_series, walk_operator)
+                            quantum_rank_series, unit_modes, walk_operator)
 from szegedy_oracles import (amps, apply_reflection, apply_swap, cesaro_limit, initial_state,
                              instantaneous_qpr, two_step)
 from test_analysis import _peak_bytes
 
 BENCHMARKS = ("fig1a", "fig1c", "fig1d", "fig2b")
-# The direct kernel, which the pipelines run, and its spectral reference.
-KERNELS = ("direct", "spectral")
+# The direct kernel the pipelines run at each size, the dense and the sparse
+# kernel run at any size, and their spectral reference.
+KERNELS = ("direct", "dense", "sparse", "spectral")
 
 
 def dense_swap(n):
@@ -308,10 +312,12 @@ ORACLE_CASES = [
 ]
 
 
-def series(op, steps, kernel):
+def series(op, steps, kernel, offset=0):
     if kernel == "spectral":
         return evolve_spectral(build_dynamical_subspace(op), steps)
-    return evolve(op, steps)
+    threshold = {"direct": szegedy.SPARSE_NODES, "dense": 1 << 62, "sparse": 0}[kernel]
+    with mock.patch.object(szegedy, "SPARSE_NODES", threshold):
+        return evolve(op, steps, offset)
 
 
 class TestTwoRegisterKernel:
@@ -324,6 +330,19 @@ class TestTwoRegisterKernel:
         for kernel in KERNELS:
             err = np.abs(series(op, 2048, kernel).instantaneous - oracle).max()
             assert err < 1e-10, kernel
+        # the edge space rounds more than either kernel: 1.5e-12 from the dense one on fig1a
+        sparse, dense = (series(op, 2048, kernel).instantaneous for kernel in ("sparse", "dense"))
+        assert np.abs(sparse - dense).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [128, 256, 512])
+    def test_sparse_kernel_matches_dense_on_scale_free_graphs(self, n):
+        # alpha = 0.01 puts an eigenvalue of D near 1, where the walk is least
+        # well conditioned; alpha = 1 lets the dangling nodes alone teleport
+        g = generate_scale_free(n, 0)
+        for alpha in (0.01, 0.5, 0.85, 0.98, 1.0):
+            op = walk_operator(g, alpha)
+            sparse, dense = (series(op, 2048, kernel).instantaneous for kernel in ("sparse", "dense"))
+            assert np.abs(sparse - dense).max() <= 1e-12, alpha
 
     def test_unit_eigenvalues_present_where_deflation_matters(self):
         for name, make, alpha in ORACLE_CASES[:4]:
@@ -335,8 +354,9 @@ class TestTwoRegisterKernel:
         for name, make, alpha in ORACLE_CASES:
             op = walk_operator(make(), alpha)
             oracle = edge_space_series(op, 10, offset=7)
-            err = np.abs(evolve(op, 10, offset=7).instantaneous - oracle).max()
-            assert err < 1e-12, name
+            for kernel in ("dense", "sparse"):
+                err = np.abs(series(op, 10, kernel, offset=7).instantaneous - oracle).max()
+                assert err < 1e-12, (name, kernel)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.5, 0.85, 0.98])
     def test_streamed_average_matches_series(self, alpha):
@@ -458,32 +478,47 @@ def bidirected_ring(n):
                                    + [((i + 1) % n, i) for i in range(n)])
 
 
-def unit_modes(g, alpha):
+def eigh_unit_modes(g, alpha):
     op = walk_operator(g, alpha)
     return int((np.abs(np.abs(np.linalg.eigvalsh(amps(op) * amps(op).T)) - 1.0) < 1e-9).sum())
 
 
 class TestStackedWalks:
+    """Walks of one call: one at a time below SPARSE_NODES, block-diagonal
+    batches from there on."""
+
     def test_mixed_stack_matches_single_walks(self):
         # the ring's symmetric G has the unit mode lambda = 1; the scale-free graph has none
         ring, sf = bidirected_ring(64), generate_scale_free(64, 9)
-        assert (unit_modes(ring, 0.85), unit_modes(sf, 0.85)) == (1, 0)
+        assert (eigh_unit_modes(ring, 0.85), eigh_unit_modes(sf, 0.85)) == (1, 0)
         walks = [(ring, 0.85), (sf, 0.85), (sf, 0.5)]
         stacked = quantum_pageranks(walks, 512)
         assert stacked.shape == (3, 64)
         for row, (g, alpha) in zip(stacked, walks):
             assert np.abs(row - quantum_pagerank(g, alpha, 512)).max() <= 1e-15
 
-    @pytest.mark.parametrize("n, chunks", [(181, [2]), (182, [1, 1])])
-    def test_stack_holds_two_walks_up_to_n_181(self, n, chunks, monkeypatch):
-        # max(1, STACK_BYTES // (8 N^2)) is 2 at N = 181 and 1 from N = 182
-        stacks = []
-        run = szegedy._stack_average
-        monkeypatch.setattr(szegedy, "_stack_average",
-                            lambda ops, steps: stacks.append(len(ops)) or run(ops, steps))
+    def test_mixed_unit_mode_batch_matches_single_walks(self):
+        # undamped, the even ring is bipartite and holds the modes +1 and -1
+        ring, sf = bidirected_ring(128), generate_scale_free(128, 9)
+        assert [sorted(unit_modes(walk_operator(g, a))[1]) for g, a in
+                ((ring, 0.85), (ring, 1.0), (sf, 0.85))] == [[1.0], [-1.0, 1.0], []]
+        walks = [(ring, 0.85), (sf, 0.85), (ring, 1.0), (sf, 0.5)]
+        batch = quantum_pageranks(walks, 512)
+        for row, (g, alpha) in zip(batch, walks):
+            assert row.tobytes() == quantum_pagerank(g, alpha, 512).tobytes()
+            dense = series(walk_operator(g, alpha), 512, "dense").average
+            assert np.abs(row - dense).max() <= 1e-13
+
+    @pytest.mark.parametrize("n, batches", [(64, []), (128, [4, 1]), (256, [2, 2, 1]),
+                                            (513, [1] * 5)])
+    def test_batch_holds_at_most_512_nodes(self, n, batches, monkeypatch):
+        seen = []
+        run = szegedy._sparse_averages
+        monkeypatch.setattr(szegedy, "_sparse_averages",
+                            lambda ops, steps: seen.append(len(ops)) or run(ops, steps))
         g = generate_scale_free(n, 5)
-        assert quantum_pageranks([(g, 0.85), (g, 0.5)], 2).shape == (2, n)
-        assert stacks == chunks
+        assert quantum_pageranks([(g, a) for a in (0.5, 0.6, 0.7, 0.8, 0.9)], 2).shape == (5, n)
+        assert seen == batches
 
     def test_rejects_unequal_sizes_and_empty_input(self):
         walks = [(generate_scale_free(16, 1), 0.85), (generate_scale_free(17, 1), 0.85)]
@@ -496,12 +531,12 @@ class TestStackedWalks:
 
 
 class TestMemoryAdmission:
-    """Each walk estimates its bytes (34 per node pair, 8 per recorded
-    two-step and node) and refuses, before allocating, a run beyond the
-    physical memory figure, here monkeypatched. Every refused run is small,
-    so a missing check costs no memory."""
+    """Each walk estimates its bytes (4400 per node, 160 per arc, 8 per
+    recorded two-step and node) and refuses, before allocating, a run beyond
+    the physical memory figure, here monkeypatched. Every refused run is
+    small, so a missing check costs no memory."""
 
-    LIMIT = 1 << 20  # 1 MiB: N = 64 needs 139 264 bytes, N = 256 needs 2 228 224
+    LIMIT = 1 << 20  # 1 MiB: N = 64 (91 arcs) needs 296 160 bytes, N = 256 (407 arcs) 1 191 520
 
     @staticmethod
     def _refused(run, match):
@@ -516,16 +551,18 @@ class TestMemoryAdmission:
         small, big = generate_scale_free(64, 1), generate_scale_free(256, 1)
         op = walk_operator(small, 0.85)
         monkeypatch.setattr(graph, "_physical_memory", lambda: self.LIMIT)
-        walk = ("a quantum walk on 256 nodes takes about 2228224 bytes to run, "
+        walk = ("a quantum walk on 256 nodes and 407 arcs takes about {} bytes to run, "
                 "more than the 1048576 bytes of physical memory")
         for run in (lambda: walk_operator(big, 0.85),
-                    lambda: quantum_pageranks([(big, 0.5), (big, 0.85)], 16),
                     lambda: quantum_pagerank(big, 0.85, 16),
                     lambda: quantum_rank_series(big, 0.85, 16)):
-            assert self._refused(run, walk) < 1 << 16
-        # the series is counted too: 139 264 + 8 * 64 * 4096 bytes
+            assert self._refused(run, walk.format(1191520)) < 1 << 16
+        # two walks of N = 256 share a batch
+        assert self._refused(lambda: quantum_pageranks([(big, 0.5), (big, 0.85)], 16),
+                             walk.format(2 * 1191520)) < 1 << 16
+        # the series is counted too: 296 160 + 8 * 64 * 4096 bytes
         assert self._refused(lambda: evolve(op, 4096),
-                             "on 64 nodes over 4096 two-steps takes about 2236416 "
+                             "on 64 nodes and 91 arcs over 4096 two-steps takes about 2393312 "
                              "bytes") < 1 << 16
         assert evolve(op, 256).steps == 256
         assert quantum_pagerank(small, 0.85, 256).shape == (64,)
@@ -533,5 +570,43 @@ class TestMemoryAdmission:
     def test_nothing_refused_without_a_memory_figure(self, monkeypatch):
         from qprank import graph
         monkeypatch.setattr(graph, "_physical_memory", lambda: None)
-        monkeypatch.setattr(szegedy, "_WALK_PAIR_BYTES", 1 << 62)
+        monkeypatch.setattr(szegedy, "_NODE_BYTES", 1 << 62)
         assert quantum_rank_series(benchmark_graph("fig2b"), 0.85, 8).steps == 8
+
+    def test_sparse_walk_admitted_by_arcs_and_nodes(self):
+        # 10^4 nodes: the dense estimate was 34 bytes per node pair, 3.4 GB
+        g = generate_scale_free(10000, 0)
+        rank = []
+        assert _peak_bytes(lambda: rank.append(quantum_pagerank(g, 0.85, 256))) < 200 << 20
+        assert abs(rank[0].sum() - 1.0) < 1e-12
+
+
+class TestSparseKernel:
+    def test_accumulate_adds_the_product_in_place(self):
+        # the private routine of scipy.sparse behind A @ x; a scipy that changes it fails here
+        rng = np.random.default_rng(3)
+        for index in (np.int32, np.int64):
+            for rows, cols in ((1, 1), (6, 3), (40, 70)):
+                dense = rng.normal(size=(rows, cols)) * (rng.random((rows, cols)) < 0.2)
+                dense[::3] = 0.0  # empty rows
+                x, y = rng.normal(size=cols), rng.normal(size=rows)
+                for exact in (False, True):  # integers below 2^53 add exactly in any order
+                    a = sp.csr_matrix(np.round(dense * 2 ** 10) if exact else dense)
+                    a.indices, a.indptr = a.indices.astype(index), a.indptr.astype(index)
+                    x, y = (np.round(v * 2 ** 10) if exact else v for v in (x, y))
+                    want, bound = y + a @ x, np.abs(y) + np.abs(a) @ np.abs(x)
+                    szegedy._accumulate(a)(x, y)
+                    assert np.all(np.abs(y - want) <= np.spacing(bound)), (index, rows)
+                    assert np.array_equal(y, want) or not exact
+
+    def test_no_dense_step_on_the_sparse_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense step")
+        monkeypatch.setattr(GoogleMatrix, "dense", refuse)
+        monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+        g = generate_scale_free(128, 3)
+        assert abs(quantum_pagerank(g, 0.85, 256).sum() - 1.0) < 1e-12
+        assert damping_sweep(g, (0.5, 0.85), "quantum", 256).rank_vectors.shape == (2, 128)
+        assert evolve(walk_operator(bidirected_ring(128), 1.0), 256).steps == 256
+        with pytest.raises(AssertionError, match="dense step"):
+            walk_operator(g, 0.85).google
