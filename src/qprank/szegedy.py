@@ -57,18 +57,17 @@ fig1a after 2048 two-steps, against 3.2e-14 at lambda/2. The walks of one call
 run as one block-diagonal operator, at most ``_BATCH_NODES`` nodes at a
 time, and each row of a CSR product reads only its own walk, so a batched
 walk's results equal its single run bit for bit. Each half-step is one
-in-place CSR product into a buffer of 64 two-steps, and the distribution
-is read out through ``GoogleMatrix`` with one sparse product per buffer,
-so no BLAS product touches the walk and its bytes do not depend on the
-thread count.
+in-place CSR product into a buffer of 64 two-steps, so no BLAS product
+touches the walk and its bytes do not depend on the thread count.
 
-Walks below 128 nodes run on the dense kernel, which holds G and D as
-N x N arrays and deflates with ``eigh``, for two measured reasons: at
-N <= 64 a dense product takes 1.0-1.5 us against 3.8 us for scipy's
-sparse product, and the benchmark's small-spectral workload keeps the
-series of every round until its final check, so a faster small walk there
-reads as a larger peak memory. Its walks (N <= 64) stay on one side of the
-threshold, and the ensemble's (N = 128, 256) on the other.
+Walks below 128 nodes run on the dense kernel, which builds D from G as
+N x N arrays, deflates with ``eigh`` and steps with D one two-step at a
+time; its steps are gathered into the same blocks. Both kernels' blocks
+are read out through ``GoogleMatrix``, one sparse product per block. The
+threshold stays because the benchmark's small-spectral workload (N <= 64)
+keeps the series of every round until its final check, so a faster small
+walk there reads as a larger peak memory: with every walk on the sparse
+kernel it ran 22-26% faster and peaked 23-24% higher (2 vCPU, shared host).
 
 The pipelines run these direct kernels only. Their spectral reference reads
 the same series off the eigenpairs of D in closed form: with
@@ -124,9 +123,10 @@ _BLOCK_STEPS = 64
 class WalkOperator:
     """The walk's Google matrix G and the parts of the discriminant
     D = sqrt(G o G^T) that each kernel reads, built on first use: the dense
-    kernel and the spectral reference read G and D as N x N arrays
-    (``google``, ``discriminant``), the sparse kernel D = s s^T + C
-    (``scale`` s, ``correction`` C)."""
+    kernel steps with D as an N x N array (``discriminant``, built from
+    ``google``), the spectral reference reads D and G, the sparse kernel
+    D = s s^T + C (``scale`` s, ``correction`` C). Every walk is read out
+    through ``matrix``."""
 
     matrix: GoogleMatrix
 
@@ -435,13 +435,10 @@ def _sparse_walk(ops: Sequence[WalkOperator], steps: int, offset: int = 0):
         m += k
 
 
-def _series_blocks(op: WalkOperator, steps: int, offset: int) -> Iterator[np.ndarray]:
-    """The distributions of ``op``'s walk, one block of two-steps at a time."""
-    if op.dim >= SPARSE_NODES:
-        for x, q in _sparse_walk([op], steps, offset):
-            q += op.matrix.matvec(np.square(x.T, order="C")).T
-            yield q
-        return
+def _dense_blocks(op: WalkOperator, steps: int, offset: int):
+    """Dense kernel in blocks: ``_register_walk``'s ``(x, q)`` gathered into
+    blocks of at most ``_BLOCK_STEPS`` rows, as ``_sparse_walk`` yields them.
+    The yielded arrays are the block buffers, valid until the next block."""
     xs = np.empty((min(steps, _BLOCK_STEPS), op.dim))
     qs = np.empty_like(xs)
     walk = _register_walk(op, steps, offset)
@@ -450,10 +447,15 @@ def _series_blocks(op: WalkOperator, steps: int, offset: int) -> Iterator[np.nda
         for i, (xm, qm) in zip(range(len(x)), walk):
             x[i] = xm
             q[i] = qm
-        np.square(x, out=x)
-        block = x @ op.google.T
-        block += q
-        yield block
+        yield x, q
+
+
+def _walk(ops: Sequence[WalkOperator], steps: int, offset: int = 0):
+    """The ``(x, q)`` blocks of the walks ``ops``: one walk below
+    ``SPARSE_NODES`` on the dense kernel, any other batch on the sparse one."""
+    if len(ops) == 1 and ops[0].dim < SPARSE_NODES:
+        return _dense_blocks(ops[0], steps, offset)
+    return _sparse_walk(ops, steps, offset)
 
 
 class SeriesStream:
@@ -469,7 +471,8 @@ class SeriesStream:
 
     def blocks(self) -> Iterator[np.ndarray]:
         self._total, self._rows = np.zeros(self.node_count), 0
-        for block in _series_blocks(self.op, self.steps, self.offset):
+        for x, q in _walk([self.op], self.steps, self.offset):
+            block = q + self.op.matrix.matvec(np.square(x.T, order="C")).T
             # row after row, as mean(axis=0) adds them; a block's own sum rounds otherwise
             self._total = np.concatenate((self._total[None], block)).sum(axis=0)
             self._rows += len(block)
@@ -496,22 +499,11 @@ def evolve(op: WalkOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> Qua
     return QuantumRankSeries(inst, stream.average)
 
 
-def _dense_average(op: WalkOperator, steps: int) -> np.ndarray:
-    """Mean distribution over m = 0..steps-1 of one dense walk, streamed
-    without a history."""
-    sx = np.zeros(op.dim)
-    sq = np.zeros_like(sx)
-    for x, q in _register_walk(op, steps, 0):
-        sx += x * x
-        sq += q
-    return (op.google @ sx + sq) / steps
-
-
-def _sparse_averages(ops: Sequence[WalkOperator], steps: int) -> list[np.ndarray]:
-    """Mean distribution over m = 0..steps-1 of each walk of one sparse
-    batch, streamed without a history."""
+def _averages(ops: Sequence[WalkOperator], steps: int) -> list[np.ndarray]:
+    """Mean distribution over m = 0..steps-1 of each walk of one batch,
+    streamed without a history."""
     sx = sq = np.zeros(sum(op.dim for op in ops))
-    for x, q in _sparse_walk(ops, steps):
+    for x, q in _walk(ops, steps):
         sx = np.concatenate((sx[None], x * x)).sum(axis=0)
         sq = np.concatenate((sq[None], q)).sum(axis=0)
     ends = np.cumsum([op.dim for op in ops])[:-1]
@@ -602,11 +594,9 @@ def quantum_pageranks(walks: Sequence[tuple[DirectedGraph, float]],
     n = sizes.pop()
     batch = 1 if n < SPARSE_NODES else max(1, _BATCH_NODES // n)
     _admit_walk(n, max(len(g.targets) for g, _ in walks), walks=min(batch, len(walks)))
-    if n < SPARSE_NODES:
-        return np.array([_dense_average(walk_operator(g, a), steps) for g, a in walks])
     return np.array([row for i in range(0, len(walks), batch)
-                     for row in _sparse_averages([walk_operator(g, a)
-                                                  for g, a in walks[i:i + batch]], steps)])
+                     for row in _averages([walk_operator(g, a) for g, a in walks[i:i + batch]],
+                                          steps)])
 
 
 def quantum_pagerank(g: DirectedGraph, alpha: float = DEFAULT_ALPHA,

@@ -741,25 +741,25 @@ class TestDeterminism:
         assert abs(values.sum() - 1.0) < 1e-9
 
 
-# At N = 300 every walk runs on the sparse kernel, which steps and reads out
-# through CSR products and numpy reductions only, so no BLAS product, which
-# OpenBLAS may split across threads, touches the walk. qrank's dense readout,
-# one matrix product per block of 64 two-steps, once wrote other bytes here.
+# The sparse kernel (N = 300) steps and reads out through CSR products and
+# numpy reductions only, so no BLAS product, which OpenBLAS may split across
+# threads, touches its bytes. The dense kernel (N = 100) reads out the same way
+# but still steps with BLAS matrix-vector products.
 THREAD_PIPELINES = {
-    "compare": ["compare"],
-    "sweep": ["sweep", "--ranker", "quantum", "--grid", "0.5:0.9:3"],
-    "qrank": ["qrank"],
+    "compare": ["compare", "--gen", "scalefree:300"],
+    "sweep": ["sweep", "--gen", "scalefree:300", "--ranker", "quantum", "--grid", "0.5:0.9:3"],
+    "qrank": ["qrank", "--gen", "scalefree:300"],
+    "qrank-dense": ["qrank", "--gen", "scalefree:100"],
 }
 
 
 @pytest.fixture(scope="module")
 def outputs_by_threads():
-    """Each pipeline's bytes on scalefree:300 at one and at two BLAS threads,
-    one child process each."""
+    """Each pipeline's bytes at one and at two BLAS threads, one child process
+    each."""
     def run(args, threads):
         return subprocess.run(
-            [sys.executable, "-m", "qprank", *args, "--gen", "scalefree:300", "--seed", "0",
-             "--steps", "64"],
+            [sys.executable, "-m", "qprank", *args, "--seed", "0", "--steps", "64"],
             capture_output=True, check=True,
             env={**child_env(), "OPENBLAS_NUM_THREADS": str(threads)}).stdout
 

@@ -13,9 +13,13 @@ patches no column, with the same bytes. The ``hierarchical:4`` and
 ``tree:5`` edge lists were captured from the implementation whose CLI
 accepted alias spellings of the generator families.
 The ``qrank`` series on ``scalefree:64`` was captured from the implementation
-whose walk operator still carried the N^2-entry edge-space amplitudes. So was
-the same series from the spectral kernel, which neither the CLI nor the
-library's pipelines run any more; it is pinned through the reference pair
+that reads every walk's distribution out through ``GoogleMatrix``, on either
+kernel, so that no BLAS product touches a walk's bytes; against the dense
+kernel's readout by a matrix product before it, its values moved by at most
+6.4e-16. The same series from the spectral kernel, which neither the CLI nor
+the library's pipelines run any more, was captured from the implementation
+whose walk operator still carried the N^2-entry edge-space amplitudes; it is
+pinned through the reference pair
 ``evolve_spectral(build_dynamical_subspace(walk_operator(g, 0.85)), 256)``,
 with the metadata the CLI wrote for it.
 The four quantum pipelines on ``scalefree:128`` (the sweep of four walks,
@@ -26,14 +30,19 @@ row moved. The ``compare`` pin lists nodes in rank order, and the ``attack``
 pin picks the removed hubs and lists survivors by their quantum values; nodes
 whose values tie in exact arithmetic are ordered there by rounding, so a
 kernel change that moves last digits may move those pins without a wrong
-rank. ``compare`` on ``scalefree:10000`` was captured from the same kernel,
-at one and at two BLAS threads alike.
+rank. The ``attack`` pins also hold the walk after the removal, on 125 nodes
+and so on the dense kernel; they were recaptured with the readout through
+``GoogleMatrix``, which moved their values by at most 1.0e-17 and no row.
+``compare`` on ``scalefree:10000`` was captured from the sparse kernel, at
+one and at two BLAS threads alike.
 The three pins on the ``fig1a`` and ``fig2b`` benchmarks are the only ones
 whose discriminant has eigenvalues +-1, so they hold the deflated walk: the
 ``fig1a`` series and the three walks of the ``fig1a`` sweep have one +1
 mode each, and the ``fig2b`` series at alpha = 1 has one +1 and one -1 mode.
-They were captured from the implementation whose pipelines still accepted
-the spectral kernel as a ``backend``.
+The sweep was captured from the implementation whose pipelines still
+accepted the spectral kernel as a ``backend``, and the two series with the
+readout through ``GoogleMatrix``, which moved them by at most 2.2e-16
+(``fig1a``) and 5.6e-17 (``fig2b``).
 The ``rank`` and ``compare`` outputs on ``labels.txt``, an edge list whose
 labels hold ``,``, ``"`` and a non-ASCII letter, are the only pins whose
 labels the csv module must quote, and whose JSON escapes them. They were
@@ -122,17 +131,17 @@ SHA256 = {
     "gen_tree.txt": "7bf8311cc0be6d4ed3d3a6811407542fc99bcbd7ff544d25c60eff2c3842272d",
     "sweep_quantum.csv": "98897cd50b8b543b41e6e99335e794d0d658c856cbbada21538b8dcc29ac928a",
     "sweep_quantum.json": "82eb161740a72db093fbf1bafcc54371c4e5721ff3c94b42716ac806c433d736",
-    "qrank.csv": "8f36cb381056b40964bd115b420438f77162020445209a41a735406bbe44a115",
-    "qrank.json": "661dc7512079c559366e03f12bcfb8e73be8111c872ad38a861d07a40f5506ce",
+    "qrank.csv": "64873d278b9b1c08193ff1c8fe25248157333e427272b80d87babd9897999939",
+    "qrank.json": "4957a512bb0b7b87c819b62f3277446e2fd068949322545b35bb51aea20db643",
     "qrank_spectral.csv": "c2e7c3a5abffc5f5cf286fc53086cdcf0c4167f440912690c58f43b340de2aa1",
     "compare.csv": "051953e63f4ebcdbccd0b10082f211e94041fa26996220da6f6fe5aab702672f",
     "compare.json": "e6b5fae6ba61c2a95abe8f9d6d3494de2303246dd89e4e4b218afbbaeb29e7a4",
     "analyze_quantum.csv": "eaa4c7c6f9a4a9e52436e7ee511233eca2a9d29b666da646277c66cf4d2b26b9",
     "analyze_quantum.json": "50244a94a476cc32f9d741e0a5193c39738f08dd1b44c7b189402e1a1d11ae1b",
-    "attack_quantum.csv": "366ea8a7b571be83277d9f8d923bcd682ec96f71d377ef33dadb37d922813a06",
-    "attack_quantum.json": "87603f71a437687eee1b32d74bc8b0621ea747be07bfa77e95d5818d509ebb80",
-    "qrank_fig1a.csv": "5fccee4465d1c2c0c5364e982a046f4057007d3b7a5e69562920e001ce46dbfc",
-    "qrank_fig2b.csv": "877cc1559dbbb01d4702bc57031a3d68ea0dc38184de23a91d8390ce2149659d",
+    "attack_quantum.csv": "7fa91a8ad6eabbc8163355d1f6045460c6e0267c591b2668ecae58610d3ec5c8",
+    "attack_quantum.json": "addbf46c7edb6ffda45aaa1a7aac50c9aef7ab56d8e320e63dea8cd901a0ac7e",
+    "qrank_fig1a.csv": "ba71070ad3ef314c8ed7536afffec7511034a8d18cf6817ddcddd2522c504f4f",
+    "qrank_fig2b.csv": "500563248ebfc1913f8cffa4f6b2ae9b0b0cd07a3ea32d9565deba06d51d5a96",
     "sweep_quantum_fig1a.csv": "47781e836a2a5400c1ceec670e4cf1e8ec050d10e8a9a3d36d0aec5a982f6ab0",
     "rank_labels.csv": "6392acd80a140e6fef42479ead33223439086fb3e0b9e70364ba0711b3a88d5f",
     "rank_labels.json": "52af0601910ed25e58f6ce7c5990ac41a2b32bffb34f9c47fbfcaf0aa6625486",

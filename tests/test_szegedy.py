@@ -509,12 +509,12 @@ class TestStackedWalks:
             dense = series(walk_operator(g, alpha), 512, "dense").average
             assert np.abs(row - dense).max() <= 1e-13
 
-    @pytest.mark.parametrize("n, batches", [(64, []), (128, [4, 1]), (256, [2, 2, 1]),
+    @pytest.mark.parametrize("n, batches", [(64, [1] * 5), (128, [4, 1]), (256, [2, 2, 1]),
                                             (513, [1] * 5)])
     def test_batch_holds_at_most_512_nodes(self, n, batches, monkeypatch):
         seen = []
-        run = szegedy._sparse_averages
-        monkeypatch.setattr(szegedy, "_sparse_averages",
+        run = szegedy._averages
+        monkeypatch.setattr(szegedy, "_averages",
                             lambda ops, steps: seen.append(len(ops)) or run(ops, steps))
         g = generate_scale_free(n, 5)
         assert quantum_pageranks([(g, a) for a in (0.5, 0.6, 0.7, 0.8, 0.9)], 2).shape == (5, n)
