@@ -33,8 +33,8 @@ def _checked(p: np.ndarray, name: str = "distribution") -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional")
     if np.any(p < -NORMALIZATION_TOL):
         raise ValueError(f"{name} has negative entries")
-    if abs(p.sum() - 1.0) > NORMALIZATION_TOL:
-        raise ValueError(f"{name} is not normalized (sum {p.sum()!r})")
+    if not abs(p.sum() - 1.0) <= NORMALIZATION_TOL:  # NaN fails it too
+        raise ValueError(f"{name} is not normalized (sum {float(p.sum())!r})")
     return p
 
 

@@ -548,8 +548,10 @@ def _uniforms(rng: np.random.Generator):
 _MIX = (0.41, 0.54, 0.05)
 _DELTA_IN = 0.2
 _DELTA_OUT = 0.0
-# Peak bytes per node of generate_scale_free (tracemalloc: 315 at 10**5, 319 at 2 * 10**5).
+# Peak bytes per node of generate_scale_free (tracemalloc: 315 at 10**5, 319 at 2 * 10**5)
+# and of generate_binary_tree (57.0 at 2**16, 2**18 and 2**20 nodes).
 _SCALE_FREE_NODE_BYTES = 320
+_TREE_NODE_BYTES = 64
 
 
 def _physical_memory() -> Optional[int]:
@@ -656,6 +658,7 @@ def generate_binary_tree(levels: int) -> DirectedGraph:
         raise ValueError(f"levels must be between 1 and {_MAX_LEVELS}: a deeper tree "
                          f"exceeds the limit of {MAX_NODES} nodes")
     n = 2 ** levels - 1
+    _admit(n * _TREE_NODE_BYTES, f"a binary tree of {n} nodes", "generate")
     child = np.arange(1, n)
     return DirectedGraph(n, child, (child - 1) // 2)
 

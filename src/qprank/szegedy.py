@@ -28,9 +28,10 @@ from a = 1/sqrt(N), b = 0, and the node distribution is
 On the eigenspace of D with eigenvalue +-1 the state is a fixed point of the
 two-step while a and b grow linearly; that eigenspace is deflated exactly
 (split off at the start, held constant, and removed from the D the registers
-iterate with), so rounding cannot grow along it. A series and its average
-come from one ``SeriesStream``, 64 two-steps at a time: ``evolve`` keeps its
-rows, and the CLI's ``qrank`` writes them as they come. The edge space
+iterate with), so rounding cannot grow along it. Every walk starts at
+m = 0, and a series and its average come from one ``SeriesStream``, 64
+two-steps at a time: ``evolve`` keeps its rows (past ``offset``, which only
+it takes), and the CLI's ``qrank`` writes them as they come. The edge space
 itself (the N^2-entry state, reflection, swap and two-step) lives in
 ``tests/szegedy_oracles.py``, as the independent oracle for the kernels.
 
@@ -215,11 +216,9 @@ class QuantumRankSeries:
         return iter([self.instantaneous])
 
 
-def _check_horizon(steps: int, offset: int) -> None:
+def _check_horizon(steps: int) -> None:
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if offset < 0:
-        raise ValueError("offset must be nonnegative")
 
 
 def unit_modes(op: WalkOperator) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -308,24 +307,28 @@ def _discriminant_modes(op: WalkOperator):
     return lam, vecs, np.abs(np.abs(lam) - 1.0) <= UNIT_EIGEN_TOL
 
 
+def _unit_split(modes, lam, a0: np.ndarray):
+    """The register start a0 without its share in the unit modes (the
+    columns of ``modes``, dense or CSR, with eigenvalues ``lam``), and that
+    share with its image under 2D: a fixed point of the walk, which each
+    kernel adds back at readout with the frame's sign. Without unit modes
+    the share is exactly 0."""
+    share = modes.T @ a0
+    fixed = modes @ share
+    return a0 - fixed, (fixed, 2.0 * (modes @ (lam * share)))
+
+
 def _deflated(op: WalkOperator):
-    """2D with the +-1 eigenspace of D removed, the initial alpha, and that
-    eigenspace's share of the initial a with its image under 2D (both None
-    when D has no unit modes)."""
-    d = op.discriminant
+    """2D with the +-1 eigenspace of D removed, and ``_unit_split``'s start
+    and fixed share."""
     lam, vecs, unit = _discriminant_modes(op)
-    alpha = initial_state(op)
-    if not unit.any():
-        return 2.0 * d, alpha, None, None
     v1, lam1 = vecs[:, unit], lam[unit]
-    coeff = v1.T @ alpha
-    fixed = v1 @ coeff
-    d_fixed = 2.0 * (v1 @ (lam1 * coeff))
-    return 2.0 * (d - (v1 * lam1) @ v1.T), alpha - fixed, fixed, d_fixed
+    return (2.0 * (op.discriminant - (v1 * lam1) @ v1.T),
+            *_unit_split(v1, lam1, initial_state(op)))
 
 
-def _register_walk(op: WalkOperator, steps: int, offset: int):
-    """Dense kernel: yield ``(x, q)`` for two-steps m = offset .. offset+steps-1.
+def _register_walk(op: WalkOperator, steps: int):
+    """Dense kernel: yield ``(x, q)`` for two-steps m = 0 .. steps-1.
 
     The distribution after m two-steps is P_m = G(x*x) + q. The registers
     are iterated in the sign-alternating frame alpha = (-1)^m a,
@@ -336,19 +339,18 @@ def _register_walk(op: WalkOperator, steps: int, offset: int):
     added back at readout (with the frame's sign), while the rest iterates
     under D with that eigenspace removed.
     """
-    d2, alpha, fixed, d_fixed = _deflated(op)
+    d2, alpha, (fixed, d_fixed) = _deflated(op)
+    held = fixed.any() or d_fixed.any()  # a zero share adds nothing: skip its adds
     beta = prev = np.zeros_like(alpha)
-    for m in range(offset + steps):
+    for m in range(steps):
         if m:
             alpha = alpha + d2 @ beta
             beta, prev = beta - d2 @ alpha, beta
-        if m < offset:
-            continue
-        if fixed is None:
-            yield alpha, beta * prev
-        else:
+        if held:
             sign = -1.0 if m % 2 else 1.0
             yield alpha + sign * fixed, beta * (prev + sign * d_fixed)
+        else:
+            yield alpha, beta * prev
 
 
 def _accumulate(a: sp.csr_matrix):
@@ -360,10 +362,8 @@ def _accumulate(a: sp.csr_matrix):
 
 def _augmented(op: WalkOperator):
     """The walk ``op`` on N + 1 + k coordinates (module docstring): the four
-    blocks of its operator over 2, the start a_0' on the nodes and W^T a_0'
-    on the extra coordinates, where a_0' is the register start without its
-    unit-mode share, and that share with its image under 2D (None without
-    unit modes), which the readout adds back as ``_register_walk`` does."""
+    blocks of its operator over 2, ``_unit_split``'s start a_0' on the nodes
+    and W^T a_0' on the extra coordinates, and its fixed share."""
     modes, signs = unit_modes(op)
     w = sp.hstack([sp.csr_matrix(op.scale[:, None]), modes], format="csr")
     hold = sp.diags(np.concatenate(([1.0], -0.5 * signs)))
@@ -374,19 +374,13 @@ def _augmented(op: WalkOperator):
     if op.scale.any():
         gram[0, 0] = math.fsum(op.scale * op.scale)
     c = op.correction
-    share = modes.T @ initial_state(op)
-    start = initial_state(op) - modes @ share
-    fixed = (modes @ share, 2.0 * (modes @ (signs * share))) if len(signs) else None
+    start, fixed = _unit_split(modes, signs, initial_state(op))
     return [[c, w @ hold], [(c @ w).T, gram @ hold]], start, w.T @ start, fixed
 
 
-def _chunks(steps: int) -> list[int]:
-    return [min(_BLOCK_STEPS, steps - i) for i in range(0, steps, _BLOCK_STEPS)]
-
-
-def _sparse_walk(ops: Sequence[WalkOperator], steps: int, offset: int = 0):
+def _sparse_walk(ops: Sequence[WalkOperator], steps: int):
     """Sparse kernel: yield ``(x, q)`` blocks of the two-steps
-    m = offset .. offset+steps-1, at most ``_BLOCK_STEPS`` rows each, with
+    m = 0 .. steps-1, at most ``_BLOCK_STEPS`` rows each, with
     the walks' node columns side by side: P_m = G(x*x) + q walk by walk,
     in the frame of ``_register_walk``.
 
@@ -406,42 +400,37 @@ def _sparse_walk(ops: Sequence[WalkOperator], steps: int, offset: int = 0):
     width, nodes = a.shape[0], sum(op.dim for op in ops)
     eye = sp.identity(width, format="csr")
     even, odd = (_accumulate(sp.hstack([eye, sign * a], format="csr")) for sign in (1.0, -1.0))
-    if all(f is None for f in fixed):
-        fixed = None
-    else:
-        fixed, d_fixed = (np.concatenate([np.zeros(op.dim) if f is None else f[i]
-                                          for op, f in zip(ops, fixed)]) for i in (0, 1))
+    fixed, d_fixed = (np.concatenate([f[i] for f in fixed]) for i in (0, 1))
+    held = fixed.any() or d_fixed.any()
 
-    rows = min(_BLOCK_STEPS, offset + steps)
+    rows = min(_BLOCK_STEPS, steps)
     seq = np.zeros((2 * rows + 2, width))
     flat = seq.reshape(-1)
     halves = [(odd if r % 2 else even, flat[(r - 2) * width:r * width],
                flat[r * width:(r + 1) * width]) for r in range(2, 2 * rows + 2)]
     seq[2] = np.concatenate(starts + extras)
-    m = 0
-    for k in _chunks(offset) + _chunks(steps):  # recorded blocks start at m = offset
+    for m in range(0, steps, _BLOCK_STEPS):
+        k = min(_BLOCK_STEPS, steps - m)
         for apply, x, y in halves[(0 if m else 2):2 * k]:
             apply(x, y)
-        if m >= offset:
-            alphas = seq[2:2 * k + 2:2, :nodes]
-            betas, prevs = seq[3:2 * k + 3:2, :nodes], seq[1:2 * k + 1:2, :nodes]
-            if fixed is None:
-                yield alphas, betas * prevs
-            else:
-                sign = np.where(np.arange(m, m + k) % 2, -1.0, 1.0)[:, None]
-                yield alphas + sign * fixed, betas * (prevs + sign * d_fixed)
+        alphas = seq[2:2 * k + 2:2, :nodes]
+        betas, prevs = seq[3:2 * k + 3:2, :nodes], seq[1:2 * k + 1:2, :nodes]
+        if held:
+            sign = np.where(np.arange(m, m + k) % 2, -1.0, 1.0)[:, None]
+            yield alphas + sign * fixed, betas * (prevs + sign * d_fixed)
+        else:
+            yield alphas, betas * prevs
         seq[:2] = seq[2 * k:2 * k + 2]
         seq[2:] = 0.0
-        m += k
 
 
-def _dense_blocks(op: WalkOperator, steps: int, offset: int):
+def _dense_blocks(op: WalkOperator, steps: int):
     """Dense kernel in blocks: ``_register_walk``'s ``(x, q)`` gathered into
     blocks of at most ``_BLOCK_STEPS`` rows, as ``_sparse_walk`` yields them.
     The yielded arrays are the block buffers, valid until the next block."""
     xs = np.empty((min(steps, _BLOCK_STEPS), op.dim))
     qs = np.empty_like(xs)
-    walk = _register_walk(op, steps, offset)
+    walk = _register_walk(op, steps)
     for start in range(0, steps, _BLOCK_STEPS):
         x, q = xs[:steps - start], qs[:steps - start]
         for i, (xm, qm) in zip(range(len(x)), walk):
@@ -450,28 +439,28 @@ def _dense_blocks(op: WalkOperator, steps: int, offset: int):
         yield x, q
 
 
-def _walk(ops: Sequence[WalkOperator], steps: int, offset: int = 0):
+def _walk(ops: Sequence[WalkOperator], steps: int):
     """The ``(x, q)`` blocks of the walks ``ops``: one walk below
     ``SPARSE_NODES`` on the dense kernel, any other batch on the sparse one."""
     if len(ops) == 1 and ops[0].dim < SPARSE_NODES:
-        return _dense_blocks(ops[0], steps, offset)
-    return _sparse_walk(ops, steps, offset)
+        return _dense_blocks(ops[0], steps)
+    return _sparse_walk(ops, steps)
 
 
 class SeriesStream:
-    """The distributions after two-steps m = offset .. offset+steps-1, made
-    as they are read: ``blocks()`` yields (k, N) blocks of k = _BLOCK_STEPS
-    rows, read out with one product each, and ``average``, once a pass has
-    read every row, their running sum over ``steps``, which is their
-    ``mean(axis=0)`` bit for bit."""
+    """The distributions after two-steps m = 0 .. steps-1, made as they are
+    read: ``blocks()`` yields (k, N) blocks of k = _BLOCK_STEPS rows, read
+    out with one product each, and ``average``, once a pass has read every
+    row, their running sum over ``steps``, which is their ``mean(axis=0)``
+    bit for bit."""
 
-    def __init__(self, op: WalkOperator, steps: int, offset: int = 0):
-        _check_horizon(steps, offset)
-        self.op, self.steps, self.offset, self.node_count, self._rows = op, steps, offset, op.dim, 0
+    def __init__(self, op: WalkOperator, steps: int):
+        _check_horizon(steps)
+        self.op, self.steps, self.node_count, self._rows = op, steps, op.dim, 0
 
     def blocks(self) -> Iterator[np.ndarray]:
         self._total, self._rows = np.zeros(self.node_count), 0
-        for x, q in _walk([self.op], self.steps, self.offset):
+        for x, q in _walk([self.op], self.steps):
             block = q + self.op.matrix.matvec(np.square(x.T, order="C")).T
             # row after row, as mean(axis=0) adds them; a block's own sum rounds otherwise
             self._total = np.concatenate((self._total[None], block)).sum(axis=0)
@@ -488,15 +477,22 @@ class SeriesStream:
 def evolve(op: WalkOperator, steps: int = DEFAULT_STEPS, offset: int = 0) -> QuantumRankSeries:
     """Direct kernel: record the distribution at each two-step.
 
-    ``offset`` discards that many leading two-steps before recording, for
-    experiments that want the average to start later than m = 0.
+    The walk starts at m = 0. ``offset``, kept because the benchmark's
+    tracer reads it, runs that many leading two-steps and drops their rows:
+    row 0 is the distribution after ``offset`` two-steps, and ``average``
+    is the mean of the rows kept.
     """
-    stream = SeriesStream(op, steps, offset)
-    _admit_walk(op.dim, op.matrix.links.nnz, steps)
-    inst = np.empty((steps, op.dim))
-    for start, block in zip(range(0, steps, _BLOCK_STEPS), stream.blocks()):
+    _check_horizon(steps)
+    if offset < 0:
+        raise ValueError("offset must be nonnegative")
+    total = offset + steps
+    stream = SeriesStream(op, total)
+    _admit_walk(op.dim, op.matrix.links.nnz, total)
+    inst = np.empty((total, op.dim))
+    for start, block in zip(range(0, total, _BLOCK_STEPS), stream.blocks()):
         inst[start:start + len(block)] = block
-    return QuantumRankSeries(inst, stream.average)
+    inst = inst[offset:]
+    return QuantumRankSeries(inst, inst.mean(axis=0))
 
 
 def _averages(ops: Sequence[WalkOperator], steps: int) -> list[np.ndarray]:
@@ -545,7 +541,7 @@ def evolve_spectral(sub: DynamicalSubspace, steps: int = DEFAULT_STEPS) -> Quant
     (module docstring); the node basis is one product with V per register.
     It divides by sin(theta), so it loses accuracy as |lam| -> 1.
     """
-    _check_horizon(steps, 0)
+    _check_horizon(steps)
     a0 = sub.vecs.T @ initial_state(sub.op)
     theta = np.arccos(np.clip(sub.lam, -1.0, 1.0))
     scale = np.divide(a0, np.sin(theta), out=np.zeros_like(a0), where=~sub.unit)
@@ -590,7 +586,7 @@ def quantum_pageranks(walks: Sequence[tuple[DirectedGraph, float]],
     if len(sizes) != 1:
         raise ValueError("walks must be non-empty and share one node count, "
                          f"got {sorted(sizes)}")
-    _check_horizon(steps, 0)
+    _check_horizon(steps)
     n = sizes.pop()
     batch = 1 if n < SPARSE_NODES else max(1, _BATCH_NODES // n)
     _admit_walk(n, max(len(g.targets) for g, _ in walks), walks=min(batch, len(walks)))

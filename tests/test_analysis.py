@@ -37,6 +37,15 @@ class TestIpr:
         with pytest.raises(ValueError, match="q has negative entries"):
             fidelity(np.array([0.5, 0.5]), np.array([1.5, -0.5]))
 
+    def test_nan_rejected(self):
+        # every comparison with NaN is False, so the checks must fail on it
+        with pytest.raises(ValueError, match=r"distribution is not normalized \(sum nan\)"):
+            ipr(np.array([np.nan, 1.0]))
+        with pytest.raises(ValueError, match=r"p is not normalized \(sum nan\)"):
+            fidelity(np.array([np.nan, 1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=r"q is not normalized \(sum nan\)"):
+            fidelity(np.array([0.5, 0.5]), np.array([1.0, np.nan]))
+
     def test_bounds(self):
         rng = np.random.default_rng(1)
         for _ in range(50):

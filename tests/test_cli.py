@@ -250,6 +250,13 @@ class TestExitCodes:
         assert ("qprank: not enough memory: a scale-free graph of 1000000 nodes"
                 in capsys.readouterr().err)
 
+    def test_tree_beyond_physical_memory_is_4(self, monkeypatch, capsys):
+        from qprank import graph
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 256 << 20)
+        assert main(["gen", "--gen", "tree:23"]) == 4
+        assert ("qprank: not enough memory: a binary tree of 8388607 nodes"
+                in capsys.readouterr().err)
+
     def test_requires_exactly_one_source(self, capsys):
         assert main(["rank"]) == 4
         assert main(["rank", "--benchmark", "fig1a", "--gen", "tree:3"]) == 4

@@ -465,6 +465,23 @@ class TestGenerators:
         monkeypatch.setattr(graph, "_SCALE_FREE_NODE_BYTES", 1 << 62)
         assert generate_scale_free(16, 0).node_count == 16
 
+    def test_tree_beyond_physical_memory_refused_up_front(self, monkeypatch):
+        # at 64 bytes a node, 2**23 - 1 nodes need 537 MB, more than a 256 MiB
+        # machine has; the 2**16 - 1 nodes of tree:16 need 4.2 MB
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 256 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError, match="tree of 8388607 nodes takes about 536870848 "
+                                                  "bytes .* 268435456 bytes of physical"):
+                generate_binary_tree(23)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+        assert generate_binary_tree(16).node_count == 2 ** 16 - 1
+        monkeypatch.setattr(graph, "_physical_memory", lambda: None)
+        monkeypatch.setattr(graph, "_TREE_NODE_BYTES", 1 << 62)
+        assert generate_binary_tree(4).node_count == 15
+
     def test_hierarchical_node_counts(self):
         for n in range(1, 7):
             assert generate_hierarchical(n).node_count == 3 ** n
