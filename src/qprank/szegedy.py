@@ -59,7 +59,10 @@ run as one block-diagonal operator, at most ``_BATCH_NODES`` nodes at a
 time, and each row of a CSR product reads only its own walk, so a batched
 walk's results equal its single run bit for bit. Each half-step is one
 in-place CSR product into a buffer of 64 two-steps, so no BLAS product
-touches the walk and its bytes do not depend on the thread count.
+touches the walk and its bytes do not depend on the thread count. The
+half-step operators are written straight into CSR arrays (``_half_steps``),
+equal bit for bit to scipy's block assembly in ``tests/szegedy_oracles.py``:
+a walk's fixed set-up at N = 128 took 3.0 ms that way, and 1.2 ms now.
 
 Walks below 128 nodes run on the dense kernel, which builds D from G as
 N x N arrays, deflates with ``eigh`` and steps with D one two-step at a
@@ -249,19 +252,23 @@ def unit_modes(op: WalkOperator) -> tuple[sp.csr_matrix, np.ndarray]:
     linked = (f.data.real > 0) & (f.data.imag > 0)
     src, dst = rows[linked], f.indices[linked]
 
-    def components(src, dst, size):
-        return csgraph.connected_components(
-            sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(size, size)), directed=False)
+    def graph(src, dst, size):  # canonical CSR of arcs held both ways: csgraph needs no transpose
+        indptr = np.append(0, np.cumsum(np.bincount(src, minlength=size)))
+        order = np.argsort(src * size + dst, kind="stable")  # timsort: nearly sorted already
+        return sp.csr_matrix((np.ones(len(src)), dst[order], indptr), (size, size))
 
     shared = np.flatnonzero(b > 0)
-    parts = components(src, dst, n)[1]
+    parts = csgraph.connected_components(graph(src, dst, n), connection="strong")[1]
     reps = shared[np.unique(parts[shared], return_index=True)[1]]
-    src, dst = np.concatenate((src, reps)), np.concatenate((dst, np.full(len(reps), hub)))
-    count, label = components(src, dst, n + 1)
-    entries = np.unique(label, return_index=True)[1]
-    src, dst = np.concatenate((src, entries)), np.concatenate((dst, np.full(count, root)))
-    tree = sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(n + 2, n + 2))
-    up = csgraph.breadth_first_order(tree, root, directed=False, return_predecessors=True)[1]
+    # the hub joins the parts of the nodes with b > 0, into components numbered by
+    # first node, as csgraph numbers them; the tree adds hub and root arcs both ways
+    joined = np.bincount(parts[shared], minlength=n)[parts] > 0
+    first, label = np.unique(np.append(np.where(joined, -1, parts), -1), return_index=True,
+                             return_inverse=True)[1:]
+    count, entries, label = len(first), np.sort(first), np.argsort(np.argsort(first))[label]
+    ends = np.concatenate((reps, entries)), np.append(np.full(len(reps), hub), np.full(count, root))
+    src, dst = np.concatenate((src, *ends)), np.concatenate((dst, *ends[::-1]))
+    up = csgraph.breadth_first_order(graph(src, dst, n + 2), root, return_predecessors=True)[1]
     up[root] = root
 
     # log pi of each node over its parent, and arcs on the way up, then summed to the root
@@ -286,18 +293,17 @@ def unit_modes(op: WalkOperator) -> tuple[sp.csr_matrix, np.ndarray]:
     pi = np.exp(step - top[label])
     v = np.sqrt(pi / np.bincount(label, pi, minlength=count)[label])
     held = np.bincount(label, minlength=count) > 0
-    nodes, columns, values, signs = [], [], [], []
+    columns, values, signs = [], [], []
     for sign, u in ((1.0, v), (-1.0, np.where(hops[:n] % 2, -v, v))):
         r = op.scale * (op.scale * u).sum() + op.correction @ u - sign * u
         kept = held & (np.sqrt(np.bincount(label, r * r, minlength=count)) <= UNIT_EIGEN_TOL)
-        at = np.flatnonzero(kept[label])
-        nodes.append(at)
-        columns.append(len(signs) + (np.cumsum(kept) - 1)[label[at]])
-        values.append(u[at])
+        columns.append(np.where(kept, len(signs) + np.cumsum(kept) - 1, -1)[label])
+        values.append(u)
         signs += [sign] * int(kept.sum())
-    basis = sp.csr_matrix((np.concatenate(values), (np.concatenate(nodes), np.concatenate(columns))),
-                          shape=(n, len(signs)))
-    return basis, np.array(signs)
+    columns, values = np.stack(columns, axis=1), np.stack(values, axis=1)  # +1 mode, then -1
+    at = columns >= 0
+    indptr = np.append(0, np.cumsum(at.sum(axis=1)))
+    return sp.csr_matrix((values[at], columns[at], indptr), (n, len(signs))), np.array(signs)
 
 
 def _discriminant_modes(op: WalkOperator):
@@ -353,29 +359,77 @@ def _register_walk(op: WalkOperator, steps: int):
             yield alpha, beta * prev
 
 
-def _accumulate(a: sp.csr_matrix):
-    """The call f(x, y) that adds a @ x to y in place: scipy's compiled CSR
-    product, the routine ``a @ x`` itself calls, without the argument checks
-    and the output array of ``@``."""
-    return partial(csr_matvec, *a.shape, a.indptr, a.indices, a.data)
+def _accumulate(indptr, indices, data, cols: int):
+    """The call f(x, y) that adds A x to y in place, for the CSR matrix A of
+    ``cols`` columns held in ``indptr``, ``indices`` and ``data``: scipy's
+    compiled CSR product, the routine ``A @ x`` itself calls, without a
+    sparse container, the argument checks and the output array of ``@``."""
+    return partial(csr_matvec, len(indptr) - 1, cols, indptr, indices, data)
 
 
 def _augmented(op: WalkOperator):
-    """The walk ``op`` on N + 1 + k coordinates (module docstring): the four
-    blocks of its operator over 2, ``_unit_split``'s start a_0' on the nodes
-    and W^T a_0' on the extra coordinates, and its fixed share."""
+    """The walk ``op`` on N + 1 + k coordinates (module docstring), nodes
+    first: the (row, column) pairs and values of its operator over 2, block
+    by block (C, W Sigma, W^T C, W^T W Sigma), each by row, then column;
+    ``_unit_split``'s start a_0' and W^T a_0'; and its fixed share. C W and
+    W^T W add their terms in the order scipy's sparse product adds them."""
     modes, signs = unit_modes(op)
-    w = sp.hstack([sp.csr_matrix(op.scale[:, None]), modes], format="csr")
-    hold = sp.diags(np.concatenate(([1.0], -0.5 * signs)))
-    gram = (w.T @ w).tolil()
+    n, k, c = op.dim, len(signs), op.correction
+    hold, layer = np.append(1.0, -0.5 * signs), np.append(0, np.where(signs > 0, 1, 2))
+    # W = [s, V] in three layers of columns: s, the +1 modes, the -1 modes. The modes of
+    # one sign lie on distinct components, between which C holds only exact zeros, so
+    # one product per layer x gives all its columns of C W and W^T W
+    col, x = np.full((3, n), -1), np.zeros((3, n))
+    col[0], x[0] = 0, op.scale
+    at = layer[modes.indices + 1], np.repeat(np.arange(n), np.diff(modes.indptr))
+    col[at], x[at] = modes.indices + 1, modes.data
+    on = col >= 0
+    w_nodes, w_cols = np.nonzero(on)[1], col[on]  # W's entries, by layer and node
+    by_col = np.argsort(w_cols, kind="stable")
+    wt = (np.append(0, np.cumsum(np.bincount(w_cols, minlength=k + 1))), w_nodes[by_col],
+          x[on][by_col])  # W^T as CSR arrays
+    cw, gram = np.zeros((3, n)), np.zeros((3, k + 1))
+    for i in range(3):
+        _accumulate(c.indptr, c.indices, c.data, n)(x[i], cw[i])
+        _accumulate(*wt, n)(x[i], gram[i])
     # s^T s adds N terms, and its rounding shifts the walk's frequencies: summed
     # by the CSR product, the walk on scalefree:128 at alpha = 0.01 strayed
     # 2.9e-11 from a long-double walk after 2048 two-steps; exactly rounded, 2.2e-12
-    if op.scale.any():
-        gram[0, 0] = math.fsum(op.scale * op.scale)
-    c = op.correction
+    gram[0, 0] = math.fsum(op.scale * op.scale)
+    # W^T W pairs the columns that share a node; row 0 by symmetry, as s spans them all
+    p, q = np.divmod(np.unique((col[:, None] * (k + 1) + col)[on[:, None] & on]), k + 1)
+    c_rows = np.repeat(np.arange(n), np.diff(c.indptr))
+    entries = np.hstack(([c_rows, c.indices], [w_nodes, n + w_cols], [n + w_cols, w_nodes],
+                         [n + p, n + q]))
+    vals = np.concatenate((c.data, x[on] * hold[w_cols], cw[on],
+                           np.where(p > 0, gram[layer[q], p], gram[0, q]) * hold[q]))
     start, fixed = _unit_split(modes, signs, initial_state(op))
-    return [[c, w @ hold], [(c @ w).T, gram @ hold]], start, w.T @ start, fixed
+    extras = np.zeros(k + 1)
+    _accumulate(*wt, n)(start, extras)
+    return entries, vals, start, extras, fixed
+
+
+def _half_steps(ops: Sequence[WalkOperator]):
+    """The walks ``ops`` as one block-diagonal operator A, every walk's nodes
+    first, then every walk's extra coordinates: [I, A] and [I, -A] as CSR
+    arrays (indptr, indices and the two data arrays; each row the identity's
+    entry, then A's nonzero ones by column), the start and the fixed share."""
+    entries, vals, starts, extras, fixed = zip(*map(_augmented, ops))
+    at = np.cumsum([(0, 0)] + [(len(s), len(e)) for s, e in zip(starts, extras)], axis=0)
+    nodes, width = at[-1, 0], at[-1].sum()
+    rows, cols = np.hstack([np.tile(np.arange(width), (2, 1))] + [
+        np.where(rc < n, rc + i, rc - n + nodes + j)[:, v != 0.0]
+        for rc, v, (i, j), n in zip(entries, vals, at, np.diff(at[:, 0]))])
+    cols[width:] += width  # A's columns, after the identity's
+    order = np.argsort(rows, kind="stable")  # each row's entries in the order listed
+    # 32-bit indices where they fit, as scipy picks them: 5% faster half-steps at N = 10^5
+    index = np.int32 if max(len(rows), 2 * width) < 2 ** 31 else np.int64
+    indptr = np.append(0, np.cumsum(np.bincount(rows, minlength=width))).astype(index)
+    even = np.concatenate([np.ones(width)] + [2.0 * v[v != 0.0] for v in vals])[order]
+    odd = -even
+    odd[indptr[:-1]] = 1.0
+    return ((indptr, cols[order].astype(index), even, odd), np.concatenate(starts + extras),
+            [np.concatenate(f) for f in zip(*fixed)])
 
 
 def _sparse_walk(ops: Sequence[WalkOperator], steps: int):
@@ -384,23 +438,16 @@ def _sparse_walk(ops: Sequence[WalkOperator], steps: int):
     the walks' node columns side by side: P_m = G(x*x) + q walk by walk,
     in the frame of ``_register_walk``.
 
-    The walks run as one block-diagonal operator A, every walk's nodes
-    first and then every walk's extra coordinates. A block buffer holds
-    alpha_{m-1}, beta_{m-1}, alpha_m, beta_m, ... row after row, so
+    The walks run as ``_half_steps``' block-diagonal A. A block buffer
+    holds alpha_{m-1}, beta_{m-1}, alpha_m, beta_m, ... row after row, so
     alpha_m = [I, A] [alpha_{m-1}; beta_{m-1}] and
     beta_m = [I, -A] [beta_{m-1}; alpha_m] each read two adjacent rows:
     each half-step is one ``_accumulate`` into a zeroed row. The yielded
     arrays are views of the buffer, valid until the next block.
     """
-    blocks, starts, extras, fixed = zip(*map(_augmented, ops))
-    a = 2.0 * sp.bmat([[sp.block_diag([b[i][j] for b in blocks]) for j in (0, 1)]
-                       for i in (0, 1)], format="csr")
-    a.eliminate_zeros()
-    a.sort_indices()
-    width, nodes = a.shape[0], sum(op.dim for op in ops)
-    eye = sp.identity(width, format="csr")
-    even, odd = (_accumulate(sp.hstack([eye, sign * a], format="csr")) for sign in (1.0, -1.0))
-    fixed, d_fixed = (np.concatenate([f[i] for f in fixed]) for i in (0, 1))
+    (indptr, indices, *data), start, (fixed, d_fixed) = _half_steps(ops)
+    width, nodes = len(start), sum(op.dim for op in ops)
+    even, odd = (_accumulate(indptr, indices, d, 2 * width) for d in data)
     held = fixed.any() or d_fixed.any()
 
     rows = min(_BLOCK_STEPS, steps)
@@ -408,7 +455,7 @@ def _sparse_walk(ops: Sequence[WalkOperator], steps: int):
     flat = seq.reshape(-1)
     halves = [(odd if r % 2 else even, flat[(r - 2) * width:r * width],
                flat[r * width:(r + 1) * width]) for r in range(2, 2 * rows + 2)]
-    seq[2] = np.concatenate(starts + extras)
+    seq[2] = start
     for m in range(0, steps, _BLOCK_STEPS):
         k = min(_BLOCK_STEPS, steps - m)
         for apply, x, y in halves[(0 if m else 2):2 * k]:

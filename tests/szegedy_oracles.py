@@ -6,10 +6,15 @@ two real N-vectors (``qprank.szegedy``). Every function here builds the
 amplitudes sqrt(G)^T from the operator's dense Google matrix itself, so
 the oracle stays independent of how the package builds the discriminant.
 ``cesaro_limit`` gives the exact M -> infinity average of the walk, the
-oracle for long horizons.
+oracle for long horizons. ``augmented_operators`` assembles the sparse
+kernel's half-step operators from scipy's block and stack constructors,
+the reference for the CSR arrays the kernel writes itself.
 """
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
 
 from qprank import szegedy
 
@@ -104,3 +109,32 @@ def cesaro_limit(op):
     bb = (same - opposite).sum(axis=1)
     b_da = (lam ** 2 * (opposite - same)).sum(axis=1)
     return g @ aa + bb + 2 * b_da
+
+
+def augmented_operators(ops):
+    """The sparse kernel's half-step operators [I, A] and [I, -A] for the
+    batch ``ops``, as CSR matrices, and the register start, assembled block
+    by block with scipy's constructors: each walk's operator over 2 is
+    [[C, W Sigma], [(C W)^T, W^T W Sigma]] with W = [s, V] and
+    Sigma = diag(1, -lambda/2) (``qprank.szegedy``'s module docstring), and
+    A is twice their block-diagonal sum, every walk's nodes first."""
+    blocks, starts, extras = [], [], []
+    for op in ops:
+        modes, signs = szegedy.unit_modes(op)
+        w = sp.hstack([sp.csr_matrix(op.scale[:, None]), modes], format="csr")
+        hold = sp.diags(np.concatenate(([1.0], -0.5 * signs)))
+        gram = (w.T @ w).tolil()
+        if op.scale.any():
+            gram[0, 0] = math.fsum(op.scale * op.scale)
+        c = op.correction
+        start = szegedy._unit_split(modes, signs, szegedy.initial_state(op))[0]
+        blocks.append([[c, w @ hold], [(c @ w).T, gram @ hold]])
+        starts.append(start)
+        extras.append(w.T @ start)
+    a = 2.0 * sp.bmat([[sp.block_diag([b[i][j] for b in blocks]) for j in (0, 1)]
+                       for i in (0, 1)], format="csr")
+    a.eliminate_zeros()
+    a.sort_indices()
+    eye = sp.identity(a.shape[0], format="csr")
+    return ([sp.hstack([eye, sign * a], format="csr") for sign in (1.0, -1.0)],
+            np.concatenate(starts + extras))

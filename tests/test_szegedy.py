@@ -15,8 +15,8 @@ from qprank.analysis import damping_sweep
 from qprank.szegedy import (SeriesStream, average_drift, build_dynamical_subspace, evolve,
                             evolve_spectral, quantum_pagerank, quantum_pageranks,
                             quantum_rank_series, unit_modes, walk_operator)
-from szegedy_oracles import (amps, apply_reflection, apply_swap, cesaro_limit, initial_state,
-                             instantaneous_qpr, two_step)
+from szegedy_oracles import (amps, apply_reflection, apply_swap, augmented_operators,
+                             cesaro_limit, initial_state, instantaneous_qpr, two_step)
 from test_analysis import _peak_bytes
 
 BENCHMARKS = ("fig1a", "fig1c", "fig1d", "fig2b")
@@ -343,11 +343,14 @@ class TestTwoRegisterKernel:
     def test_sparse_kernel_matches_dense_on_scale_free_graphs(self, n):
         # alpha = 0.01 puts an eigenvalue of D near 1, where the walk is least
         # well conditioned; alpha = 1 lets the dangling nodes alone teleport
+        # alpha = 0 stores C as explicit zeros and puts the whole start in the uniform +1 mode
         g = generate_scale_free(n, 0)
-        for alpha in (0.01, 0.5, 0.85, 0.98, 1.0):
+        for alpha in (0.0, 0.01, 0.5, 0.85, 0.98, 1.0):
             op = walk_operator(g, alpha)
-            sparse, dense = (series(op, 2048, kernel).instantaneous for kernel in ("sparse", "dense"))
-            assert np.abs(sparse - dense).max() <= 1e-12, alpha
+            sparse, dense = (series(op, 2048, kernel) for kernel in ("sparse", "dense"))
+            assert np.abs(sparse.instantaneous - dense.instantaneous).max() <= 1e-12, alpha
+            if alpha == 0.0 and n == 128:
+                assert np.abs(sparse.average - 1.0 / n).max() <= 1e-15
 
     def test_unit_eigenvalues_present_where_deflation_matters(self):
         for name, make, alpha in ORACLE_CASES[:4]:
@@ -483,6 +486,14 @@ def bidirected_ring(n):
                                    + [((i + 1) % n, i) for i in range(n)])
 
 
+def bidirected_paths(count, length, isolated=0):
+    """``count`` disjoint bidirected paths of ``length`` nodes, then
+    ``isolated`` nodes without arcs."""
+    arcs = [(s + i, s + j) for s in range(0, count * length, length)
+            for i in range(length) for j in (i - 1, i + 1) if 0 <= j < length]
+    return DirectedGraph.from_arcs(count * length + isolated, arcs)
+
+
 def eigh_unit_modes(g, alpha):
     op = walk_operator(g, alpha)
     return int((np.abs(np.abs(np.linalg.eigvalsh(amps(op) * amps(op).T)) - 1.0) < 1e-9).sum())
@@ -600,9 +611,47 @@ class TestSparseKernel:
                     a.indices, a.indptr = a.indices.astype(index), a.indptr.astype(index)
                     x, y = (np.round(v * 2 ** 10) if exact else v for v in (x, y))
                     want, bound = y + a @ x, np.abs(y) + np.abs(a) @ np.abs(x)
-                    szegedy._accumulate(a)(x, y)
+                    szegedy._accumulate(a.indptr, a.indices, a.data, cols)(x, y)
                     assert np.all(np.abs(y - want) <= np.spacing(bound)), (index, rows)
                     assert np.array_equal(y, want) or not exact
+
+    @pytest.mark.parametrize("walks", [
+        *[pytest.param([(generate_scale_free(n, 0), a)], id=f"scalefree{n}-{a}")
+          for n in (128, 256, 512) for a in (0.0, 0.01, 0.5, 0.85, 0.98, 1.0)],
+        pytest.param([(bidirected_ring(128), 0.85)], id="ring128-0.85"),
+        pytest.param([(bidirected_ring(128), 1.0)], id="ring128-1.0"),
+        pytest.param([(bidirected_ring(128), 0.85), (generate_scale_free(128, 9), 0.85),
+                      (bidirected_ring(128), 1.0), (generate_scale_free(128, 9), 0.5)],
+                     id="mixed-batch"),
+        pytest.param([(bidirected_paths(43, 3, isolated=1), 1.0)], id="paths-1.0"),
+    ])
+    def test_half_steps_match_the_scipy_assembly(self, walks):
+        # the rings hold k = 1 and 2 unit modes, the paths 86: a +1 and a -1 mode on
+        # each of 43 components, none on the isolated node; the batch is
+        # test_mixed_unit_mode_batch's
+        ops = [walk_operator(g, a) for g, a in walks]
+        (indptr, indices, *data), start, _ = szegedy._half_steps(ops)
+        references, reference_start = augmented_operators(ops)
+        for reference, values in zip(references, data):
+            for ours, want in ((indptr, reference.indptr), (indices, reference.indices),
+                               (values, reference.data)):
+                assert ours.dtype == want.dtype and ours.tobytes() == want.tobytes()
+        assert start.tobytes() == reference_start.tobytes()
+
+    def test_no_block_constructor_on_the_sparse_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy container assembly")
+        for name in ("bmat", "hstack", "block_diag", "identity", "diags"):
+            monkeypatch.setattr(sp, name, refuse)
+        monkeypatch.setattr(sp.csr_matrix, "tolil", refuse)
+        g, ring = generate_scale_free(128, 3), bidirected_ring(128)
+        assert abs(quantum_pagerank(g, 0.85, 256).sum() - 1.0) < 1e-12
+        assert abs(quantum_pagerank(ring, 1.0, 256).sum() - 1.0) < 1e-12
+        assert damping_sweep(g, (0.5, 0.85), "quantum", 256).rank_vectors.shape == (2, 128)
+        assert damping_sweep(ring, (0.5, 0.85), "quantum", 256).rank_vectors.shape == (2, 128)
+        assert evolve(walk_operator(ring, 1.0), 256).steps == 256
+        with pytest.raises(AssertionError, match="container assembly"):
+            augmented_operators([walk_operator(g, 0.85)])
 
     def test_no_dense_step_on_the_sparse_path(self, monkeypatch):
         def refuse(*args, **kwargs):
