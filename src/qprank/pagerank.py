@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_tocsc
 
 from .graph import DirectedGraph
 
@@ -66,12 +67,14 @@ class GoogleMatrix:
 
 
 def hyperlink_matrix(g: DirectedGraph) -> GoogleMatrix:
-    """H with H[i, j] = 1/outdeg(j) for every arc j -> i; no column patched."""
-    n = g.node_count
-    out_deg = g.out_degrees()
-    src = g.sources()
-    links = sp.csr_matrix((1.0 / out_deg[src], (g.targets, src)), shape=(n, n))
-    return GoogleMatrix(links, np.zeros(n, dtype=bool))
+    """H with H[i, j] = 1/outdeg(j) for every arc j -> i; no column patched.
+    scipy's compiled CSR transpose turns the arcs by source into its rows."""
+    n, arcs = g.node_count, len(g.targets)
+    index = np.int32 if max(n, arcs) < 2 ** 31 else np.int64
+    indptr, indices, data = np.empty(n + 1, index), np.empty(arcs, index), np.empty(arcs)
+    csr_tocsc(n, n, g.indptr.astype(index), g.targets.astype(index),
+              1.0 / g.out_degrees()[g.sources()], indptr, indices, data)
+    return GoogleMatrix(sp.csr_matrix((data, indices, indptr), (n, n)), np.zeros(n, dtype=bool))
 
 
 def patch_dangling(h: GoogleMatrix) -> GoogleMatrix:

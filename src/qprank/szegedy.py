@@ -57,12 +57,12 @@ carried coordinates would grow along them: 1.0e-12 from the dense kernel on
 fig1a after 2048 two-steps, against 3.2e-14 at lambda/2. The walks of one call
 run as one block-diagonal operator, at most ``_BATCH_NODES`` nodes at a
 time, and each row of a CSR product reads only its own walk, so a batched
-walk's results equal its single run bit for bit. Each half-step is one
-in-place CSR product into a buffer of 64 two-steps, so no BLAS product
-touches the walk and its bytes do not depend on the thread count. The
-half-step operators are written straight into CSR arrays (``_half_steps``),
-equal bit for bit to scipy's block assembly in ``tests/szegedy_oracles.py``:
-a walk's fixed set-up at N = 128 took 3.0 ms that way, and 1.2 ms now.
+walk's results equal its single run bit for bit. The half-step operators
+are CSR arrays (``_half_steps``), equal bit for bit to scipy's block assembly
+in ``tests/szegedy_oracles.py``. One in-place CSR product runs a strip of up
+to 128 half-steps in a buffer of 64 two-steps, so no BLAS product touches the
+walk and its bytes do not depend on the thread count: at N = 128 a 2048-step
+walk's kernel took 7.3 ms as 4096 products and 4.2 ms as 128 (best of 31).
 
 Walks below 128 nodes run on the dense kernel, which builds D from G as
 N x N arrays, deflates with ``eigh`` and steps with D one two-step at a
@@ -109,18 +109,21 @@ SPARSE_NODES = 128
 # many nodes, or one walk alone; each batch holds its own block buffers.
 _BATCH_NODES = 512
 # Peak bytes of one walk per node and per arc, and of a recorded series per
-# two-step and node. tracemalloc, sparse kernel: quantum_pagerank took 3050
-# per node on scale-free graphs of 1000 to 30000 nodes, 125-145 per arc on
-# random graphs of 20 to 90 arcs a node; evolve's readout adds about 1300 per
-# node, and its series 7.8 per two-step and node (N = 2000, 256 against 1024
-# two-steps). Below SPARSE_NODES the dense kernel's 34 bytes per node pair
-# stay under the node term.
+# two-step and node. tracemalloc, sparse kernel: quantum_pagerank took 2920-
+# 3090 per node on scale-free graphs of 1000 to 30000 nodes (the strip adds
+# 20-150), and beyond 3050 a node 100-196 per arc on random graphs of 20 to
+# 150 arcs a node; evolve's readout adds about 1300 per node, and its series
+# 7.8 per two-step and node (N = 2000, 256 against 1024 two-steps). Below
+# SPARSE_NODES the dense kernel's 34 bytes per node pair stay under the node term.
 _NODE_BYTES = 4400
-_ARC_BYTES = 160
+_ARC_BYTES = 200
 _SERIES_BYTES = 8
 # Two-steps per block of a series: the walk holds one block of registers at a
 # time and reads each block out with one product.
 _BLOCK_STEPS = 64
+# Entries of the sparse kernel's strip operator, h half-steps in one CSR call:
+# h is the largest even count within it, at least 2 and at most 2 _BLOCK_STEPS.
+_STRIP_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +321,9 @@ def _unit_split(modes, lam, a0: np.ndarray):
     columns of ``modes``, dense or CSR, with eigenvalues ``lam``), and that
     share with its image under 2D: a fixed point of the walk, which each
     kernel adds back at readout with the frame's sign. Without unit modes
-    the share is exactly 0."""
+    the share is exactly 0, and a0 comes back as it is."""
+    if not modes.shape[1]:
+        return a0, (np.zeros_like(a0), np.zeros_like(a0))
     share = modes.T @ a0
     fixed = modes @ share
     return a0 - fixed, (fixed, 2.0 * (modes @ (lam * share)))
@@ -441,25 +446,31 @@ def _sparse_walk(ops: Sequence[WalkOperator], steps: int):
     The walks run as ``_half_steps``' block-diagonal A. A block buffer
     holds alpha_{m-1}, beta_{m-1}, alpha_m, beta_m, ... row after row, so
     alpha_m = [I, A] [alpha_{m-1}; beta_{m-1}] and
-    beta_m = [I, -A] [beta_{m-1}; alpha_m] each read two adjacent rows:
-    each half-step is one ``_accumulate`` into a zeroed row. The yielded
+    beta_m = [I, -A] [beta_{m-1}; alpha_m] each read the two rows before
+    their own. One CSR product runs a strip of h half-steps: the operators
+    alternate, each copy's columns one row on, and y is later rows of x.
+    scipy's product sums row after row into the zeroed y, each as a single
+    half-step would, so every row reads rows already final. The yielded
     arrays are views of the buffer, valid until the next block.
     """
     (indptr, indices, *data), start, (fixed, d_fixed) = _half_steps(ops)
-    width, nodes = len(start), sum(op.dim for op in ops)
-    even, odd = (_accumulate(indptr, indices, d, 2 * width) for d in data)
+    width, nodes, nnz = len(start), sum(op.dim for op in ops), len(indices)
     held = fixed.any() or d_fixed.any()
+    h = 2 * max(1, min(_BLOCK_STEPS, _STRIP_ENTRIES // (2 * nnz)))
+    index = indices.dtype if (h + 1) * max(nnz, width) < 2 ** 31 else np.int64
+    shift = np.arange(h, dtype=index)[:, None]
+    strip = (np.append(indptr[:-1] + nnz * shift, h * nnz).astype(index),
+             (indices + width * shift).ravel(), np.concatenate(data * (h // 2)))
+    del indptr, indices, data  # the strip holds them h times over
 
-    rows = min(_BLOCK_STEPS, steps)
-    seq = np.zeros((2 * rows + 2, width))
+    seq = np.zeros((2 * min(_BLOCK_STEPS, steps) + 2, width))
     flat = seq.reshape(-1)
-    halves = [(odd if r % 2 else even, flat[(r - 2) * width:r * width],
-               flat[r * width:(r + 1) * width]) for r in range(2, 2 * rows + 2)]
-    seq[2] = start
+    seq[2] = start  # alpha_0, and beta_0 = 0 in row 3: the first block's strips start at row 4
     for m in range(0, steps, _BLOCK_STEPS):
         k = min(_BLOCK_STEPS, steps - m)
-        for apply, x, y in halves[(0 if m else 2):2 * k]:
-            apply(x, y)
+        for lo in range((2 if m else 4) * width, (2 * k + 2) * width, h * width):
+            n = min(h, 2 * k + 2 - lo // width) * width  # a row prefix of the strip
+            csr_matvec(n, n + width, *strip, flat[lo - 2 * width:lo + n - width], flat[lo:lo + n])
         alphas = seq[2:2 * k + 2:2, :nodes]
         betas, prevs = seq[3:2 * k + 3:2, :nodes], seq[1:2 * k + 1:2, :nodes]
         if held:

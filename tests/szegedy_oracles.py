@@ -9,6 +9,8 @@ the oracle stays independent of how the package builds the discriminant.
 oracle for long horizons. ``augmented_operators`` assembles the sparse
 kernel's half-step operators from scipy's block and stack constructors,
 the reference for the CSR arrays the kernel writes itself.
+``half_step_walk`` steps those operators one CSR product per half-step, the
+reference for the strips of half-steps the kernel runs in one product.
 """
 
 import math
@@ -138,3 +140,29 @@ def augmented_operators(ops):
     eye = sp.identity(a.shape[0], format="csr")
     return ([sp.hstack([eye, sign * a], format="csr") for sign in (1.0, -1.0)],
             np.concatenate(starts + extras))
+
+
+def half_step_walk(ops, steps):
+    """``szegedy._sparse_walk``'s ``(x, q)`` blocks, from one CSR product per
+    half-step: alpha_m = [I, A] [alpha_{m-1}; beta_{m-1}] and
+    beta_m = [I, -A] [beta_{m-1}; alpha_m], each into a zeroed row of a
+    buffer of ``szegedy._BLOCK_STEPS`` two-steps."""
+    (indptr, indices, *data), start, (fixed, d_fixed) = szegedy._half_steps(ops)
+    width, nodes = len(start), sum(op.dim for op in ops)
+    even, odd = (szegedy._accumulate(indptr, indices, d, 2 * width) for d in data)
+    held = fixed.any() or d_fixed.any()
+    seq = np.zeros((2 * szegedy._BLOCK_STEPS + 2, width))
+    seq[2] = start  # alpha_0; beta_0 = 0 and the rows of m = -1 are 0
+    for m in range(0, steps, szegedy._BLOCK_STEPS):
+        k = min(szegedy._BLOCK_STEPS, steps - m)
+        for r in range(2 if m else 4, 2 * k + 2):
+            (odd if r % 2 else even)(seq[r - 2:r].reshape(-1), seq[r])
+        alphas = seq[2:2 * k + 2:2, :nodes]
+        betas, prevs = seq[3:2 * k + 3:2, :nodes], seq[1:2 * k + 1:2, :nodes]
+        if held:
+            sign = np.where(np.arange(m, m + k) % 2, -1.0, 1.0)[:, None]
+            yield alphas + sign * fixed, betas * (prevs + sign * d_fixed)
+        else:
+            yield alphas, betas * prevs
+        seq[:2] = seq[2 * k:2 * k + 2]
+        seq[2:] = 0.0

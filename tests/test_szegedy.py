@@ -16,7 +16,8 @@ from qprank.szegedy import (SeriesStream, average_drift, build_dynamical_subspac
                             evolve_spectral, quantum_pagerank, quantum_pageranks,
                             quantum_rank_series, unit_modes, walk_operator)
 from szegedy_oracles import (amps, apply_reflection, apply_swap, augmented_operators,
-                             cesaro_limit, initial_state, instantaneous_qpr, two_step)
+                             cesaro_limit, half_step_walk, initial_state, instantaneous_qpr,
+                             two_step)
 from test_analysis import _peak_bytes
 
 BENCHMARKS = ("fig1a", "fig1c", "fig1d", "fig2b")
@@ -547,12 +548,12 @@ class TestStackedWalks:
 
 
 class TestMemoryAdmission:
-    """Each walk estimates its bytes (4400 per node, 160 per arc, 8 per
+    """Each walk estimates its bytes (4400 per node, 200 per arc, 8 per
     recorded two-step and node) and refuses, before allocating, a run beyond
     the physical memory figure, here monkeypatched. Every refused run is
     small, so a missing check costs no memory."""
 
-    LIMIT = 1 << 20  # 1 MiB: N = 64 (91 arcs) needs 296 160 bytes, N = 256 (407 arcs) 1 191 520
+    LIMIT = 1 << 20  # 1 MiB: N = 64 (91 arcs) needs 299 800 bytes, N = 256 (407 arcs) 1 207 800
 
     @staticmethod
     def _refused(run, match):
@@ -572,13 +573,13 @@ class TestMemoryAdmission:
         for run in (lambda: walk_operator(big, 0.85),
                     lambda: quantum_pagerank(big, 0.85, 16),
                     lambda: quantum_rank_series(big, 0.85, 16)):
-            assert self._refused(run, walk.format(1191520)) < 1 << 16
+            assert self._refused(run, walk.format(1207800)) < 1 << 16
         # two walks of N = 256 share a batch
         assert self._refused(lambda: quantum_pageranks([(big, 0.5), (big, 0.85)], 16),
-                             walk.format(2 * 1191520)) < 1 << 16
-        # the series is counted too: 296 160 + 8 * 64 * 4096 bytes
+                             walk.format(2 * 1207800)) < 1 << 16
+        # the series is counted too: 299 800 + 8 * 64 * 4096 bytes
         assert self._refused(lambda: evolve(op, 4096),
-                             "on 64 nodes and 91 arcs over 4096 two-steps takes about 2393312 "
+                             "on 64 nodes and 91 arcs over 4096 two-steps takes about 2396952 "
                              "bytes") < 1 << 16
         assert evolve(op, 256).steps == 256
         assert quantum_pagerank(small, 0.85, 256).shape == (64,)
@@ -614,6 +615,70 @@ class TestSparseKernel:
                     szegedy._accumulate(a.indptr, a.indices, a.data, cols)(x, y)
                     assert np.all(np.abs(y - want) <= np.spacing(bound)), (index, rows)
                     assert np.array_equal(y, want) or not exact
+
+    def test_one_product_reads_the_rows_it_wrote(self):
+        # the strip's contract with scipy's CSR product: row after row, each written
+        # before the next is read, x and y views of one buffer, as Fibonacci rows
+        # show exactly; a scipy that reorders, parallelises or copies the routine fails
+        fib = [0, 1]
+        while len(fib) < 70:  # below 2^53: exact in float64
+            fib.append(fib[-2] + fib[-1])
+        rows = len(fib) - 2
+        for index in (np.int32, np.int64):
+            indptr = np.arange(0, 2 * rows + 1, 2, dtype=index)
+            indices = (np.arange(rows)[:, None] + [0, 1]).ravel().astype(index)
+            buffer = np.zeros(len(fib))
+            buffer[1] = 1.0
+            szegedy._accumulate(indptr, indices, np.ones(2 * rows), rows + 1)(buffer[:-1],
+                                                                            buffer[2:])
+            assert buffer.tolist() == fib
+
+    def test_a_walk_makes_one_product_per_strip(self, monkeypatch):
+        calls = []
+        product = szegedy.csr_matvec
+        monkeypatch.setattr(szegedy, "csr_matvec",
+                            lambda *args: calls.append(args[0]) or product(*args))
+        quantum_pagerank(generate_scale_free(128, 0), 0.85, 2048)
+        assert len(calls) <= 200  # one product per half-step made 4096
+
+    @pytest.mark.parametrize("entries", [1, szegedy._STRIP_ENTRIES, 1 << 30],
+                             ids=["h=2", "budget", "h=128"])
+    def test_strips_equal_one_product_per_half_step(self, entries, monkeypatch):
+        # h = 40 at scalefree:128, 20 at 256 and 10 in the batch by the budget: each
+        # block ends in a strip cut short, and 130 two-steps end in a block of 2
+        monkeypatch.setattr(szegedy, "_STRIP_ENTRIES", entries)
+        ring, sf = bidirected_ring(128), generate_scale_free(128, 9)
+        for walks in ([(generate_scale_free(128, 0), 0.85)], [(generate_scale_free(256, 0), 0.5)],
+                      [(ring, 0.85), (sf, 0.85), (ring, 1.0), (sf, 0.5)],
+                      [(bidirected_paths(43, 3, isolated=1), 1.0)]):
+            ops = [walk_operator(g, a) for g, a in walks]
+            for steps in (1, 2, 63, 64, 65, 130, 2048):
+                rows = 0
+                for (x, q), (want_x, want_q) in zip(szegedy._sparse_walk(ops, steps),
+                                                    half_step_walk(ops, steps), strict=True):
+                    assert x.tobytes() == want_x.tobytes() and q.tobytes() == want_q.tobytes()
+                    rows += len(x)
+                assert rows == steps
+
+    def test_split_without_unit_modes_is_the_general_split(self):
+        # k = 0 returns the start and zero shares without a product; the dense
+        # kernel's modes are an N x 0 array, the sparse kernel's an N x 0 CSR matrix
+        for g, alpha in ((generate_scale_free(128, 0), 0.85), (bidirected_ring(128), 1.0),
+                         (bidirected_paths(43, 3, isolated=1), 1.0),
+                         (generate_scale_free(64, 0), 0.85), (bidirected_ring(64), 0.85)):
+            op = walk_operator(g, alpha)
+            if g.node_count < szegedy.SPARSE_NODES:
+                lam, vecs, unit = szegedy._discriminant_modes(op)
+                modes, lam = vecs[:, unit], lam[unit]
+            else:
+                modes, lam = unit_modes(op)
+            a0 = szegedy.initial_state(op)
+            share = modes.T @ a0
+            fixed = modes @ share
+            want = a0 - fixed, fixed, 2.0 * (modes @ (lam * share))
+            start, shares = szegedy._unit_split(modes, lam, a0)
+            for ours, ref in zip((start, *shares), want):
+                assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("walks", [
         *[pytest.param([(generate_scale_free(n, 0), a)], id=f"scalefree{n}-{a}")
